@@ -17,7 +17,6 @@ from . import crawler, ensemble, export, metrics, popularity
 from .embeddings import EmbeddingCache, RemoteEmbedder, TrigramHashEmbedder
 from .gateway import BackendDescriptor, GatewayError, build_gateway
 from .model import (
-    Caps,
     KnowledgeBase,
     RunConfig,
     StructuralCategory,
@@ -25,6 +24,7 @@ from .model import (
     load_triples,
     run_failed,
     save_run,
+    write_triples,
 )
 
 CATEGORY_ALIASES = {
@@ -73,28 +73,14 @@ def _pick(cli_value, config: dict, key: str, default):
 
 
 def _run_config(args, config: dict) -> RunConfig:
-    topic = _pick(args.topic, config, "topic", None)
-    seed = _pick(args.seed, config, "seed", None)
-    if not topic or not seed:
+    # Each crawl flag's dest is the config key it overrides.
+    keys = ("topic", "seed", "language", "temperature", "model",
+            "max_layers", "max_seconds", "max_triples", "parallelism")
+    flat = {**config, **{k: getattr(args, k) for k in keys if getattr(args, k) is not None}}
+    if not flat.get("topic") or not flat.get("seed"):
         raise CliError("both a topic and a seed entity are required")
-    run_config = RunConfig(
-        topic=topic,
-        seed_entity=seed,
-        prompt_language=_pick(args.language, config, "language", "en"),
-        temperature=float(_pick(args.temperature, config, "temperature", 0.0)),
-        model_id=_pick(args.model, config, "model", "gpt-4.1-mini"),
-        caps=Caps(
-            max_layers=int(_pick(args.max_layers, config, "max_layers", Caps.max_layers)),
-            max_wall_seconds=int(
-                _pick(args.max_seconds, config, "max_seconds", Caps.max_wall_seconds)
-            ),
-            max_triples=int(
-                _pick(args.max_triples, config, "max_triples", Caps.max_triples)
-            ),
-        ),
-        parallelism=int(_pick(args.parallelism, config, "parallelism", 4)),
-    )
     try:
+        run_config = RunConfig.from_flat(flat)
         run_config.validate()
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -162,26 +148,13 @@ def cmd_suite(args) -> int:
     dimension = _pick(args.dimension, config, "dimension", "base")
     defaults = config.get("defaults", {})
 
-    run_configs = []
-    for entry in config["runs"]:
-        if not isinstance(entry, dict):
-            raise CliError("each suite run entry must be a JSON object")
-        merged = {**defaults, **entry}
-        run_configs.append(
-            RunConfig(
-                topic=merged.get("topic", ""),
-                seed_entity=merged.get("seed", ""),
-                prompt_language=merged.get("language", "en"),
-                temperature=float(merged.get("temperature", 0.0)),
-                model_id=merged.get("model", "gpt-4.1-mini"),
-                caps=Caps(
-                    max_layers=int(merged.get("max_layers", Caps.max_layers)),
-                    max_wall_seconds=int(merged.get("max_seconds", Caps.max_wall_seconds)),
-                    max_triples=int(merged.get("max_triples", Caps.max_triples)),
-                ),
-                parallelism=int(merged.get("parallelism", 4)),
-            )
-        )
+    if not all(isinstance(entry, dict) for entry in config["runs"]):
+        raise CliError("each suite run entry must be a JSON object")
+    # Out-of-range values are left to the crawl, which marks that run FAILED.
+    try:
+        run_configs = [RunConfig.from_flat({**defaults, **entry}) for entry in config["runs"]]
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
     gateway = _gateway(args, config, workspace)
     out_dir = Path(args.out) if args.out else workspace / "suites" / dimension
@@ -307,21 +280,7 @@ def cmd_ensemble(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ensemble.write_elbow_csv(curve, out_dir / ensemble.ELBOW_CSV)
     ensemble.write_curve_json(curve, out_dir / "curve.json")
-    with (out_dir / "triples.ndjson").open("w", encoding="utf-8") as handle:
-        for t in kb.triples:
-            handle.write(
-                json.dumps(
-                    {
-                        "s": t.subject,
-                        "p": t.predicate,
-                        "o": t.object,
-                        "o_kind": t.object_kind.value,
-                        "layer": t.layer,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_triples(out_dir / "triples.ndjson", kb.triples)
     summary = {
         "k": k,
         "auto": bool(args.auto),

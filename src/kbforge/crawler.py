@@ -16,7 +16,6 @@ import logging
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -96,17 +95,6 @@ def classify_degeneracy(
     return None
 
 
-@dataclass
-class Frontier:
-    """The not-yet-expanded subjects of one BFS layer, in discovery order."""
-
-    layer_index: int
-    subjects: list[str] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return bool(self.subjects)
-
-
 def default_run_id(config: RunConfig) -> str:
     digest = hashlib.sha1(
         "|".join(
@@ -155,7 +143,9 @@ def crawl(
 
     seed = normalize_label(config.seed_entity)
     kinds[seed] = TermKind.NAMED_ENTITY
-    frontier = Frontier(layer_index=0, subjects=[seed])
+    # The not-yet-expanded subjects of the current layer, in discovery order.
+    layer = 0
+    frontier = [seed]
     termination: Optional[Termination] = None
     deepest_layer = 0
 
@@ -177,20 +167,19 @@ def crawl(
         if len(kb) >= config.caps.max_triples:
             termination = Termination.CAPPED_TRIPLES
             break
-        if frontier.layer_index >= config.caps.max_layers:
+        if layer >= config.caps.max_layers:
             termination = Termination.CAPPED_LAYERS
             break
 
-        layer = frontier.layer_index
         deepest_layer = layer
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            responses = list(pool.map(fetch, frontier.subjects))
+            responses = list(pool.map(fetch, frontier))
 
         timed_out = False
         pending: list[tuple[str, str, str]] = []
         new_labels: list[str] = []
         seen_now: set[str] = set()
-        for subject, response in zip(frontier.subjects, responses):
+        for subject, response in zip(frontier, responses):
             if response is None:
                 timed_out = True
                 continue
@@ -248,7 +237,8 @@ def crawl(
         if timed_out:
             termination = Termination.CAPPED_TIME
             break
-        frontier = Frontier(layer_index=layer + 1, subjects=next_subjects)
+        layer += 1
+        frontier = next_subjects
 
     if termination is None:
         termination = Termination.ORGANIC

@@ -9,7 +9,6 @@ JSON cache keeps repeat comparisons from re-embedding unchanged rows.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from pathlib import Path
@@ -18,7 +17,8 @@ from typing import Iterable, Optional, Protocol, Sequence
 import numpy as np
 import requests
 
-from .gateway import API_KEY_ENV, GatewayError, TransportError
+from .gateway import API_KEY_ENV, GatewayError, TransportError, send, with_retries
+from .model import NdjsonStore
 
 EMBED_DIM = 384
 
@@ -99,28 +99,21 @@ class RemoteEmbedder:
         self._session.headers["Authorization"] = f"Bearer {key}"
 
     def _post(self, batch: Sequence[str]) -> list[list[float]]:
-        last: Optional[Exception] = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                resp = self._session.post(
+        def attempt() -> list[list[float]]:
+            resp = send(
+                lambda: self._session.post(
                     f"{self.endpoint_url}/embeddings",
                     json={"model": self.model_id, "input": list(batch)},
                     timeout=self.timeout,
                 )
-                if resp.status_code >= 400:
-                    raise TransportError(
-                        f"embeddings endpoint returned {resp.status_code}: "
-                        f"{resp.text[:200]}"
-                    )
-                data = resp.json()["data"]
-                rows = sorted(data, key=lambda item: item["index"])
+            )
+            try:
+                rows = sorted(resp.json()["data"], key=lambda item: item["index"])
                 return [row["embedding"] for row in rows]
-            except (requests.RequestException, TransportError, KeyError) as exc:
-                last = exc if isinstance(exc, TransportError) else TransportError(str(exc))
-                if attempt < self.max_retries:
-                    self._sleep(0.5 * (2**attempt))
-        assert last is not None
-        raise last
+            except (ValueError, KeyError, TypeError) as exc:
+                raise TransportError(f"unexpected embeddings body: {exc!r}") from exc
+
+        return with_retries(attempt, self.max_retries, self._sleep)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
@@ -135,37 +128,23 @@ class EmbeddingCache:
     """Append-only NDJSON store keyed by (provider_id, text)."""
 
     def __init__(self, path: Path):
-        self.path = Path(path)
+        self._store = NdjsonStore(path)
         self._vectors: dict[tuple[str, str], np.ndarray] = {}
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    entry = json.loads(line)
-                    key = (entry["provider"], entry["text"])
-                    self._vectors[key] = np.asarray(entry["vector"], dtype=np.float64)
+        for entry in self._store.entries():
+            key = (entry["provider"], entry["text"])
+            self._vectors[key] = np.asarray(entry["vector"], dtype=np.float64)
 
     def get(self, provider_id: str, text: str) -> Optional[np.ndarray]:
         return self._vectors.get((provider_id, text))
 
     def put_many(self, provider_id: str, items: Iterable[tuple[str, np.ndarray]]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
+        def entries():
             for text, vector in items:
-                self._vectors[(provider_id, text)] = np.asarray(vector, dtype=np.float64)
-                handle.write(
-                    json.dumps(
-                        {
-                            "provider": provider_id,
-                            "text": text,
-                            "vector": [float(x) for x in vector],
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+                vector = np.asarray(vector, dtype=np.float64)
+                self._vectors[(provider_id, text)] = vector
+                yield {"provider": provider_id, "text": text, "vector": vector.tolist()}
+
+        self._store.append(entries())
 
 
 def embed_batch(

@@ -7,6 +7,9 @@ transport failures and rate limits with exponential backoff, and appends
 every request/response pair to an audit log. The mock backend answers from
 a world fixture file and is a pure function of (world, request), which is
 what makes crawl determinism testable.
+
+The retry policy (``with_retries``) and the mapping of HTTP outcomes to
+errors (``send``) live here and serve every remote client in the package.
 """
 
 from __future__ import annotations
@@ -16,19 +19,24 @@ import json
 import logging
 import os
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 import requests
 
+from .model import NdjsonStore, read_ndjson
 from .prompts import render_elicitation_prompt, render_ner_prompt
 
 logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "KBFORGE_API_KEY"
+
+# First retry delay in seconds; each further retry doubles it.
+BACKOFF_BASE_S = 0.5
+
+T = TypeVar("T")
 
 
 class GatewayError(Exception):
@@ -36,15 +44,66 @@ class GatewayError(Exception):
 
 
 class TransportError(GatewayError):
-    """Network failure or non-retryable HTTP error from the backend."""
+    """Network failure or HTTP error from the backend.
+
+    ``retryable`` is False for an HTTP 4xx other than 429: the request itself
+    was refused (a bad key, a bad body), so sending it again cannot help.
+    """
+
+    retryable = True
 
 
-class RateLimitedError(GatewayError):
+class RateLimitedError(TransportError):
     """HTTP 429 from the backend; retried with backoff before surfacing."""
 
 
 class MalformedOutputError(GatewayError):
     """The model's response did not match the declared schema."""
+
+
+def send(request: Callable[[], requests.Response]) -> requests.Response:
+    """Run one HTTP request and map its failure to a gateway error.
+
+    Network failures and 5xx raise a retryable ``TransportError``, 429 raises
+    ``RateLimitedError`` and any other 4xx a non-retryable ``TransportError``.
+    """
+    try:
+        resp = request()
+    except requests.RequestException as exc:
+        raise TransportError(str(exc)) from exc
+    if resp.status_code == 429:
+        raise RateLimitedError("rate limited by backend")
+    if resp.status_code >= 400:
+        error = TransportError(f"backend returned HTTP {resp.status_code}: {resp.text[:200]}")
+        error.retryable = resp.status_code >= 500
+        raise error
+    return resp
+
+
+def with_retries(
+    attempt: Callable[[], T],
+    max_retries: int,
+    sleep: Callable[[float], None],
+    backoff_base: float = BACKOFF_BASE_S,
+) -> T:
+    """Call ``attempt`` until it succeeds or ``max_retries`` retries are spent.
+
+    Malformed output is retried at once. A retryable transport error is
+    retried after ``backoff_base * 2**k`` seconds plus up to 10% jitter, for
+    the k-th retry counted from 0. A non-retryable one is raised at once, and
+    the last error is raised when the retries run out.
+    """
+    for k in range(max_retries + 1):
+        try:
+            return attempt()
+        except MalformedOutputError:
+            if k == max_retries:
+                raise
+        except TransportError as exc:
+            if k == max_retries or not exc.retryable:
+                raise
+            sleep(backoff_base * (2**k) * (1 + random.random() * 0.1))
+    raise ValueError("max_retries must be >= 0")
 
 
 @dataclass
@@ -183,23 +242,6 @@ def _force_subject(
     return forced
 
 
-class AuditLog:
-    """Append-only NDJSON record of every remote request/response pair."""
-
-    def __init__(self, path: Path) -> None:
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-
-    def append(self, entry: dict) -> None:
-        entry = dict(entry)
-        entry["ts"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        line = json.dumps(entry, ensure_ascii=False)
-        with self._lock:
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-
-
 def replay_audit(path: Path) -> list[ElicitationResponse]:
     """Re-parse every logged elicitation response.
 
@@ -207,17 +249,12 @@ def replay_audit(path: Path) -> list[ElicitationResponse]:
     the responses the crawl saw, which makes remote runs auditable.
     """
     responses = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            entry = json.loads(line)
-            if entry.get("kind") != "elicit" or entry.get("status") != "ok":
-                continue
-            raw = entry["response_text"]
-            triples = _force_subject(parse_elicitation_payload(raw), entry["subject"])
-            responses.append(ElicitationResponse(triples=triples, raw_payload=raw))
+    for entry in read_ndjson(path):
+        if entry.get("kind") != "elicit" or entry.get("status") != "ok":
+            continue
+        raw = entry["response_text"]
+        triples = _force_subject(parse_elicitation_payload(raw), entry["subject"])
+        responses.append(ElicitationResponse(triples=triples, raw_payload=raw))
     return responses
 
 
@@ -233,7 +270,7 @@ class RemoteChatGateway:
         template_dir: Optional[Path] = None,
         pool_size: int = 8,
         sleep: Callable[[float], None] = time.sleep,
-        backoff_base: float = 0.5,
+        backoff_base: float = BACKOFF_BASE_S,
     ) -> None:
         if descriptor.kind != "remote":
             raise ValueError("RemoteChatGateway requires a 'remote' descriptor")
@@ -245,7 +282,8 @@ class RemoteChatGateway:
             raise GatewayError(
                 f"no API key: set the {API_KEY_ENV} environment variable"
             )
-        self.audit = AuditLog(audit_path) if audit_path else None
+        # Every remote request/response pair, one timestamped line each.
+        self.audit = NdjsonStore(audit_path) if audit_path else None
         self.ner_batch_size = ner_batch_size
         self.template_dir = template_dir
         self._sleep = sleep
@@ -271,37 +309,23 @@ class RemoteChatGateway:
             },
         }
         url = self.descriptor.endpoint_url.rstrip("/") + "/chat/completions"
-        try:
-            resp = self.session.post(
+        resp = send(
+            lambda: self.session.post(
                 url,
                 json=body,
                 headers={"Authorization": f"Bearer {self.api_key}"},
                 timeout=self.descriptor.request_timeout_seconds,
             )
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
-        if resp.status_code == 429:
-            raise RateLimitedError("rate limited by backend")
-        if resp.status_code >= 400:
-            raise TransportError(f"backend returned HTTP {resp.status_code}: {resp.text[:200]}")
+        )
         try:
             return resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise MalformedOutputError(f"unexpected completion envelope: {exc}") from exc
 
-    def _with_retries(self, fn: Callable[[], object]) -> object:
-        attempts = self.descriptor.max_retries + 1
-        last: Exception = GatewayError("no attempt made")
-        for attempt in range(attempts):
-            try:
-                return fn()
-            except (RateLimitedError, TransportError, MalformedOutputError) as exc:
-                last = exc
-                if attempt < attempts - 1:
-                    delay = self._backoff_base * (2**attempt) * (1 + random.random() * 0.1)
-                    if isinstance(exc, (RateLimitedError, TransportError)):
-                        self._sleep(delay)
-        raise last
+    def _audit(self, entry: dict) -> None:
+        if self.audit:
+            ts = datetime.datetime.now(datetime.timezone.utc).isoformat()
+            self.audit.append([{**entry, "ts": ts}])
 
     def elicit(self, req: ElicitationRequest) -> ElicitationResponse:
         instruction = render_elicitation_prompt(req.topic, req.language, self.template_dir)
@@ -314,22 +338,22 @@ class RemoteChatGateway:
             )
 
         try:
-            response = self._with_retries(attempt)
-        except GatewayError as exc:
-            if self.audit:
-                self.audit.append(
-                    {"kind": "elicit", "subject": req.subject, "status": type(exc).__name__, "error": str(exc)}
-                )
-            raise
-        if self.audit:
-            self.audit.append(
-                {
-                    "kind": "elicit",
-                    "subject": req.subject,
-                    "status": "ok",
-                    "response_text": response.raw_payload,
-                }
+            response = with_retries(
+                attempt, self.descriptor.max_retries, self._sleep, self._backoff_base
             )
+        except GatewayError as exc:
+            self._audit(
+                {"kind": "elicit", "subject": req.subject, "status": type(exc).__name__, "error": str(exc)}
+            )
+            raise
+        self._audit(
+            {
+                "kind": "elicit",
+                "subject": req.subject,
+                "status": "ok",
+                "response_text": response.raw_payload,
+            }
+        )
         return response
 
     def classify_ner(self, req: NerRequest) -> NerResponse:
@@ -344,16 +368,15 @@ class RemoteChatGateway:
                 return parse_ner_payload(content, len(batch))
 
             try:
-                batch_verdicts = self._with_retries(attempt)
+                batch_verdicts = with_retries(
+                    attempt, self.descriptor.max_retries, self._sleep, self._backoff_base
+                )
             except MalformedOutputError as exc:
                 # Conservative fallback: an unparseable batch stops expansion
                 # instead of admitting unvetted phrases to the frontier.
                 logger.warning("NER batch of %d defaulted to non-entity: %s", len(batch), exc)
                 batch_verdicts = [False] * len(batch)
-            if self.audit:
-                self.audit.append(
-                    {"kind": "ner", "phrases": batch, "status": "ok", "verdicts": batch_verdicts}
-                )
+            self._audit({"kind": "ner", "phrases": batch, "status": "ok", "verdicts": batch_verdicts})
             verdicts.extend(batch_verdicts)
         return NerResponse(verdicts=verdicts)
 

@@ -27,12 +27,12 @@ METRIC_LEXICAL = "lexical_jaccard"
 METRIC_HAUSDORFF = "hausdorff_similarity"
 METRIC_MATCH = "semantic_match_pct"
 
-# Empty-set conventions. Two empty sets are maximally similar (identical
-# runs stay at ceiling even when a category is empty); empty versus
-# non-empty is maximally dissimilar. Cells that used a convention are
-# flagged in the report row.
+# Each metric's ceiling, the value of a run against itself. By convention
+# two empty sets are maximally similar too (identical runs stay at ceiling
+# even when a category is empty); empty versus non-empty is maximally
+# dissimilar. Cells that used an empty-set convention are flagged in the
+# report row.
 _DIAGONAL = {METRIC_LEXICAL: 1.0, METRIC_HAUSDORFF: 1.0, METRIC_MATCH: 100.0}
-_BOTH_EMPTY = {METRIC_LEXICAL: 1.0, METRIC_HAUSDORFF: 1.0, METRIC_MATCH: 100.0}
 _ONE_EMPTY = {METRIC_LEXICAL: 0.0, METRIC_HAUSDORFF: 0.0, METRIC_MATCH: 0.0}
 
 
@@ -81,6 +81,30 @@ def _as_rows(matrix: np.ndarray, name: str) -> np.ndarray:
     return rows
 
 
+def _best_matches(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best cosine similarity into the other set: (A to B, B to A).
+
+    A row that occurs verbatim in the other matrix scores exactly 1.0, so
+    equal row sets reach the ceiling regardless of float noise.
+    """
+    a = _as_rows(a, "A")
+    b = _as_rows(b, "B")
+    if a.shape[1] != b.shape[1]:
+        raise ValueError("matrices must share one embedding dimension")
+    sim = pairwise_cosine_similarity(a, b)
+    best_ab = sim.max(axis=1)
+    best_ba = sim.max(axis=0)
+    b_rows = {row.tobytes() for row in b}
+    a_rows = {row.tobytes() for row in a}
+    for i in range(a.shape[0]):
+        if a[i].tobytes() in b_rows:
+            best_ab[i] = 1.0
+    for j in range(b.shape[0]):
+        if b[j].tobytes() in a_rows:
+            best_ba[j] = 1.0
+    return best_ab, best_ba
+
+
 def hausdorff_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """One minus the symmetric average of directed mean-min cosine distances.
 
@@ -88,22 +112,8 @@ def hausdorff_similarity(a: np.ndarray, b: np.ndarray) -> float:
     distance, so equal row sets score exactly 1.0 regardless of float noise.
     The result is not clamped; strongly anti-aligned sets can go negative.
     """
-    a = _as_rows(a, "A")
-    b = _as_rows(b, "B")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("matrices must share one embedding dimension")
-    dist = 1.0 - pairwise_cosine_similarity(a, b)
-    min_ab = dist.min(axis=1)
-    min_ba = dist.min(axis=0)
-    b_rows = {row.tobytes() for row in b}
-    a_rows = {row.tobytes() for row in a}
-    for i in range(a.shape[0]):
-        if a[i].tobytes() in b_rows:
-            min_ab[i] = 0.0
-    for j in range(b.shape[0]):
-        if b[j].tobytes() in a_rows:
-            min_ba[j] = 0.0
-    return 1.0 - (float(min_ab.mean()) + float(min_ba.mean())) / 2.0
+    best_ab, best_ba = _best_matches(a, b)
+    return 1.0 - (float((1.0 - best_ab).mean()) + float((1.0 - best_ba).mean())) / 2.0
 
 
 class MatchPct(NamedTuple):
@@ -120,23 +130,9 @@ def semantic_match_pct(a: np.ndarray, b: np.ndarray, tau: float = DEFAULT_TAU) -
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
-    a = _as_rows(a, "A")
-    b = _as_rows(b, "B")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("matrices must share one embedding dimension")
-    sim = pairwise_cosine_similarity(a, b)
-    best_ab = sim.max(axis=1)
-    best_ba = sim.max(axis=0)
-    b_rows = {row.tobytes() for row in b}
-    a_rows = {row.tobytes() for row in a}
-    for i in range(a.shape[0]):
-        if a[i].tobytes() in b_rows:
-            best_ab[i] = 1.0
-    for j in range(b.shape[0]):
-        if b[j].tobytes() in a_rows:
-            best_ba[j] = 1.0
-    pct_ab = 100.0 * float((best_ab >= tau).sum()) / a.shape[0]
-    pct_ba = 100.0 * float((best_ba >= tau).sum()) / b.shape[0]
+    best_ab, best_ba = _best_matches(a, b)
+    pct_ab = 100.0 * float((best_ab >= tau).sum()) / best_ab.shape[0]
+    pct_ba = 100.0 * float((best_ba >= tau).sum()) / best_ba.shape[0]
     return MatchPct(pct_ab, pct_ba, (pct_ab + pct_ba) / 2.0)
 
 
@@ -280,7 +276,7 @@ def _cells(
     b_labels, b_m = right
     if not a_labels and not b_labels:
         flags.add("empty_set_convention")
-        return _BOTH_EMPTY[metric_id]
+        return _DIAGONAL[metric_id]
     if not a_labels or not b_labels:
         flags.add("empty_set_convention")
         return _ONE_EMPTY[metric_id]

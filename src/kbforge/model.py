@@ -3,17 +3,20 @@
 A knowledge base is an ordered, deduplicated collection of (subject,
 predicate, object) facts. Every other module works against the types
 defined here; category derivation is pure and shared by the metrics and
-export layers.
+export layers. The on-disk line format (NDJSON: one JSON object per line,
+non-ASCII text unescaped) is also defined here, for run triples and for
+every append-only store in the package.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import threading
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 # Separator used when a whole triple is flattened to a single set element.
 # U+241F (symbol for unit separator) never occurs in natural labels, so the
@@ -217,6 +220,35 @@ class RunConfig:
         return asdict(self)
 
     @classmethod
+    def from_flat(cls, flat: dict) -> "RunConfig":
+        """Build a config from the flat keys of a CLI config file or suite entry.
+
+        Raises ValueError when a numeric key holds something that is not a
+        number; range checks are left to ``validate``.
+        """
+
+        def number(key: str, cast: Callable, default):
+            value = flat.get(key, default)
+            try:
+                return cast(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"{key} must be a number, not {value!r}") from None
+
+        return cls(
+            topic=flat.get("topic", ""),
+            seed_entity=flat.get("seed", ""),
+            prompt_language=flat.get("language", cls.prompt_language),
+            temperature=number("temperature", float, cls.temperature),
+            model_id=flat.get("model", cls.model_id),
+            caps=Caps(
+                max_layers=number("max_layers", int, Caps.max_layers),
+                max_wall_seconds=number("max_seconds", int, Caps.max_wall_seconds),
+                max_triples=number("max_triples", int, Caps.max_triples),
+            ),
+            parallelism=number("parallelism", int, cls.parallelism),
+        )
+
+    @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         caps = Caps(**data.get("caps", {}))
         fields = {k: v for k, v in data.items() if k != "caps"}
@@ -268,6 +300,58 @@ MANIFEST_NAME = "manifest.json"
 TRIPLES_NAME = "triples.ndjson"
 
 
+def _ndjson_line(entry: dict) -> str:
+    return json.dumps(entry, ensure_ascii=False) + "\n"
+
+
+def read_ndjson(path: Path) -> Iterator[dict]:
+    """Yield the JSON object on each line of an NDJSON file, skipping blank lines."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                yield json.loads(line)
+
+
+class NdjsonStore:
+    """An append-only NDJSON file.
+
+    Each append holds a lock for the whole write, because gateway workers
+    append from several threads and lines must never interleave.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = Path(path)
+        self._lock = threading.Lock()
+
+    def entries(self) -> Iterator[dict]:
+        """Every stored entry in file order; none before the first append."""
+        return read_ndjson(self.path) if self.path.exists() else iter(())
+
+    def append(self, entries: Iterable[dict]) -> None:
+        with self._lock:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with self.path.open("a", encoding="utf-8") as fh:
+                fh.writelines(map(_ndjson_line, entries))
+
+
+def write_triples(path: Path, triples: Iterable[Triple]) -> None:
+    """Write one JSON object per triple, the layout ``load_triples`` reads."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(
+            _ndjson_line(
+                {
+                    "s": t.subject,
+                    "p": t.predicate,
+                    "o": t.object,
+                    "o_kind": t.object_kind.value,
+                    "layer": t.layer,
+                }
+            )
+            for t in triples
+        )
+
+
 def save_run(record: RunRecord, run_dir: Path) -> None:
     """Persist a run as manifest.json plus one JSON object per triple.
 
@@ -297,42 +381,21 @@ def save_run(record: RunRecord, run_dir: Path) -> None:
     (run_dir / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
-    with (run_dir / TRIPLES_NAME).open("w", encoding="utf-8") as fh:
-        for t in record.kb.triples:
-            fh.write(
-                json.dumps(
-                    {
-                        "s": t.subject,
-                        "p": t.predicate,
-                        "o": t.object,
-                        "o_kind": t.object_kind.value,
-                        "layer": t.layer,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_triples(run_dir / TRIPLES_NAME, record.kb.triples)
 
 
 def load_triples(path: Path, run_id: str = "") -> list[Triple]:
-    triples = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            triples.append(
-                Triple(
-                    subject=obj["s"],
-                    predicate=obj["p"],
-                    object=obj["o"],
-                    object_kind=TermKind.from_code(obj["o_kind"]),
-                    layer=int(obj["layer"]),
-                    run_id=run_id,
-                )
-            )
-    return triples
+    return [
+        Triple(
+            subject=obj["s"],
+            predicate=obj["p"],
+            object=obj["o"],
+            object_kind=TermKind.from_code(obj["o_kind"]),
+            layer=int(obj["layer"]),
+            run_id=run_id,
+        )
+        for obj in read_ndjson(path)
+    ]
 
 
 def load_run(run_dir: Path) -> RunRecord:

@@ -9,17 +9,17 @@ through a permanent on-disk cache so repeat reports cost no network calls.
 from __future__ import annotations
 
 import datetime
-import json
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import requests
 
-from .gateway import TransportError
+from .gateway import TransportError, send, with_retries
+from .model import NdjsonStore
 
 logger = logging.getLogger(__name__)
 
@@ -120,27 +120,18 @@ class WikidataClient:
     def _get(self, params: dict) -> dict:
         query = dict(params)
         query["format"] = "json"
-        last: Optional[Exception] = None
-        for attempt in range(self.max_retries + 1):
+
+        def attempt() -> dict:
             self._limiter.wait()
+            resp = send(
+                lambda: self._session.get(self.endpoint_url, params=query, timeout=self.timeout)
+            )
             try:
-                resp = self._session.get(self.endpoint_url, params=query, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last = TransportError(str(exc))
-            else:
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    last = TransportError(f"endpoint returned {resp.status_code}")
-                elif resp.status_code >= 400:
-                    raise TransportError(f"endpoint returned {resp.status_code}: {resp.text[:200]}")
-                else:
-                    try:
-                        return resp.json()
-                    except ValueError as exc:
-                        last = TransportError(f"non-JSON response: {exc}")
-            if attempt < self.max_retries:
-                self._sleep(0.5 * (2**attempt))
-        assert last is not None
-        raise last
+                return resp.json()
+            except ValueError as exc:
+                raise TransportError(f"non-JSON response: {exc}") from exc
+
+        return with_retries(attempt, self.max_retries, self._sleep)
 
     def search_qid(self, label: str) -> Optional[str]:
         """Top search hit for a label, or None when nothing matches."""
@@ -176,44 +167,24 @@ class PopularityStore:
     """Append-only NDJSON cache of resolved popularity records."""
 
     def __init__(self, path: Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
+        self._store = NdjsonStore(path)
         self._records: dict[str, PopularityRecord] = {}
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    entry = json.loads(line)
-                    record = PopularityRecord(
-                        entity=entry["entity"],
-                        qid=entry["qid"],
-                        statement_count=entry["statement_count"],
-                        resolved_at=entry["resolved_at"],
-                    )
-                    self._records[record.entity] = record
+        for entry in self._store.entries():
+            record = PopularityRecord(
+                entity=entry["entity"],
+                qid=entry["qid"],
+                statement_count=entry["statement_count"],
+                resolved_at=entry["resolved_at"],
+            )
+            self._records[record.entity] = record
 
     def get(self, entity: str) -> Optional[PopularityRecord]:
         return self._records.get(entity)
 
     def put(self, record: PopularityRecord) -> None:
-        with self._lock:
-            self._records[record.entity] = record
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(
-                        {
-                            "entity": record.entity,
-                            "qid": record.qid,
-                            "statement_count": record.statement_count,
-                            "resolved_at": record.resolved_at,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+        self._records[record.entity] = record
+        # Field order is the line's key order.
+        self._store.append([asdict(record)])
 
     def __len__(self) -> int:
         return len(self._records)

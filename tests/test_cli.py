@@ -160,6 +160,28 @@ class TestCrawlCommand:
         assert code == 0
         assert "named_entities: 37" in out
 
+    def test_non_numeric_config_value_is_a_config_error(
+        self, tmp_path, babylon_world_path, capsys
+    ):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "world": str(babylon_world_path),
+                    "topic": "babylon",
+                    "seed": "Hammurabi",
+                    "temperature": "hot",
+                }
+            ),
+            encoding="utf-8",
+        )
+        code, _, err = _invoke(
+            capsys, "--workspace", str(tmp_path), "crawl", "--config", str(config_path)
+        )
+        assert code == 1
+        assert err.startswith("error: temperature")
+        assert not (tmp_path / "runs").exists()
+
 
 class TestSuiteCommand:
     def test_identical_runs_are_byte_identical(self, suite_dir, capsys):
@@ -196,6 +218,31 @@ class TestSuiteCommand:
         assert "runs_ok: 1" in out
         assert "failed" in err
         assert (out_dir / "run-001" / "FAILED").exists()
+
+    def test_non_numeric_run_value_is_a_config_error(
+        self, tmp_path, babylon_world_path, capsys
+    ):
+        config = {
+            "world": str(babylon_world_path),
+            "defaults": {"topic": "babylon", "parallelism": 2},
+            "runs": [{"seed": "Hammurabi"}, {"seed": "Marduk", "max_layers": "abc"}],
+        }
+        config_path = tmp_path / "suite.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out_dir = tmp_path / "s"
+        code, _, err = _invoke(
+            capsys,
+            "--workspace",
+            str(tmp_path),
+            "suite",
+            "--config",
+            str(config_path),
+            "--out",
+            str(out_dir),
+        )
+        assert code == 1
+        assert err.startswith("error: max_layers")
+        assert not out_dir.exists()
 
     def test_runs_list_is_required(self, tmp_path, capsys):
         config_path = tmp_path / "suite.json"

@@ -11,7 +11,7 @@ from kbforge.embeddings import (
     embed_batch,
     pairwise_cosine_similarity,
 )
-from kbforge.gateway import GatewayError
+from kbforge.gateway import GatewayError, TransportError
 
 import oracles
 from fixture_server import LocalServer, embeddings_responder, fake_embedding
@@ -97,6 +97,17 @@ class TestEmbeddingCache:
         reloaded = EmbeddingCache(path)
         np.testing.assert_array_equal(reloaded.get("p", "alpha"), [1.0, 2.0])
 
+    def test_reads_and_writes_the_original_line_layout(self, tmp_path):
+        line = '{"provider": "trigram-4", "text": "Nabû", "vector": [0.5, -0.25, 0.0, 1.0]}\n'
+        old = tmp_path / "old.ndjson"
+        old.write_text(line, encoding="utf-8")
+        np.testing.assert_array_equal(
+            EmbeddingCache(old).get("trigram-4", "Nabû"), [0.5, -0.25, 0.0, 1.0]
+        )
+        new = tmp_path / "new.ndjson"
+        EmbeddingCache(new).put_many("trigram-4", [("Nabû", np.array([0.5, -0.25, 0.0, 1.0]))])
+        assert new.read_text(encoding="utf-8") == line
+
     def test_embed_batch_skips_cached_texts(self, tmp_path):
         calls = []
 
@@ -144,6 +155,15 @@ class TestRemoteEmbedder:
             rows = embedder.embed(["one"])
         assert rows.shape == (1, 6)
         assert len(slept) == 2
+
+    def test_rejected_request_is_not_retried(self):
+        slept = []
+        with LocalServer(lambda *request: (401, {"error": "bad key"})) as server:
+            embedder = RemoteEmbedder(server.url, api_key="k", max_retries=2, sleep=slept.append)
+            with pytest.raises(TransportError, match="HTTP 401"):
+                embedder.embed(["one"])
+            assert len(server.requests) == 1
+        assert slept == []
 
     def test_batching_splits_requests(self):
         with LocalServer(embeddings_responder(dim=6)) as server:

@@ -15,6 +15,7 @@ from kbforge.gateway import (
     parse_elicitation_payload,
     parse_ner_payload,
     replay_audit,
+    with_retries,
 )
 
 from fixture_server import LocalServer, scripted_chat_responder
@@ -137,6 +138,16 @@ class TestRemoteGateway:
             with pytest.raises(TransportError):
                 gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
 
+    def test_rejected_request_is_not_retried(self):
+        slept = []
+        with LocalServer(scripted_chat_responder([(401, {"error": "bad key"})])) as server:
+            descriptor = BackendDescriptor(kind="remote", endpoint_url=server.url, max_retries=2)
+            gateway = RemoteChatGateway(descriptor, api_key="k", sleep=slept.append)
+            with pytest.raises(TransportError, match="HTTP 401"):
+                gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
+            assert len(server.requests) == 1
+        assert slept == []
+
     def test_persistent_malformed_output_surfaces(self):
         script = [(200, "garbage"), (200, "garbage"), (200, "garbage")]
         with LocalServer(scripted_chat_responder(script)) as server:
@@ -225,3 +236,44 @@ class TestMockWorld:
         assert isinstance(mock, MockWorldGateway)
         with pytest.raises(ValueError):
             build_gateway(BackendDescriptor(kind="mock"))
+
+
+class TestWithRetries:
+    def _flaky(self, errors, calls):
+        """An attempt that raises the given errors in turn, then returns "done"."""
+
+        def attempt():
+            calls.append(1)
+            if errors:
+                raise errors.pop(0)
+            return "done"
+
+        return attempt
+
+    def test_delays_double_with_bounded_jitter(self):
+        slept, calls = [], []
+        errors = [RateLimitedError("429"), TransportError("503"), TransportError("reset")]
+        assert with_retries(self._flaky(errors, calls), 3, slept.append, 0.25) == "done"
+        assert len(calls) == 4 and len(slept) == 3
+        for k, delay in enumerate(slept):
+            assert 0.25 * 2**k <= delay <= 0.25 * 2**k * 1.1
+
+    def test_default_base_is_half_a_second(self):
+        slept = []
+        with_retries(self._flaky([TransportError("503")], []), 1, slept.append)
+        assert 0.5 <= slept[0] <= 0.55
+
+    def test_malformed_output_is_retried_without_sleep(self):
+        slept, calls = [], []
+        errors = [MalformedOutputError("bad"), MalformedOutputError("bad")]
+        assert with_retries(self._flaky(errors, calls), 2, slept.append) == "done"
+        assert len(calls) == 3 and slept == []
+
+    def test_non_retryable_error_is_raised_after_one_attempt(self):
+        slept, calls = [], []
+        rejected = TransportError("HTTP 401")
+        rejected.retryable = False
+        with pytest.raises(TransportError) as err:
+            with_retries(self._flaky([rejected], calls), 5, slept.append)
+        assert err.value is rejected
+        assert len(calls) == 1 and slept == []

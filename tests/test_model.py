@@ -1,10 +1,13 @@
 import json
+import sys
+import threading
 
 import pytest
 
 from kbforge.model import (
     Caps,
     KnowledgeBase,
+    NdjsonStore,
     RunConfig,
     StructuralCategory,
     TermKind,
@@ -14,6 +17,7 @@ from kbforge.model import (
     load_triples,
     make_triple,
     normalize_label,
+    read_ndjson,
     run_failed,
     save_run,
 )
@@ -157,6 +161,16 @@ class TestPersistence:
         for line in rows.splitlines():
             assert set(json.loads(line)) == {"s", "p", "o", "o_kind", "layer"}
 
+    def test_triples_file_layout_is_unchanged(self, tmp_path):
+        kb = KnowledgeBase()
+        kb.add(make_triple("Nabû", "instanceOf", "God", TermKind.NAMED_ENTITY, 0))
+        kb.add(make_triple("Nabû", "symbol", "stylus", TermKind.LITERAL, 1))
+        save_run(self._record(kb), tmp_path / "run")
+        assert (tmp_path / "run" / "triples.ndjson").read_bytes() == (
+            '{"s": "Nabû", "p": "instanceOf", "o": "God", "o_kind": "ne", "layer": 0}\n'
+            '{"s": "Nabû", "p": "symbol", "o": "stylus", "o_kind": "lit", "layer": 1}\n'
+        ).encode("utf-8")
+
     def test_load_triples_preserves_order(self, tmp_path, fixture_kb):
         save_run(self._record(fixture_kb), tmp_path / "run")
         triples = load_triples(tmp_path / "run" / "triples.ndjson")
@@ -166,3 +180,47 @@ class TestPersistence:
         assert run_failed(tmp_path) is None
         (tmp_path / "FAILED").write_text("boom\n", encoding="utf-8")
         assert run_failed(tmp_path) == "boom"
+
+
+class TestNdjsonStore:
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "s.ndjson"
+        path.write_text('\n{"a": 1}\n\n   \n{"a": 2}\n\n', encoding="utf-8")
+        assert list(read_ndjson(path)) == [{"a": 1}, {"a": 2}]
+
+    def test_non_ascii_round_trips_unescaped(self, tmp_path):
+        store = NdjsonStore(tmp_path / "sub" / "s.ndjson")
+        entry = {"text": "Nabû-kudurri-uṣur ␟ 巴比伦"}
+        store.append([entry])
+        raw = store.path.read_text(encoding="utf-8")
+        assert raw == '{"text": "Nabû-kudurri-uṣur ␟ 巴比伦"}\n'
+        assert list(NdjsonStore(store.path).entries()) == [entry]
+
+    def test_concurrent_appends_stay_whole_lines(self, tmp_path):
+        store = NdjsonStore(tmp_path / "s.ndjson")
+        filler = "x" * 2000
+        errors = []
+
+        def worker(thread):
+            try:
+                for i in range(50):
+                    store.append([{"thread": thread, "i": i, "pad": filler}])
+            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        lines = store.path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 400
+        seen = {(e["thread"], e["i"]) for e in map(json.loads, lines)}
+        assert seen == {(t, i) for t in range(8) for i in range(50)}

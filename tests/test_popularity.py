@@ -230,6 +230,24 @@ class TestResolveAndCache:
         assert assignment.buckets["Q3"] == {"Babylon"}
         assert assignment.buckets["Q4"] == set()
 
+    def test_reads_and_writes_the_original_line_layout(self, tmp_path):
+        lines = (
+            '{"entity": "Nabû", "qid": "Q1", "statement_count": 7, '
+            '"resolved_at": "2026-01-01T00:00:00+00:00"}\n'
+            '{"entity": "ghost", "qid": null, "statement_count": null, '
+            '"resolved_at": "2026-01-01T00:00:00+00:00"}\n'
+        )
+        old = tmp_path / "old.ndjson"
+        old.write_text(lines, encoding="utf-8")
+        loaded = PopularityStore(old)
+        assert loaded.get("Nabû") == PopularityRecord("Nabû", "Q1", 7, "2026-01-01T00:00:00+00:00")
+        assert not loaded.get("ghost").found
+        new = tmp_path / "new.ndjson"
+        store = PopularityStore(new)
+        store.put(loaded.get("Nabû"))
+        store.put(loaded.get("ghost"))
+        assert new.read_text(encoding="utf-8") == lines
+
     def test_cache_lines_are_json(self, tmp_path):
         path = tmp_path / "popularity.ndjson"
         store = PopularityStore(path)

@@ -90,20 +90,14 @@ def _run_config(args, config: dict) -> RunConfig:
 def _gateway(args, config: dict, workspace: Path):
     world = _pick(getattr(args, "world", None), config, "world", None)
     endpoint = _pick(getattr(args, "endpoint", None), config, "endpoint", None)
-    model = _pick(getattr(args, "model", None), config, "model", "gpt-4.1-mini")
     if world:
-        descriptor = BackendDescriptor(kind="mock", model_id=model)
         world_path = Path(world)
         if not world_path.exists():
             raise CliError(f"world file not found: {world_path}")
-        return build_gateway(descriptor, world_path=world_path)
+        return build_gateway(BackendDescriptor(kind="mock"), world_path=world_path)
     if endpoint:
-        descriptor = BackendDescriptor(
-            kind="remote",
-            endpoint_url=endpoint,
-            model_id=model,
-            temperature=float(_pick(getattr(args, "temperature", None), config, "temperature", 0.0)),
-        )
+        # Each crawl sends the model and temperature of its own run config.
+        descriptor = BackendDescriptor(kind="remote", endpoint_url=endpoint)
         audit = _pick(getattr(args, "audit", None), config, "audit", None)
         audit_path = Path(audit) if audit else workspace / "audit.ndjson"
         try:
@@ -150,9 +144,11 @@ def cmd_suite(args) -> int:
 
     if not all(isinstance(entry, dict) for entry in config["runs"]):
         raise CliError("each suite run entry must be a JSON object")
+    # Top-level "model" and "temperature" apply to every run that sets none.
     # Out-of-range values are left to the crawl, which marks that run FAILED.
+    base = {key: config[key] for key in ("model", "temperature") if key in config}
     try:
-        run_configs = [RunConfig.from_flat({**defaults, **entry}) for entry in config["runs"]]
+        run_configs = [RunConfig.from_flat({**base, **defaults, **entry}) for entry in config["runs"]]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 

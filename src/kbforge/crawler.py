@@ -132,6 +132,9 @@ def crawl(
     """
     config.validate()
     run_id = run_id or default_run_id(config)
+    # A remote gateway sends this run's model and temperature, not its own.
+    if hasattr(gateway, "for_run"):
+        gateway = gateway.for_run(config)
     started_at = _utcnow()
     start = clock()
     deadline = start + config.caps.max_wall_seconds

@@ -55,10 +55,14 @@ class TrigramHashEmbedder:
             raise ValueError("dim must be positive")
         self.dim = dim
         self.provider_id = f"trigram-{dim}"
+        self._buckets: dict[str, int] = {}
 
     def _bucket(self, gram: str) -> int:
-        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big") % self.dim
+        bucket = self._buckets.get(gram)
+        if bucket is None:
+            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+            bucket = self._buckets[gram] = int.from_bytes(digest, "big") % self.dim
+        return bucket
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
@@ -186,10 +190,6 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return max(-1.0, min(1.0, value))
 
 
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    return 1.0 - cosine_similarity(u, v)
-
-
 def pairwise_cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Similarity matrix between row sets: out[i, j] = cos(a[i], b[j])."""
     if a.ndim != 2 or b.ndim != 2:
@@ -200,4 +200,5 @@ def pairwise_cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     nb = np.linalg.norm(b, axis=1, keepdims=True)
     an = np.divide(a, na, out=np.zeros_like(a, dtype=np.float64), where=na > 0)
     bn = np.divide(b, nb, out=np.zeros_like(b, dtype=np.float64), where=nb > 0)
-    return np.clip(an @ bn.T, -1.0, 1.0)
+    sim = an @ bn.T
+    return np.clip(sim, -1.0, 1.0, out=sim)

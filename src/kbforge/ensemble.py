@@ -76,13 +76,6 @@ def shared_triple_curve(records: Sequence[RunRecord]) -> SharedTripleCurve:
     return curve
 
 
-def curve_from_counts(counts: Sequence[int]) -> SharedTripleCurve:
-    """Build a curve directly from shared counts listed for k = 1..n."""
-    curve = SharedTripleCurve(points=[(k, c) for k, c in enumerate(counts, start=1)])
-    curve.validate()
-    return curve
-
-
 def elbow_k(curve: SharedTripleCurve) -> int:
     """The k whose curve point lies farthest from the endpoint chord.
 

@@ -59,7 +59,11 @@ def to_csv(kb: KnowledgeBase, path: Path) -> Path:
 
 
 def read_csv(path: Path) -> KnowledgeBase:
-    """Inverse of to_csv over (s, p, o, kind, layer)."""
+    """Inverse of to_csv over (s, p, o, kind, layer).
+
+    Public so that a CSV export can be checked by reading it back: the
+    round trip is how exports are verified to keep every fact.
+    """
     kb = KnowledgeBase()
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)

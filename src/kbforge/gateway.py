@@ -14,13 +14,14 @@ errors (``send``) live here and serve every remote client in the package.
 
 from __future__ import annotations
 
+import copy
 import datetime
 import json
 import logging
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, TypeVar
 
@@ -294,6 +295,17 @@ class RemoteChatGateway:
         )
         self.session.mount("http://", adapter)
         self.session.mount("https://", adapter)
+
+    def for_run(self, config) -> "RemoteChatGateway":
+        """This gateway sending the model and temperature of one run's config.
+
+        The copy shares the session and the audit log with this gateway.
+        """
+        bound = copy.copy(self)
+        bound.descriptor = replace(
+            self.descriptor, model_id=config.model_id, temperature=config.temperature
+        )
+        return bound
 
     def _post_chat(self, instruction: str, payload: str, schema_name: str, schema: dict) -> str:
         body = {

@@ -81,28 +81,53 @@ def _as_rows(matrix: np.ndarray, name: str) -> np.ndarray:
     return rows
 
 
+# Rows of A per similarity product: a product holds at most this many rows
+# times the other set's size, whatever the sizes of the two sets.
+_BLOCK_ROWS = 512
+
+
+def _verbatim(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Mask of the rows that occur byte for byte among ``others``."""
+    seen = {row.tobytes() for row in others}
+    return np.fromiter((row.tobytes() in seen for row in rows), dtype=bool, count=rows.shape[0])
+
+
 def _best_matches(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's best cosine similarity into the other set: (A to B, B to A).
 
     A row that occurs verbatim in the other matrix scores exactly 1.0, so
-    equal row sets reach the ceiling regardless of float noise.
+    equal row sets reach the ceiling regardless of float noise. Only the
+    other rows go through the product, in blocks of ``_BLOCK_ROWS``: the
+    unmatched rows of A against all of B give A to B and part of B to A,
+    and the matched rows of A against the unmatched rows of B give the rest.
     """
     a = _as_rows(a, "A")
     b = _as_rows(b, "B")
     if a.shape[1] != b.shape[1]:
         raise ValueError("matrices must share one embedding dimension")
-    sim = pairwise_cosine_similarity(a, b)
-    best_ab = sim.max(axis=1)
-    best_ba = sim.max(axis=0)
-    b_rows = {row.tobytes() for row in b}
-    a_rows = {row.tobytes() for row in a}
-    for i in range(a.shape[0]):
-        if a[i].tobytes() in b_rows:
-            best_ab[i] = 1.0
-    for j in range(b.shape[0]):
-        if b[j].tobytes() in a_rows:
-            best_ba[j] = 1.0
+    a_hit = _verbatim(a, b)
+    b_hit = _verbatim(b, a)
+    best_ab = np.ones(a.shape[0])
+    best_ba = np.full(b.shape[0], -np.inf)
+    a_todo = np.flatnonzero(~a_hit)
+    for start in range(0, a_todo.shape[0], _BLOCK_ROWS):
+        rows = a_todo[start : start + _BLOCK_ROWS]
+        sim = pairwise_cosine_similarity(a[rows], b)
+        best_ab[rows] = sim.max(axis=1)
+        np.maximum(best_ba, sim.max(axis=0), out=best_ba)
+    b_todo = np.flatnonzero(~b_hit)
+    if b_todo.shape[0]:
+        b_rest = b[b_todo]
+        a_done = np.flatnonzero(a_hit)
+        for start in range(0, a_done.shape[0], _BLOCK_ROWS):
+            sim = pairwise_cosine_similarity(a[a_done[start : start + _BLOCK_ROWS]], b_rest)
+            best_ba[b_todo] = np.maximum(best_ba[b_todo], sim.max(axis=0))
+    best_ba[b_hit] = 1.0
     return best_ab, best_ba
+
+
+def _hausdorff(best_ab: np.ndarray, best_ba: np.ndarray) -> float:
+    return 1.0 - (float((1.0 - best_ab).mean()) + float((1.0 - best_ba).mean())) / 2.0
 
 
 def hausdorff_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -112,8 +137,7 @@ def hausdorff_similarity(a: np.ndarray, b: np.ndarray) -> float:
     distance, so equal row sets score exactly 1.0 regardless of float noise.
     The result is not clamped; strongly anti-aligned sets can go negative.
     """
-    best_ab, best_ba = _best_matches(a, b)
-    return 1.0 - (float((1.0 - best_ab).mean()) + float((1.0 - best_ba).mean())) / 2.0
+    return _hausdorff(*_best_matches(a, b))
 
 
 class MatchPct(NamedTuple):
@@ -122,18 +146,21 @@ class MatchPct(NamedTuple):
     average: float
 
 
+def _match_pct(best_ab: np.ndarray, best_ba: np.ndarray, tau: float) -> MatchPct:
+    if not 0.0 < tau <= 1.0:
+        raise ValueError("tau must lie in (0, 1]")
+    pct_ab = 100.0 * float((best_ab >= tau).sum()) / best_ab.shape[0]
+    pct_ba = 100.0 * float((best_ba >= tau).sum()) / best_ba.shape[0]
+    return MatchPct(pct_ab, pct_ba, (pct_ab + pct_ba) / 2.0)
+
+
 def semantic_match_pct(a: np.ndarray, b: np.ndarray, tau: float = DEFAULT_TAU) -> MatchPct:
     """Percentage of rows whose best cosine match into the other set is >= tau.
 
     Returned per direction plus the bidirectional average. Verbatim row
     matches count at similarity exactly 1.0, so they pass any tau <= 1.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must lie in (0, 1]")
-    best_ab, best_ba = _best_matches(a, b)
-    pct_ab = 100.0 * float((best_ab >= tau).sum()) / best_ab.shape[0]
-    pct_ba = 100.0 * float((best_ba >= tau).sum()) / best_ba.shape[0]
-    return MatchPct(pct_ab, pct_ba, (pct_ab + pct_ba) / 2.0)
+    return _match_pct(*_best_matches(a, b), tau)
 
 
 @dataclass
@@ -253,40 +280,60 @@ def category_elements(record, category: StructuralCategory) -> set[str]:
     return derive_categories(kb)[category]
 
 
+class _ReportVectors:
+    """In-memory embedding cache for one report when the caller gave none.
+
+    It has the ``get`` and ``put_many`` of an ``EmbeddingCache``, so a label
+    compared in several categories or in the bucketed rows is embedded once.
+    """
+
+    def __init__(self) -> None:
+        self._vectors: dict[tuple[str, str], np.ndarray] = {}
+
+    def get(self, provider_id: str, text: str) -> Optional[np.ndarray]:
+        return self._vectors.get((provider_id, text))
+
+    def put_many(self, provider_id: str, items) -> None:
+        self._vectors.update(((provider_id, text), vector) for text, vector in items)
+
+
 def _embed_sets(
     element_sets: Sequence[set[str]],
     provider: EmbeddingProvider,
-    cache: Optional[EmbeddingCache],
+    cache,
 ) -> list[tuple[list[str], np.ndarray]]:
+    """Each set's sorted labels and their rows, embedding every distinct label once."""
+    union = sorted(set().union(*element_sets))
+    vectors = embed_batch(union, provider, cache)
+    index = {label: k for k, label in enumerate(union)}
     out = []
     for members in element_sets:
         ordered = sorted(members)
-        out.append((ordered, embed_batch(ordered, provider, cache)))
+        out.append((ordered, vectors[[index[label] for label in ordered]]))
     return out
 
 
 def _cells(
-    metric_id: str,
     left: tuple[list[str], np.ndarray],
     right: tuple[list[str], np.ndarray],
     tau: float,
     flags: set[str],
-) -> float:
+) -> dict[str, float]:
+    """Jaccard, Hausdorff similarity and match % of one pair of embedded sets."""
     a_labels, a_m = left
     b_labels, b_m = right
     if not a_labels and not b_labels:
         flags.add("empty_set_convention")
-        return _DIAGONAL[metric_id]
+        return dict(_DIAGONAL)
     if not a_labels or not b_labels:
         flags.add("empty_set_convention")
-        return _ONE_EMPTY[metric_id]
-    if metric_id == METRIC_LEXICAL:
-        return jaccard(set(a_labels), set(b_labels))
-    if metric_id == METRIC_HAUSDORFF:
-        return hausdorff_similarity(a_m, b_m)
-    if metric_id == METRIC_MATCH:
-        return semantic_match_pct(a_m, b_m, tau).average
-    raise ValueError(f"unknown metric {metric_id!r}")
+        return dict(_ONE_EMPTY)
+    best_ab, best_ba = _best_matches(a_m, b_m)
+    return {
+        METRIC_LEXICAL: jaccard(set(a_labels), set(b_labels)),
+        METRIC_HAUSDORFF: _hausdorff(best_ab, best_ba),
+        METRIC_MATCH: _match_pct(best_ab, best_ba, tau).average,
+    }
 
 
 def pairwise_report(
@@ -295,26 +342,33 @@ def pairwise_report(
     tau: float = DEFAULT_TAU,
     provider: Optional[EmbeddingProvider] = None,
     cache: Optional[EmbeddingCache] = None,
+    *,
+    element_sets: Optional[Sequence[set[str]]] = None,
 ) -> CategoryComparison:
-    """Compare one structural category across runs, every pair once."""
+    """Compare one structural category across runs, every pair once.
+
+    ``element_sets`` holds each run's elements of ``category`` when the
+    caller has derived them already; by default they are derived here.
+    """
     if len(records) < 2:
         raise ValueError("pairwise comparison needs at least two runs")
     provider = provider or TrigramHashEmbedder()
     run_ids = [r.run_id for r in records]
-    element_sets = [category_elements(r, category) for r in records]
+    if element_sets is None:
+        element_sets = [category_elements(r, category) for r in records]
     embedded = _embed_sets(element_sets, provider, cache)
 
     flags: set[str] = set()
-    matrices: dict[str, PairwiseMatrix] = {}
     n = len(records)
-    for metric_id in (METRIC_LEXICAL, METRIC_HAUSDORFF, METRIC_MATCH):
-        values = [[_DIAGONAL[metric_id]] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                cell = _cells(metric_id, embedded[i], embedded[j], tau, flags)
-                values[i][j] = cell
-                values[j][i] = cell
-        matrix = PairwiseMatrix(run_ids, values, metric_id, category)
+    values = {metric_id: [[diagonal] * n for _ in range(n)] for metric_id, diagonal in _DIAGONAL.items()}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for metric_id, cell in _cells(embedded[i], embedded[j], tau, flags).items():
+                values[metric_id][i][j] = cell
+                values[metric_id][j][i] = cell
+    matrices: dict[str, PairwiseMatrix] = {}
+    for metric_id, rows in values.items():
+        matrix = PairwiseMatrix(run_ids, rows, metric_id, category)
         matrix.validate()
         matrices[metric_id] = matrix
 
@@ -349,12 +403,15 @@ def bucketed_report(
     provider: Optional[EmbeddingProvider] = None,
     cache: Optional[EmbeddingCache] = None,
     category: StructuralCategory = StructuralCategory.NAMED_ENTITIES,
+    *,
+    element_sets: Optional[Sequence[set[str]]] = None,
 ) -> list[BucketRow]:
     """Popularity-bucketed comparison: bucket slice of run i vs ALL of run j.
 
     Pairs are ordered (the bucket side and the full side differ), and a pair
     is skipped when the bucket is empty for run i. Buckets empty everywhere
-    produce a flagged row with null metrics.
+    produce a flagged row with null metrics. ``element_sets`` holds each
+    run's named entities when the caller has derived them already.
     """
     if category is not StructuralCategory.NAMED_ENTITIES:
         raise ValueError("bucketed comparison is defined over named entities")
@@ -364,8 +421,9 @@ def bucketed_report(
         raise ValueError("bucketed comparison needs at least two runs")
     provider = provider or TrigramHashEmbedder()
 
-    full_sets = [category_elements(r, category) for r in records]
-    full_embedded = _embed_sets(full_sets, provider, cache)
+    if element_sets is None:
+        element_sets = [category_elements(r, category) for r in records]
+    full_embedded = _embed_sets(element_sets, provider, cache)
     buckets_per_run = [getattr(a, "buckets", a) for a in assignments]
     bucket_names: list[str] = []
     for per_run in buckets_per_run:
@@ -376,9 +434,7 @@ def bucketed_report(
     rows: list[BucketRow] = []
     for name in bucket_names:
         flags: set[str] = set()
-        lex: list[float] = []
-        haus: list[float] = []
-        match: list[float] = []
+        cells: list[dict[str, float]] = []
         for i in range(len(records)):
             members = buckets_per_run[i].get(name, set())
             if not members:
@@ -396,21 +452,16 @@ def bucketed_report(
             sub_matrix = full_matrix[[index[label] for label in ordered]]
             left = (ordered, sub_matrix)
             for j in range(len(records)):
-                if i == j:
-                    continue
-                cell_flags: set[str] = set()
-                lex.append(_cells(METRIC_LEXICAL, left, full_embedded[j], tau, cell_flags))
-                haus.append(_cells(METRIC_HAUSDORFF, left, full_embedded[j], tau, cell_flags))
-                match.append(_cells(METRIC_MATCH, left, full_embedded[j], tau, cell_flags))
-                flags |= cell_flags
-        if lex:
+                if i != j:
+                    cells.append(_cells(left, full_embedded[j], tau, flags))
+        if cells:
             rows.append(
                 BucketRow(
                     bucket=name,
-                    pair_count=len(lex),
-                    avg_jaccard=sum(lex) / len(lex),
-                    avg_hausdorff=sum(haus) / len(haus),
-                    avg_match_pct=sum(match) / len(match),
+                    pair_count=len(cells),
+                    avg_jaccard=sum(c[METRIC_LEXICAL] for c in cells) / len(cells),
+                    avg_hausdorff=sum(c[METRIC_HAUSDORFF] for c in cells) / len(cells),
+                    avg_match_pct=sum(c[METRIC_MATCH] for c in cells) / len(cells),
                     flags=sorted(flags),
                 )
             )
@@ -438,16 +489,33 @@ def build_stability_report(
     suite_id: str = "",
     assignments: Optional[Sequence] = None,
 ) -> StabilityReport:
+    """Compare every category, and the popularity buckets if given.
+
+    Each run's categories are derived once, and each distinct label is
+    embedded once for the whole report.
+    """
     provider = provider or TrigramHashEmbedder()
+    vectors = cache if cache is not None else _ReportVectors()
+    # Only the compared sets are kept, so the others are freed at once.
+    kept = set(categories)
+    if assignments is not None:
+        kept.add(StructuralCategory.NAMED_ENTITIES)
+    derived = []
+    for record in records:
+        sets = derive_categories(getattr(record, "kb", record))
+        derived.append({category: sets[category] for category in kept})
     rows: list[CategoryRow] = []
     matrices: list[PairwiseMatrix] = []
     for category in categories:
-        comparison = pairwise_report(records, category, tau, provider, cache)
+        comparison = pairwise_report(
+            records, category, tau, provider, vectors, element_sets=[d[category] for d in derived]
+        )
         rows.append(comparison.row)
         matrices.extend(comparison.matrices.values())
     bucket_rows: list[BucketRow] = []
     if assignments is not None:
-        bucket_rows = bucketed_report(records, assignments, tau, provider, cache)
+        named = [d[StructuralCategory.NAMED_ENTITIES] for d in derived]
+        bucket_rows = bucketed_report(records, assignments, tau, provider, vectors, element_sets=named)
     return StabilityReport(
         suite_id=suite_id,
         tau=tau,

@@ -61,6 +61,24 @@ def _rows(matrix):
     return [list(map(float, row)) for row in matrix]
 
 
+def best_matches(a, b):
+    """Double-loop reference for each row's best similarity into the other set."""
+    a, b = _rows(a), _rows(b)
+
+    def best(rows, others):
+        out = []
+        for row in rows:
+            top = None
+            for other in others:
+                s = 1.0 if row == other else cosine_similarity(row, other)
+                if top is None or s > top:
+                    top = s
+            out.append(top)
+        return out
+
+    return best(a, b), best(b, a)
+
+
 def hausdorff_similarity(a, b) -> float:
     """Double-loop reference for the averaged-minimum-distance similarity."""
     a, b = _rows(a), _rows(b)

@@ -15,12 +15,7 @@ import numpy as np
 
 from kbforge.crawler import crawl, detect_q_identifier, run_suite
 from kbforge.embeddings import TrigramHashEmbedder
-from kbforge.ensemble import (
-    build_ensemble_kb,
-    curve_from_counts,
-    elbow_k,
-    shared_triple_curve,
-)
+from kbforge.ensemble import build_ensemble_kb, elbow_k, shared_triple_curve
 from kbforge.export import IriPolicy, read_csv, to_csv, to_html, to_sql_dump, to_turtle
 from kbforge.metrics import (
     METRIC_LEXICAL,
@@ -46,6 +41,7 @@ from kbforge.gateway import MockWorldGateway
 
 import oracles
 from acceptance_log import criterion
+from test_ensemble import curve_from_counts
 from test_export import _HrefCollector
 from turtle_check import parse_turtle
 

@@ -5,6 +5,8 @@ import pytest
 
 from kbforge.cli import main
 
+from fixture_server import LocalServer, chat_ok
+
 
 def _invoke(capsys, *argv):
     code = main(list(argv))
@@ -243,6 +245,49 @@ class TestSuiteCommand:
         assert code == 1
         assert err.startswith("error: max_layers")
         assert not out_dir.exists()
+
+    def _remote_suite(self, tmp_path, capsys, monkeypatch, config):
+        monkeypatch.setenv("KBFORGE_API_KEY", "test-key")
+        with LocalServer(lambda method, path, query, body: chat_ok('{"triples": []}')) as server:
+            config = {"endpoint": server.url, "defaults": {"topic": "babylon", "seed": "Hammurabi"}, **config}
+            config_path = tmp_path / "suite.json"
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            result = _invoke(
+                capsys,
+                "--workspace",
+                str(tmp_path),
+                "suite",
+                "--config",
+                str(config_path),
+                "--out",
+                str(tmp_path / "s"),
+            )
+        sent = [json.loads(body) for _, _, _, body in server.requests]
+        return result, [(b["model"], b["temperature"]) for b in sent]
+
+    def test_remote_runs_send_their_own_model_and_temperature(self, tmp_path, capsys, monkeypatch):
+        runs = [{"temperature": 0.0}, {"temperature": 1.5, "model": "other-model"}]
+        (code, _, _), sent = self._remote_suite(tmp_path, capsys, monkeypatch, {"runs": runs})
+        assert code == 0
+        # One elicitation per run: the seed answers with no facts.
+        assert sent == [("gpt-4.1-mini", 0.0), ("other-model", 1.5)]
+        manifest = json.loads((tmp_path / "s" / "run-001" / "manifest.json").read_text())
+        assert (manifest["config"]["model_id"], manifest["config"]["temperature"]) == ("other-model", 1.5)
+
+    def test_top_level_model_and_temperature_apply_to_runs_without_their_own(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config = {"model": "m1", "temperature": 0.7, "runs": [{}, {"temperature": 0.2}]}
+        (code, _, _), sent = self._remote_suite(tmp_path, capsys, monkeypatch, config)
+        assert code == 0
+        assert sent == [("m1", 0.7), ("m1", 0.2)]
+
+    def test_remote_non_numeric_temperature_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        for config in ({"temperature": "hot", "runs": [{}]}, {"runs": [{"temperature": "hot"}]}):
+            (code, _, err), sent = self._remote_suite(tmp_path, capsys, monkeypatch, config)
+            assert code == 1
+            assert err.startswith("error: temperature")
+            assert sent == []
 
     def test_runs_list_is_required(self, tmp_path, capsys):
         config_path = tmp_path / "suite.json"

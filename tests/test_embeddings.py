@@ -6,7 +6,6 @@ from kbforge.embeddings import (
     EmbeddingCache,
     RemoteEmbedder,
     TrigramHashEmbedder,
-    cosine_distance,
     cosine_similarity,
     embed_batch,
     pairwise_cosine_similarity,
@@ -52,7 +51,6 @@ class TestCosine:
     def test_identical_unit_vectors(self):
         u = np.array([0.6, 0.8])
         assert cosine_similarity(u, u) == pytest.approx(1.0)
-        assert cosine_distance(u, u) == pytest.approx(0.0)
 
     def test_orthogonal(self):
         assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0

@@ -7,7 +7,6 @@ import pytest
 from kbforge.ensemble import (
     SharedTripleCurve,
     build_ensemble_kb,
-    curve_from_counts,
     elbow_k,
     shared_triple_curve,
     shared_triples_at_k,
@@ -17,6 +16,13 @@ from kbforge.ensemble import (
 from kbforge.model import KnowledgeBase, TermKind, make_triple
 
 import oracles
+
+
+def curve_from_counts(counts):
+    """Build a curve directly from shared counts listed for k = 1..n."""
+    curve = SharedTripleCurve(points=[(k, c) for k, c in enumerate(counts, start=1)])
+    curve.validate()
+    return curve
 
 
 @dataclass

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kbforge import metrics
 from kbforge.embeddings import TrigramHashEmbedder
 from kbforge.metrics import (
     METRIC_HAUSDORFF,
@@ -192,6 +193,74 @@ class TestAgainstBruteForceOracle:
             assert got_match.average == pytest.approx(want_match[2], abs=1e-12)
 
 
+def _kernel_cases(rng):
+    """Seeded (A, B) pairs covering the cases the blocked kernel special-cases."""
+    dim = 6
+    pool = rng.normal(size=(30, dim))
+    pool[3] = 0.0  # a zero row
+    cases = []
+    for _ in range(30):
+        a = pool[rng.choice(30, size=rng.integers(1, 14), replace=False)]
+        b = pool[rng.choice(30, size=rng.integers(1, 14), replace=False)]
+        cases.append((a, b))
+    shared = pool[:9]
+    cases.append((shared, shared[::-1].copy()))  # all rows shared
+    cases.append((pool[:1], pool[1:12]))  # single row against many
+    cases.append((pool[4:16], pool[4:5]))  # many against a single shared row
+    cases.append((np.zeros((2, dim)), pool[:5]))  # zero rows, one of them shared
+    # The same row twice in A, as two distinct labels with one vector would be.
+    cases.append((np.vstack([pool[7], pool[7], pool[8]]), pool[5:8]))
+    return cases
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("block_rows", [1, 3, 512])
+    def test_matches_oracle_across_block_boundaries(self, monkeypatch, block_rows):
+        monkeypatch.setattr(metrics, "_BLOCK_ROWS", block_rows)
+        for trial, (a, b) in enumerate(_kernel_cases(np.random.default_rng(7))):
+            best_ab, best_ba = metrics._best_matches(a, b)
+            want_ab, want_ba = oracles.best_matches(a.tolist(), b.tolist())
+            np.testing.assert_allclose(best_ab, want_ab, rtol=0, atol=1e-12, err_msg=str(trial))
+            np.testing.assert_allclose(best_ba, want_ba, rtol=0, atol=1e-12, err_msg=str(trial))
+            b_rows = {row.tobytes() for row in b}
+            a_rows = {row.tobytes() for row in a}
+            assert all(best_ab[i] == 1.0 for i, row in enumerate(a) if row.tobytes() in b_rows)
+            assert all(best_ba[j] == 1.0 for j, row in enumerate(b) if row.tobytes() in a_rows)
+
+            got = hausdorff_similarity(a, b)
+            assert got == pytest.approx(oracles.hausdorff_similarity(a.tolist(), b.tolist()), abs=1e-12)
+            got_match = semantic_match_pct(a, b, tau=0.9)
+            want_match = oracles.semantic_match_pct(a.tolist(), b.tolist(), tau=0.9)
+            assert tuple(got_match) == pytest.approx(want_match, abs=1e-12)
+
+    def test_all_shared_sets_skip_the_product(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            metrics, "pairwise_cosine_similarity", lambda a, b: calls.append((a, b))
+        )
+        rows = np.random.default_rng(1).normal(size=(5, 4))
+        assert hausdorff_similarity(rows, rows[::-1].copy()) == 1.0
+        assert calls == []
+
+    def test_products_stay_within_a_block(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_BLOCK_ROWS", 4)
+        shapes = []
+        product = metrics.pairwise_cosine_similarity
+
+        def spy(a, b):
+            shapes.append((a.shape[0], b.shape[0]))
+            return product(a, b)
+
+        monkeypatch.setattr(metrics, "pairwise_cosine_similarity", spy)
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=(10, 4))
+        b = np.vstack([a[:6], rng.normal(size=(3, 4))])
+        metrics._best_matches(a, b)
+        # Four unmatched A rows against all of B, then the six matched A rows,
+        # four at a time, against the three unmatched B rows.
+        assert shapes == [(4, 9), (4, 3), (2, 3)]
+
+
 class TestYieldCounts:
     def test_fixture_kb(self):
         counts = yield_counts(_fixture_run())
@@ -330,6 +399,78 @@ class TestBucketedReport:
         runs = _two_identical_runs()
         with pytest.raises(ValueError):
             bucketed_report(runs, [{}])
+
+
+class _CountingProvider:
+    def __init__(self):
+        self.inner = TrigramHashEmbedder(dim=32)
+        self.provider_id = self.inner.provider_id
+        self.seen: list[str] = []
+
+    def embed(self, texts):
+        self.seen.extend(texts)
+        return self.inner.embed(texts)
+
+
+class TestOneEmbeddingPerLabel:
+    def _runs(self):
+        extra = [
+            [],
+            [("Ur", "instanceOf", "City", TermKind.NAMED_ENTITY, 1)],
+            [
+                ("Ur", "locatedIn", "Sumer", TermKind.NAMED_ENTITY, 1),
+                ("Ur", "founded", "3800 BC", TermKind.LITERAL, 1),
+            ],
+        ]
+        runs = []
+        for i, rows in enumerate(extra):
+            kb = build_fixture_kb()
+            for s, p, o, kind, layer in rows:
+                kb.add(make_triple(s, p, o, kind, layer))
+            runs.append(FakeRun(f"r{i}", kb))
+        return runs
+
+    def test_each_label_reaches_the_provider_once_per_report(self, monkeypatch):
+        derive_calls = []
+        derive = metrics.derive_categories
+
+        def counting_derive(kb):
+            derive_calls.append(kb)
+            return derive(kb)
+
+        monkeypatch.setattr(metrics, "derive_categories", counting_derive)
+        runs = self._runs()
+        provider = _CountingProvider()
+        categories = list(StructuralCategory)
+        assignments = [{"Q4": {"Hammurabi", "Babylon"}, "Q1": {"Marduk"}} for _ in runs]
+        report = build_stability_report(runs, categories, provider=provider, assignments=assignments)
+
+        assert len(derive_calls) == len(runs)
+        assert len(provider.seen) == len(set(provider.seen))
+        per_category = [derive(r.kb) for r in runs]
+        assert set(provider.seen) == set().union(*(c[cat] for c in per_category for cat in categories))
+        assert len(report.rows) == len(categories) and len(report.bucket_rows) == 2
+
+        # The same report as one pairwise_report call per category.
+        for row, category in zip(report.rows, categories):
+            alone = pairwise_report(runs, category, provider=TrigramHashEmbedder(dim=32)).row
+            assert row == alone
+
+    def test_distinct_labels_with_one_vector_score_as_verbatim(self):
+        class OneVector:
+            provider_id = "one-vector"
+
+            def embed(self, texts):
+                return np.ones((len(texts), 4))
+
+        runs = [
+            FakeRun("a", _kb_from([("X", "knows", "Y", TermKind.NAMED_ENTITY, 0)])),
+            FakeRun("b", _kb_from([("P", "knows", "Q", TermKind.NAMED_ENTITY, 0)])),
+        ]
+        row = pairwise_report(runs, StructuralCategory.NAMED_ENTITIES, provider=OneVector()).row
+        assert row.avg_jaccard == 0.0
+        assert row.avg_hausdorff == 1.0
+        assert row.avg_match_pct == 100.0
 
 
 class TestReportSerialization:

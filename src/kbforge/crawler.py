@@ -14,8 +14,10 @@ import hashlib
 import json
 import logging
 import re
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -132,9 +134,22 @@ def crawl(
     """
     config.validate()
     run_id = run_id or default_run_id(config)
-    # A remote gateway sends this run's model and temperature, not its own.
-    if hasattr(gateway, "for_run"):
-        gateway = gateway.for_run(config)
+    if not hasattr(gateway, "for_run"):
+        return _crawl(config, gateway, run_id, clock, max_repeats, overlong_threshold)
+    # A remote gateway sends this run's model and temperature, not its own,
+    # over a connection pool that lives as long as the run.
+    with closing(gateway.for_run(config, run_id)) as bound:
+        return _crawl(config, bound, run_id, clock, max_repeats, overlong_threshold)
+
+
+def _crawl(
+    config: RunConfig,
+    gateway,
+    run_id: str,
+    clock: Callable[[], float],
+    max_repeats: int,
+    overlong_threshold: int,
+) -> RunRecord:
     started_at = _utcnow()
     start = clock()
     deadline = start + config.caps.max_wall_seconds
@@ -272,9 +287,19 @@ def run_suite(
 ) -> list[Optional[RunRecord]]:
     """Execute several crawls independently and persist them under one suite.
 
-    Runs share nothing but the gateway. A run that raises is recorded as
-    failed in the suite manifest (and with a FAILED marker in its directory)
-    without aborting its siblings.
+    Runs share nothing but the gateway. A gateway that waits on a network
+    (one with ``for_run``) crawls all runs at the same time, one thread per
+    run, each with its own ``parallelism`` workers, so up to the sum of the
+    runs' ``parallelism`` requests are in flight. An in-process gateway never
+    waits, so its runs go one after another on the calling thread, where
+    extra threads would only add memory. Each run's wall-clock cap counts
+    time shared with its siblings.
+
+    A run that raises is recorded as failed in the suite manifest (and with
+    a FAILED marker in its directory) without aborting its siblings. The
+    records, the manifest's ``run_ids`` and its ``failed`` entries follow
+    the order of ``configs``. An interrupt such as Ctrl-C ends every run at
+    its next clock check, with a FAILED marker, and writes no manifest.
     """
     if not configs:
         raise ValueError("suite needs at least one run config")
@@ -283,33 +308,51 @@ def run_suite(
     suite_dir = Path(suite_dir)
     suite_dir.mkdir(parents=True, exist_ok=True)
     started_at = _utcnow()
+    run_ids = [f"run-{index:03d}" for index in range(len(configs))]
+    interrupted = threading.Event()
 
-    records: list[Optional[RunRecord]] = []
-    run_ids: list[str] = []
-    failed: dict[str, str] = {}
-    for index, config in enumerate(configs):
-        run_id = f"run-{index:03d}"
-        run_ids.append(run_id)
+    def run_clock() -> float:
+        # Once the suite is interrupted, each run ends at its next clock check.
+        if interrupted.is_set():
+            raise RuntimeError("suite interrupted")
+        return clock()
+
+    def run(config: RunConfig, run_id: str) -> tuple[Optional[RunRecord], str]:
+        """The run's record, or None and the error that failed it."""
         run_dir = suite_dir / run_id
         try:
-            record = crawl(config, gateway, run_id=run_id, clock=clock)
+            record = crawl(config, gateway, run_id=run_id, clock=run_clock)
             save_run(record, run_dir)
-            records.append(record)
+            return record, ""
         except Exception as exc:  # noqa: BLE001 - a bad run must not kill the suite
             logger.error("run %s failed: %s", run_id, exc)
             run_dir.mkdir(parents=True, exist_ok=True)
             (run_dir / "FAILED").write_text(f"{exc}\n", encoding="utf-8")
-            failed[run_id] = str(exc)
-            records.append(None)
+            return None, str(exc)
+
+    if hasattr(gateway, "for_run"):
+        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+            try:
+                outcomes = list(pool.map(run, configs, run_ids))
+            except BaseException:
+                # Ctrl-C: stop the runs rather than wait for them to finish.
+                interrupted.set()
+                raise
+    else:
+        outcomes = list(map(run, configs, run_ids))
 
     manifest = {
         "dimension": dimension,
         "run_ids": run_ids,
-        "failed": failed,
+        "failed": {
+            run_id: error
+            for run_id, (record, error) in zip(run_ids, outcomes)
+            if record is None
+        },
         "started_at": started_at,
         "finished_at": _utcnow(),
     }
     (suite_dir / SUITE_MANIFEST).write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
     )
-    return records
+    return [record for record, _ in outcomes]

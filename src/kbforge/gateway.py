@@ -4,9 +4,9 @@ Both gateways expose the same two operations, ``elicit`` (facts about one
 subject) and ``classify_ner`` (entity verdicts for a batch of phrases).
 The remote backend declares a strict JSON schema for the response, retries
 transport failures and rate limits with exponential backoff, and appends
-every request/response pair to an audit log. The mock backend answers from
-a world fixture file and is a pure function of (world, request), which is
-what makes crawl determinism testable.
+every request/response pair, tagged with its run, to an audit log. The mock
+backend answers from a world fixture file and is a pure function of (world,
+request), which is what makes crawl determinism testable.
 
 The retry policy (``with_retries``) and the mapping of HTTP outcomes to
 errors (``send``) live here and serve every remote client in the package.
@@ -269,7 +269,6 @@ class RemoteChatGateway:
         audit_path: Optional[Path] = None,
         ner_batch_size: int = 100,
         template_dir: Optional[Path] = None,
-        pool_size: int = 8,
         sleep: Callable[[float], None] = time.sleep,
         backoff_base: float = BACKOFF_BASE_S,
     ) -> None:
@@ -289,23 +288,32 @@ class RemoteChatGateway:
         self.template_dir = template_dir
         self._sleep = sleep
         self._backoff_base = backoff_base
+        # The run whose requests these are; ``for_run`` sets it.
+        self.run_id: Optional[str] = None
         self.session = requests.Session()
-        adapter = requests.adapters.HTTPAdapter(
-            pool_connections=pool_size, pool_maxsize=pool_size
-        )
-        self.session.mount("http://", adapter)
-        self.session.mount("https://", adapter)
 
-    def for_run(self, config) -> "RemoteChatGateway":
-        """This gateway sending the model and temperature of one run's config.
+    def for_run(self, config, run_id: str) -> "RemoteChatGateway":
+        """This gateway sending one run's model and temperature.
 
-        The copy shares the session and the audit log with this gateway.
+        The copy shares the audit log with this gateway and tags its lines
+        with ``run_id``. Its own session pools ``config.parallelism``
+        connections, one per request the run keeps in flight, so runs
+        crawled at the same time never discard each other's connections.
+        Close the copy when the run ends.
         """
         bound = copy.copy(self)
         bound.descriptor = replace(
             self.descriptor, model_id=config.model_id, temperature=config.temperature
         )
+        bound.run_id = run_id
+        bound.session = requests.Session()
+        adapter = requests.adapters.HTTPAdapter(pool_maxsize=config.parallelism)
+        bound.session.mount("http://", adapter)
+        bound.session.mount("https://", adapter)
         return bound
+
+    def close(self) -> None:
+        self.session.close()
 
     def _post_chat(self, instruction: str, payload: str, schema_name: str, schema: dict) -> str:
         body = {
@@ -337,7 +345,7 @@ class RemoteChatGateway:
     def _audit(self, entry: dict) -> None:
         if self.audit:
             ts = datetime.datetime.now(datetime.timezone.utc).isoformat()
-            self.audit.append([{**entry, "ts": ts}])
+            self.audit.append([{"run": self.run_id, **entry, "ts": ts}])
 
     def elicit(self, req: ElicitationRequest) -> ElicitationResponse:
         instruction = render_elicitation_prompt(req.topic, req.language, self.template_dir)

@@ -107,9 +107,9 @@ def make_triple(
 class KnowledgeBase:
     """A run's accumulated facts, deduplicated on normalized (s, p, o).
 
-    Mutation is single-writer: the crawler commits one layer at a time from
-    its main thread. Reads and category derivation are safe once a layer has
-    been committed.
+    Mutation is single-writer: the crawl that owns the KB commits one layer
+    at a time from the thread that runs it, never from its request workers.
+    Reads and category derivation are safe once a layer has been committed.
     """
 
     def __init__(self) -> None:

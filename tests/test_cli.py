@@ -269,10 +269,16 @@ class TestSuiteCommand:
         runs = [{"temperature": 0.0}, {"temperature": 1.5, "model": "other-model"}]
         (code, _, _), sent = self._remote_suite(tmp_path, capsys, monkeypatch, {"runs": runs})
         assert code == 0
-        # One elicitation per run: the seed answers with no facts.
-        assert sent == [("gpt-4.1-mini", 0.0), ("other-model", 1.5)]
-        manifest = json.loads((tmp_path / "s" / "run-001" / "manifest.json").read_text())
-        assert (manifest["config"]["model_id"], manifest["config"]["temperature"]) == ("other-model", 1.5)
+        # One elicitation per run: the seed answers with no facts. Runs crawl
+        # at the same time, so the server sees them in no fixed order.
+        expected = [("gpt-4.1-mini", 0.0), ("other-model", 1.5)]
+        assert sorted(sent) == sorted(expected)
+        assert self._manifest_pairs(tmp_path) == expected
+
+    @staticmethod
+    def _manifest_pairs(tmp_path):
+        manifests = [json.loads(p.read_text()) for p in sorted((tmp_path / "s").glob("run-*/manifest.json"))]
+        return [(m["config"]["model_id"], m["config"]["temperature"]) for m in manifests]
 
     def test_top_level_model_and_temperature_apply_to_runs_without_their_own(
         self, tmp_path, capsys, monkeypatch
@@ -280,7 +286,9 @@ class TestSuiteCommand:
         config = {"model": "m1", "temperature": 0.7, "runs": [{}, {"temperature": 0.2}]}
         (code, _, _), sent = self._remote_suite(tmp_path, capsys, monkeypatch, config)
         assert code == 0
-        assert sent == [("m1", 0.7), ("m1", 0.2)]
+        expected = [("m1", 0.7), ("m1", 0.2)]
+        assert sorted(sent) == sorted(expected)
+        assert self._manifest_pairs(tmp_path) == expected
 
     def test_remote_non_numeric_temperature_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         for config in ({"temperature": "hot", "runs": [{}]}, {"runs": [{"temperature": "hot"}]}):

@@ -1,4 +1,8 @@
 import json
+import logging
+import signal
+import threading
+import time
 
 import pytest
 
@@ -11,7 +15,15 @@ from kbforge.crawler import (
     detect_repetition_loop,
     run_suite,
 )
-from kbforge.gateway import MalformedOutputError, MockWorldGateway
+from kbforge.gateway import (
+    BackendDescriptor,
+    ElicitationRequest,
+    MalformedOutputError,
+    MockWorldGateway,
+    NerRequest,
+    RemoteChatGateway,
+    replay_audit,
+)
 from kbforge.model import (
     Caps,
     RunConfig,
@@ -23,6 +35,7 @@ from kbforge.model import (
     save_run,
 )
 
+from fixture_server import LocalServer, chat_ok
 from oracles import world_closure
 
 
@@ -338,3 +351,150 @@ class TestRunSuite:
         save_run(record, tmp_path / "run")
         loaded = load_triples(tmp_path / "run" / "triples.ndjson")
         assert [t.key() for t in loaded] == [t.key() for t in record.kb.triples]
+
+
+def _world_responder(world_gateway, before=None, delay_s=0.0):
+    """Serves chat completions from a mock world: elicitations by subject,
+    NER batches by phrase. ``before`` sees each parsed request body first."""
+
+    def responder(method, path, query, body):
+        request = json.loads(body)
+        if before:
+            before(request)
+        time.sleep(delay_s)
+        payload = request["messages"][1]["content"]
+        if request["response_format"]["json_schema"]["name"] == "elicitation_triples":
+            return chat_ok(world_gateway.elicit(ElicitationRequest(payload, "babylon")).raw_payload)
+        verdicts = world_gateway.classify_ner(NerRequest(payload.split("\n"), "babylon")).verdicts
+        return chat_ok(json.dumps({"verdicts": verdicts}))
+
+    return responder
+
+
+def _remote_gateway(url, audit_path=None):
+    descriptor = BackendDescriptor(kind="remote", endpoint_url=url, max_retries=0)
+    return RemoteChatGateway(descriptor, api_key="test-key", audit_path=audit_path)
+
+
+def _model_configs(*models):
+    return [RunConfig(topic="babylon", seed_entity="Hammurabi", model_id=m, parallelism=2) for m in models]
+
+
+class TestRemoteSuite:
+    def test_runs_crawl_at_the_same_time(self, babylon_gateway, tmp_path):
+        second_run_started = threading.Event()
+        held = []
+
+        def before(request):
+            if request["model"] == "m1":
+                second_run_started.set()
+            elif not held:
+                # run-000's first elicitation waits for run-001's first request.
+                held.append(second_run_started.wait(timeout=5))
+
+        with LocalServer(_world_responder(babylon_gateway, before)) as server:
+            records = run_suite(
+                _model_configs("m0", "m1"), _remote_gateway(server.url), tmp_path / "suite"
+            )
+        assert held == [True]
+        assert all(r is not None for r in records)
+
+    def test_remote_runs_equal_the_mock_crawl(self, babylon_config, babylon_gateway, tmp_path):
+        with LocalServer(_world_responder(babylon_gateway, delay_s=0.002)) as server:
+            records = run_suite([babylon_config] * 3, _remote_gateway(server.url), tmp_path / "suite")
+        reference = crawl(babylon_config, babylon_gateway, run_id="run-000")
+        save_run(reference, tmp_path / "reference")
+        expected = (tmp_path / "reference" / "triples.ndjson").read_bytes()
+        for record in records:
+            assert (tmp_path / "suite" / record.run_id / "triples.ndjson").read_bytes() == expected
+
+    def test_interrupt_stops_every_run(self, babylon_gateway, tmp_path):
+        served = []
+
+        def before(request):
+            served.append(request["model"])
+            if request["model"] == "m1" and served.count("m1") == 1:
+                # Ctrl-C once both runs are under way.
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        with LocalServer(_world_responder(babylon_gateway, before, delay_s=0.05)) as server:
+            with pytest.raises(KeyboardInterrupt):
+                run_suite(_model_configs("m0", "m1"), _remote_gateway(server.url), tmp_path / "suite")
+        # A whole run sends dozens of requests; an interrupted one ends after
+        # the requests it already had in flight.
+        assert len(served) <= 4
+        for run_id in ("run-000", "run-001"):
+            assert (tmp_path / "suite" / run_id / "FAILED").read_text() == "suite interrupted\n"
+        assert not (tmp_path / "suite" / "suite.json").exists()
+
+    def test_failed_runs_keep_index_order(self, babylon_gateway, tmp_path):
+        last_failure_sent = threading.Event()
+        serve = _world_responder(babylon_gateway)
+
+        def responder(method, path, query, body):
+            model = json.loads(body)["model"]
+            if model == "bad3":
+                last_failure_sent.set()
+            elif model == "bad1":
+                # run-001 fails after run-003 has, so failures finish out of order.
+                last_failure_sent.wait(timeout=5)
+            if model.startswith("bad"):
+                return 401, {"error": "bad key"}
+            return serve(method, path, query, body)
+
+        with LocalServer(responder) as server:
+            records = run_suite(
+                _model_configs("m0", "bad1", "m2", "bad3"),
+                _remote_gateway(server.url),
+                tmp_path / "suite",
+            )
+        assert [r is not None for r in records] == [True, False, True, False]
+        manifest = json.loads((tmp_path / "suite" / "suite.json").read_text())
+        assert manifest["run_ids"] == ["run-000", "run-001", "run-002", "run-003"]
+        assert list(manifest["failed"]) == ["run-001", "run-003"]
+        assert "HTTP 401" in manifest["failed"]["run-001"]
+        for run_id in ("run-000", "run-002"):
+            assert (tmp_path / "suite" / run_id / "triples.ndjson").exists()
+        for run_id in ("run-001", "run-003"):
+            assert (tmp_path / "suite" / run_id / "FAILED").exists()
+
+    def test_audit_lines_name_their_run(self, babylon_gateway, tmp_path):
+        audit_path = tmp_path / "audit.ndjson"
+        with LocalServer(_world_responder(babylon_gateway, delay_s=0.002)) as server:
+            run_suite(
+                _model_configs("m0", "m1"),
+                _remote_gateway(server.url, audit_path),
+                tmp_path / "suite",
+            )
+        sent = {"run-000": [], "run-001": []}
+        for _, _, _, body in server.requests:
+            request = json.loads(body)
+            run_id = {"m0": "run-000", "m1": "run-001"}[request["model"]]
+            sent[run_id].append(request["messages"][1]["content"])
+        logged = {"run-000": [], "run-001": []}
+        entries = [json.loads(line) for line in audit_path.read_text(encoding="utf-8").splitlines()]
+        for entry in entries:
+            asked = entry["subject"] if entry["kind"] == "elicit" else "\n".join(entry["phrases"])
+            logged[entry["run"]].append(asked)
+        assert sent["run-000"] and sorted(sent["run-000"]) == sorted(sent["run-001"])
+        for run_id in sent:
+            assert sorted(logged[run_id]) == sorted(sent[run_id])
+        elicited = [e for e in entries if e["kind"] == "elicit"]
+        assert [r.raw_payload for r in replay_audit(audit_path)] == [e["response_text"] for e in elicited]
+
+    def test_connection_pools_fit_the_requests_in_flight(self, tmp_path, caplog):
+        # 16 subjects in layer 1: each of 3 runs keeps 4 requests in flight.
+        children = [f"Child {i}" for i in range(16)]
+        facts = {"Root": [["hasChild", c] for c in children]}
+        facts.update({c: [["age", str(i)], ["name", f"child {i}"]] for i, c in enumerate(children)})
+        world = tmp_path / "wide_world.json"
+        world.write_text(
+            json.dumps({"topic": "babylon", "entities": ["Root", *children], "facts": facts}),
+            encoding="utf-8",
+        )
+        configs = [RunConfig(topic="babylon", seed_entity="Root", parallelism=4)] * 3
+        with caplog.at_level(logging.WARNING, logger="urllib3.connectionpool"):
+            with LocalServer(_world_responder(MockWorldGateway(world), delay_s=0.02)) as server:
+                records = run_suite(configs, _remote_gateway(server.url), tmp_path / "suite")
+        assert [len(r.kb) for r in records] == [48, 48, 48]
+        assert not [r for r in caplog.records if "Connection pool is full" in r.getMessage()]

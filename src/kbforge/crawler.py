@@ -131,25 +131,36 @@ def crawl(
     remainder of its current layer. A subject whose elicitation output stays
     malformed after retries contributes zero triples but counts as visited.
     Degenerate entity names keep their triples but never enter the frontier.
+
+    A gateway that waits on a network (one with ``for_run``) gets one pool
+    of ``config.parallelism`` threads for the whole run, so that many
+    requests are in flight at once. An in-process gateway never waits, and
+    its crawl runs on the calling thread.
     """
     config.validate()
     run_id = run_id or default_run_id(config)
     if not hasattr(gateway, "for_run"):
-        return _crawl(config, gateway, run_id, clock, max_repeats, overlong_threshold)
+        return _crawl(config, gateway, map, run_id, clock, max_repeats, overlong_threshold)
     # A remote gateway sends this run's model and temperature, not its own,
-    # over a connection pool that lives as long as the run.
-    with closing(gateway.for_run(config, run_id)) as bound:
-        return _crawl(config, bound, run_id, clock, max_repeats, overlong_threshold)
+    # over a connection pool that lives as long as the run, as do the threads.
+    with (
+        closing(gateway.for_run(config, run_id)) as bound,
+        ThreadPoolExecutor(max_workers=config.parallelism) as pool,
+    ):
+        return _crawl(config, bound, pool.map, run_id, clock, max_repeats, overlong_threshold)
 
 
 def _crawl(
     config: RunConfig,
     gateway,
+    map_: Callable,
     run_id: str,
     clock: Callable[[], float],
     max_repeats: int,
     overlong_threshold: int,
 ) -> RunRecord:
+    """The BFS of ``crawl``. ``map_(fetch, frontier)`` elicits one layer's
+    subjects, on the calling thread or on the run's pool, in frontier order."""
     started_at = _utcnow()
     start = clock()
     deadline = start + config.caps.max_wall_seconds
@@ -190,8 +201,7 @@ def _crawl(
             break
 
         deepest_layer = layer
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            responses = list(pool.map(fetch, frontier))
+        responses = list(map_(fetch, frontier))
 
         timed_out = False
         pending: list[tuple[str, str, str]] = []

@@ -46,12 +46,16 @@ def _occurrences(records: Sequence[RunRecord]) -> Counter:
     return counts
 
 
-def shared_triples_at_k(records: Sequence[RunRecord], k: int) -> set[TripleKey]:
-    """Keys of triples present in at least k distinct runs."""
+def _check_k(records: Sequence[RunRecord], k: int) -> None:
     if not records:
         raise ValueError("no runs given")
     if not 1 <= k <= len(records):
         raise ValueError(f"k must lie in 1..{len(records)}, got {k}")
+
+
+def shared_triples_at_k(records: Sequence[RunRecord], k: int) -> set[TripleKey]:
+    """Keys of triples present in at least k distinct runs."""
+    _check_k(records, k)
     return {key for key, count in _occurrences(records).items() if count >= k}
 
 
@@ -106,34 +110,27 @@ def build_ensemble_kb(records: Sequence[RunRecord], k: int) -> KnowledgeBase:
     object_kind takes the majority vote across contributing runs (ties go
     to NamedEntity); layer takes the minimum across contributing runs.
     """
-    keep = shared_triples_at_k(records, k)
-    votes: dict[TripleKey, list[TermKind]] = {key: [] for key in keep}
-    layers: dict[TripleKey, int] = {}
+    _check_k(records, k)
+    # key -> [runs holding it, NamedEntity votes among them, minimum layer]
+    tally: dict[TripleKey, list[int]] = {}
     for record in records:
         for triple in record.kb.triples:
             key = triple.key()
-            if key not in votes:
-                continue
-            votes[key].append(triple.object_kind)
-            prior = layers.get(key)
-            layers[key] = triple.layer if prior is None else min(prior, triple.layer)
+            entry = tally.get(key)
+            named = triple.object_kind is TermKind.NAMED_ENTITY
+            if entry is None:
+                tally[key] = [1, named, triple.layer]
+            else:
+                entry[0] += 1
+                entry[1] += named
+                if triple.layer < entry[2]:
+                    entry[2] = triple.layer
 
     kb = KnowledgeBase()
-    for key in sorted(keep):
-        kinds = votes[key]
-        ne_votes = sum(1 for kind in kinds if kind is TermKind.NAMED_ENTITY)
-        lit_votes = len(kinds) - ne_votes
-        kind = TermKind.NAMED_ENTITY if ne_votes >= lit_votes else TermKind.LITERAL
-        subject, predicate, obj = key
-        kb.add(
-            Triple(
-                subject=subject,
-                predicate=predicate,
-                object=obj,
-                object_kind=kind,
-                layer=layers[key],
-            )
-        )
+    for key in sorted(key for key, entry in tally.items() if entry[0] >= k):
+        count, ne_votes, layer = tally[key]
+        kind = TermKind.NAMED_ENTITY if 2 * ne_votes >= count else TermKind.LITERAL
+        kb.add(Triple(*key, kind, layer))
     return kb
 
 

@@ -15,6 +15,7 @@ import re
 import threading
 from dataclasses import dataclass, field, asdict
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -45,10 +46,10 @@ class TermKind(Enum):
 
     @classmethod
     def from_code(cls, code: str) -> "TermKind":
-        for kind in cls:
-            if kind.value == code:
-                return kind
-        raise ValueError(f"unknown term kind code: {code!r}")
+        try:
+            return cls._value2member_map_[code]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown term kind code: {code!r}") from None
 
 
 class StructuralCategory(Enum):
@@ -61,9 +62,12 @@ class StructuralCategory(Enum):
     TRIPLES = "triples"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
-    """One (subject, predicate, object) fact with crawl provenance."""
+    """One (subject, predicate, object) fact with crawl provenance.
+
+    Slotted, without a ``__dict__``: a run holds tens of thousands of them.
+    """
 
     subject: str
     predicate: str
@@ -195,7 +199,11 @@ class Caps:
 
 @dataclass
 class RunConfig:
-    """Parameters of one crawl run."""
+    """Parameters of one crawl run.
+
+    ``parallelism`` is the number of elicitations in flight at once to a
+    remote backend; a crawl of an in-process backend runs on one thread.
+    """
 
     topic: str
     seed_entity: str
@@ -305,12 +313,22 @@ def _ndjson_line(entry: dict) -> str:
 
 
 def read_ndjson(path: Path) -> Iterator[dict]:
-    """Yield the JSON object on each line of an NDJSON file, skipping blank lines."""
-    with Path(path).open("r", encoding="utf-8") as fh:
+    """Yield the JSON object on each line of an NDJSON file, skipping blank lines.
+
+    Lines end at a line feed only: JSON leaves U+2028, U+2029 and U+0085
+    unescaped inside strings, so ``str.splitlines`` would cut a record in
+    two. A line that does not hold exactly one JSON value raises
+    ``json.JSONDecodeError``.
+    """
+    decode = json.JSONDecoder().raw_decode
+    with Path(path).open("r", encoding="utf-8", newline="\n") as fh:
         for line in fh:
             line = line.strip()
             if line:
-                yield json.loads(line)
+                obj, end = decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
+                yield obj
 
 
 class NdjsonStore:
@@ -336,18 +354,16 @@ class NdjsonStore:
 
 
 def write_triples(path: Path, triples: Iterable[Triple]) -> None:
-    """Write one JSON object per triple, the layout ``load_triples`` reads."""
+    """Write one JSON object per triple, the layout ``load_triples`` reads.
+
+    Each line equals ``_ndjson_line`` of a dict keyed s, p, o, o_kind, layer
+    in that order: the labels go through the string encoder of ``json.dumps``.
+    """
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.writelines(
-            _ndjson_line(
-                {
-                    "s": t.subject,
-                    "p": t.predicate,
-                    "o": t.object,
-                    "o_kind": t.object_kind.value,
-                    "layer": t.layer,
-                }
-            )
+            f'{{"s": {encode_basestring(t.subject)}, "p": {encode_basestring(t.predicate)}, '
+            f'"o": {encode_basestring(t.object)}, "o_kind": "{t.object_kind.value}", '
+            f'"layer": {t.layer}}}\n'
             for t in triples
         )
 
@@ -385,15 +401,9 @@ def save_run(record: RunRecord, run_dir: Path) -> None:
 
 
 def load_triples(path: Path, run_id: str = "") -> list[Triple]:
+    kind = TermKind.from_code
     return [
-        Triple(
-            subject=obj["s"],
-            predicate=obj["p"],
-            object=obj["o"],
-            object_kind=TermKind.from_code(obj["o_kind"]),
-            layer=int(obj["layer"]),
-            run_id=run_id,
-        )
+        Triple(obj["s"], obj["p"], obj["o"], kind(obj["o_kind"]), int(obj["layer"]), run_id)
         for obj in read_ndjson(path)
     ]
 

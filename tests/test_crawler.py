@@ -3,6 +3,7 @@ import logging
 import signal
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -498,3 +499,82 @@ class TestRemoteSuite:
                 records = run_suite(configs, _remote_gateway(server.url), tmp_path / "suite")
         assert [len(r.kb) for r in records] == [48, 48, 48]
         assert not [r for r in caplog.records if "Connection pool is full" in r.getMessage()]
+
+
+class _ThreadRecordingGateway:
+    """Serves a mock world and records the thread of every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threads = set()
+
+    def elicit(self, req):
+        self.threads.add(threading.get_ident())
+        return self.inner.elicit(req)
+
+    def classify_ner(self, req):
+        self.threads.add(threading.get_ident())
+        return self.inner.classify_ner(req)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Counts the thread pools the crawler creates."""
+    created = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("kbforge.crawler.ThreadPoolExecutor", CountingPool)
+    return created
+
+
+def _is_elicitation(request):
+    return request["response_format"]["json_schema"]["name"] == "elicitation_triples"
+
+
+class TestCrawlThreads:
+    def test_in_process_crawl_runs_on_the_calling_thread(self, babylon_gateway, pools):
+        gateway = _ThreadRecordingGateway(babylon_gateway)
+        config = RunConfig(topic="babylon", seed_entity="Hammurabi", parallelism=4)
+        record = crawl(config, gateway)
+        assert record.deepest_layer >= 2
+        assert gateway.threads == {threading.get_ident()}
+        assert pools == []
+
+    def test_remote_crawl_keeps_parallelism_requests_in_flight(self, babylon_gateway):
+        lock = threading.Lock()
+        elicitations = []
+        second_in_flight = threading.Event()
+        held = []
+
+        def before(request):
+            if not _is_elicitation(request):
+                return
+            with lock:
+                elicitations.append(request)
+                ordinal = len(elicitations)
+            # Layer 0 is the seed alone; the first request of layer 1 waits
+            # until the next one arrives, which needs two workers.
+            if ordinal == 2:
+                held.append(second_in_flight.wait(timeout=5))
+            elif ordinal == 3:
+                second_in_flight.set()
+
+        config = RunConfig(topic="babylon", seed_entity="Hammurabi", parallelism=2)
+        with LocalServer(_world_responder(babylon_gateway, before)) as server:
+            record = crawl(config, _remote_gateway(server.url))
+        assert held == [True]
+        assert record.termination is Termination.ORGANIC
+
+    def test_remote_crawl_uses_one_pool_for_all_layers(self, babylon_gateway, pools):
+        config = RunConfig(topic="babylon", seed_entity="Hammurabi", parallelism=2)
+        with LocalServer(_world_responder(babylon_gateway)) as server:
+            record = crawl(config, _remote_gateway(server.url))
+        assert record.deepest_layer >= 2
+        assert len(pools) == 1
+        assert pools[0]._max_workers == 2
+        reference = crawl(config, babylon_gateway)
+        assert [t.key() for t in record.kb.triples] == [t.key() for t in reference.kb.triples]

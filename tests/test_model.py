@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import threading
 
@@ -20,6 +21,7 @@ from kbforge.model import (
     read_ndjson,
     run_failed,
     save_run,
+    write_triples,
 )
 from kbforge.model import RunRecord, Termination
 
@@ -59,8 +61,9 @@ class TestTriple:
     def test_kind_codes_round_trip(self):
         assert TermKind.from_code("ne") is TermKind.NAMED_ENTITY
         assert TermKind.from_code("lit") is TermKind.LITERAL
-        with pytest.raises(ValueError):
-            TermKind.from_code("bogus")
+        for bad in ("bogus", "x", "NE", None):
+            with pytest.raises(ValueError):
+                TermKind.from_code(bad)
 
 
 class TestKnowledgeBase:
@@ -224,3 +227,102 @@ class TestNdjsonStore:
         assert len(lines) == 400
         seen = {(e["thread"], e["i"]) for e in map(json.loads, lines)}
         assert seen == {(t, i) for t in range(8) for i in range(50)}
+
+
+# Characters JSON must escape, characters it leaves raw that other line
+# splitters treat as line ends, and non-ASCII text of several widths.
+_AWKWARD = [
+    '"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "\x85",
+    "\x0b", "\x0c", "␟", "巴比伦", "Nabû", "\U0001F3DB", "\U0001F600", " ", "/", "a", "Z9",
+]
+
+
+def _awkward_triples(seed, count=200, size=50):
+    rng = random.Random(seed)
+
+    def label():
+        return "".join(rng.choice(_AWKWARD) for _ in range(rng.randint(1, size)))
+
+    return [
+        Triple(label(), label(), label(), rng.choice(list(TermKind)), rng.randrange(40))
+        for _ in range(count)
+    ]
+
+
+class TestTripleCodec:
+    def test_lines_equal_json_dumps(self, tmp_path):
+        triples = _awkward_triples(seed=11)
+        write_triples(tmp_path / "t.ndjson", triples)
+        expected = "".join(
+            json.dumps(
+                {"s": t.subject, "p": t.predicate, "o": t.object,
+                 "o_kind": t.object_kind.value, "layer": t.layer},
+                ensure_ascii=False,
+            ) + "\n"
+            for t in triples
+        )
+        assert (tmp_path / "t.ndjson").read_bytes() == expected.encode("utf-8")
+
+    def test_awkward_labels_round_trip(self, tmp_path):
+        kb = KnowledgeBase()
+        kb.add_all(_awkward_triples(seed=12))
+        record = TestPersistence()._record(kb)
+        save_run(record, tmp_path / "run")
+        loaded = load_run(tmp_path / "run")
+        assert [(t.key(), t.object_kind, t.layer) for t in loaded.kb.triples] == [
+            (t.key(), t.object_kind, t.layer) for t in kb.triples
+        ]
+        assert all(t.run_id == "run-test" for t in loaded.kb.triples)
+
+    def test_loaded_duplicates_collapse(self, tmp_path):
+        path = tmp_path / "triples.ndjson"
+        first = Triple("s", "p", "o", TermKind.LITERAL, 0)
+        write_triples(path, [first, Triple("s", "p", "o", TermKind.NAMED_ENTITY, 2)])
+        (tmp_path / "manifest.json").write_text(
+            json.dumps(
+                {"run_id": "r", "config": RunConfig(topic="t", seed_entity="s").to_dict(),
+                 "termination": "organic", "wall_seconds": 0, "deepest_layer": 0,
+                 "per_layer_counts": [], "degeneracy_events": []}
+            ),
+            encoding="utf-8",
+        )
+        assert [(t.key(), t.layer) for t in load_run(tmp_path).kb.triples] == [(first.key(), 0)]
+
+    def test_validation_still_runs(self, tmp_path):
+        path = tmp_path / "t.ndjson"
+        path.write_text('{"s": "", "p": "p", "o": "o", "o_kind": "ne", "layer": 0}\n', encoding="utf-8")
+        with pytest.raises(ValueError):
+            load_triples(path)
+        path.write_text('{"s": "s", "p": "p", "o": "o", "o_kind": "x", "layer": 0}\n', encoding="utf-8")
+        with pytest.raises(ValueError):
+            load_triples(path)
+
+    def test_triple_is_slotted_and_frozen(self):
+        t = Triple("s", "p", "o", TermKind.LITERAL, 0)
+        assert not hasattr(t, "__dict__")
+        with pytest.raises(AttributeError):
+            t.layer = 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"a": 1} {"a": 2}\n',
+            '{"a": 1}{"a": 2}\n',
+            '{"a": 1}\n{"a": 2, "b": \n',
+            '{"a": "cut\n',
+        ],
+    )
+    def test_reader_rejects_extra_or_truncated_lines(self, tmp_path, bad):
+        path = tmp_path / "s.ndjson"
+        path.write_text(bad, encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError):
+            list(read_ndjson(path))
+
+    def test_reader_splits_on_line_feed_only(self, tmp_path):
+        path = tmp_path / "s.ndjson"
+        entries = [{"a": "x\u2028y"}, {"a": "\x85\u2029"}, {"a": "\x0b\x0c\x1c"}]
+        path.write_text(
+            "\n   \n" + "\n\n".join(json.dumps(e, ensure_ascii=False) for e in entries) + "\n\n",
+            encoding="utf-8",
+        )
+        assert list(read_ndjson(path)) == entries

@@ -15,9 +15,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Protocol, Sequence
 
 import numpy as np
-import requests
 
-from .gateway import API_KEY_ENV, GatewayError, TransportError, send, with_retries
+from .gateway import API_KEY_ENV, GatewayError, Session, TransportError, send, with_retries
 from .model import NdjsonStore
 
 EMBED_DIM = 384
@@ -99,7 +98,7 @@ class RemoteEmbedder:
         self.max_retries = max_retries
         self.batch_size = batch_size
         self._sleep = sleep
-        self._session = requests.Session()
+        self._session = Session()
         self._session.headers["Authorization"] = f"Bearer {key}"
 
     def _post(self, batch: Sequence[str]) -> list[list[float]]:

@@ -8,24 +8,30 @@ every request/response pair, tagged with its run, to an audit log. The mock
 backend answers from a world fixture file and is a pure function of (world,
 request), which is what makes crawl determinism testable.
 
-The retry policy (``with_retries``) and the mapping of HTTP outcomes to
-errors (``send``) live here and serve every remote client in the package.
+The keep-alive HTTP client (``Session``), the retry policy
+(``with_retries``) and the mapping of HTTP outcomes to errors (``send``) live
+here and serve every remote client in the package.
 """
 
 from __future__ import annotations
 
+import base64
 import copy
 import datetime
+import http.client
 import json
 import logging
 import os
 import random
+import select
+import ssl
+import threading
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, TypeVar
-
-import requests
 
 from .model import NdjsonStore, read_ndjson
 from .prompts import render_elicitation_prompt, render_ner_prompt
@@ -36,6 +42,8 @@ API_KEY_ENV = "KBFORGE_API_KEY"
 
 # First retry delay in seconds; each further retry doubles it.
 BACKOFF_BASE_S = 0.5
+
+USER_AGENT = "kbforge/0.1 (knowledge-base stability toolkit)"
 
 T = TypeVar("T")
 
@@ -62,7 +70,203 @@ class MalformedOutputError(GatewayError):
     """The model's response did not match the declared schema."""
 
 
-def send(request: Callable[[], requests.Response]) -> requests.Response:
+class Response:
+    """A finished HTTP response: its status and its body, read in full."""
+
+    def __init__(self, status_code: int, content: bytes) -> None:
+        self.status_code = status_code
+        self.content = content
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8", errors="replace")
+
+    def json(self):
+        return json.loads(self.content)
+
+
+def _json_body(obj) -> bytes:
+    return json.dumps(obj, allow_nan=False).encode()
+
+
+def _host_port(parts: urllib.parse.SplitResult, default_port: int) -> tuple[str, int]:
+    try:
+        port = parts.port
+    except ValueError as exc:
+        raise http.client.InvalidURL(str(exc)) from exc
+    if not parts.hostname:
+        raise http.client.InvalidURL(f"no host in {parts.geturl()!r}")
+    return parts.hostname, port or default_port
+
+
+def _dropped(sock) -> bool:
+    """True when an idle socket is readable: the server closed it, or sent
+    bytes no request asked for. Either way the connection cannot be reused."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+class _Proxy:
+    """Where to connect instead of the origin, and the credentials to show."""
+
+    def __init__(self, url: str) -> None:
+        parts = urllib.parse.urlsplit(url if "://" in url else "http://" + url)
+        self.host, self.port = _host_port(parts, 80)
+        self.headers = {}
+        if parts.username is not None:
+            user = urllib.parse.unquote(parts.username)
+            password = urllib.parse.unquote(parts.password or "")
+            token = base64.b64encode(f"{user}:{password}".encode()).decode()
+            self.headers["Proxy-Authorization"] = f"Basic {token}"
+
+
+class _OneWrite:
+    """Sends each request, head and body, in one write.
+
+    ``http.client`` writes the head and the body apart, and each write wakes
+    the server. Holding the first lets one segment carry the whole request.
+    """
+
+    _held: Optional[list[bytes]] = None
+
+    def request(self, *args, **kwargs):
+        self._held = []
+        try:
+            super().request(*args, **kwargs)
+            data = b"".join(self._held)
+        finally:
+            self._held = None
+        super().send(data)
+
+    def send(self, data):
+        if self._held is None:
+            super().send(data)
+        else:
+            self._held.append(data)
+
+
+class _HTTPConnection(_OneWrite, http.client.HTTPConnection):
+    pass
+
+
+class _HTTPSConnection(_OneWrite, http.client.HTTPSConnection):
+    pass
+
+
+class Session:
+    """A thread-safe keep-alive HTTP client with the part of the ``requests``
+    API that the package's clients use.
+
+    Idle connections wait on a LIFO list per origin. A request takes the most
+    recently used one that the server has not closed, or opens a new one, and
+    reads the response in full before it puts the connection back, so a
+    session holds at most as many connections as it has requests in flight.
+    A request that reached the server is never sent again here; retrying is
+    ``with_retries``' decision.
+
+    ``HTTP(S)_PROXY`` and ``NO_PROXY`` are read once per origin. ``https``
+    verifies certificates against the system store (``SSL_CERT_FILE``
+    overrides it). No ``.netrc`` is read and no redirect is followed.
+    """
+
+    def __init__(self) -> None:
+        self.headers = {"User-Agent": USER_AGENT}
+        self._idle: dict[tuple, list[http.client.HTTPConnection]] = {}
+        self._proxies: dict[tuple, Optional[_Proxy]] = {}
+        self._tls: Optional[ssl.SSLContext] = None
+        self._lock = threading.Lock()
+
+    def post(self, url: str, json, headers: Optional[dict] = None, timeout: Optional[float] = None) -> Response:
+        """POST ``json`` encoded as ``requests`` encodes it."""
+        headers = {"Content-Type": "application/json", **(headers or {})}
+        return self._request("POST", url, _json_body(json), headers, timeout)
+
+    def get(self, url: str, params: Optional[dict] = None, timeout: Optional[float] = None) -> Response:
+        if params:
+            url += ("&" if "?" in url else "?") + urllib.parse.urlencode(params, doseq=True)
+        return self._request("GET", url, None, {}, timeout)
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for connections in idle.values():
+            for conn in connections:
+                conn.close()
+
+    def _request(self, method: str, url: str, body: Optional[bytes], headers: dict,
+                 timeout: Optional[float]) -> Response:
+        try:
+            parts = urllib.parse.urlsplit(url)
+        except ValueError as exc:
+            raise http.client.InvalidURL(str(exc)) from exc
+        if parts.scheme not in ("http", "https"):
+            raise http.client.InvalidURL(f"not an http(s) URL: {url!r}")
+        origin = (parts.scheme, *_host_port(parts, 443 if parts.scheme == "https" else 80))
+        netloc = parts.netloc.rpartition("@")[2]
+        proxy = self._proxy(origin, netloc)
+        headers = {**self.headers, **headers}
+        target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        if proxy and parts.scheme == "http":
+            target = f"http://{netloc}{target}"
+            headers.update(proxy.headers)
+        conn = self._checkout(origin) or self._connect(origin, proxy, timeout)
+        try:
+            conn.sock.settimeout(timeout)
+            conn.request(method, target, body=body, headers=headers)
+            resp = conn.getresponse()
+            content = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.setdefault(origin, []).append(conn)
+        return Response(resp.status, content)
+
+    def _proxy(self, origin: tuple, netloc: str) -> Optional[_Proxy]:
+        with self._lock:
+            if origin not in self._proxies:
+                url = urllib.request.getproxies().get(origin[0])
+                bypass = not url or urllib.request.proxy_bypass(netloc)
+                self._proxies[origin] = None if bypass else _Proxy(url)
+            return self._proxies[origin]
+
+    def _checkout(self, origin: tuple) -> Optional[http.client.HTTPConnection]:
+        while True:
+            with self._lock:
+                idle = self._idle.get(origin)
+                if not idle:
+                    return None
+                conn = idle.pop()
+            if not _dropped(conn.sock):
+                return conn
+            conn.close()
+
+    def _connect(self, origin: tuple, proxy: Optional[_Proxy],
+                 timeout: Optional[float]) -> http.client.HTTPConnection:
+        scheme, host, port = origin
+        address = (proxy.host, proxy.port) if proxy else (host, port)
+        if scheme == "https":
+            with self._lock:
+                if self._tls is None:
+                    self._tls = ssl.create_default_context()
+            conn = _HTTPSConnection(*address, timeout=timeout, context=self._tls)
+            if proxy:
+                conn.set_tunnel(host, port, proxy.headers)
+        else:
+            conn = _HTTPConnection(*address, timeout=timeout)
+        # http.client sets TCP_NODELAY here, so that no write waits for the
+        # server to acknowledge the one before it.
+        conn.connect()
+        return conn
+
+
+def send(request: Callable[[], Response]) -> Response:
     """Run one HTTP request and map its failure to a gateway error.
 
     Network failures and 5xx raise a retryable ``TransportError``, 429 raises
@@ -70,7 +274,7 @@ def send(request: Callable[[], requests.Response]) -> requests.Response:
     """
     try:
         resp = request()
-    except requests.RequestException as exc:
+    except (OSError, http.client.HTTPException) as exc:
         raise TransportError(str(exc)) from exc
     if resp.status_code == 429:
         raise RateLimitedError("rate limited by backend")
@@ -290,26 +494,23 @@ class RemoteChatGateway:
         self._backoff_base = backoff_base
         # The run whose requests these are; ``for_run`` sets it.
         self.run_id: Optional[str] = None
-        self.session = requests.Session()
+        self.session = Session()
 
     def for_run(self, config, run_id: str) -> "RemoteChatGateway":
         """This gateway sending one run's model and temperature.
 
         The copy shares the audit log with this gateway and tags its lines
-        with ``run_id``. Its own session pools ``config.parallelism``
-        connections, one per request the run keeps in flight, so runs
-        crawled at the same time never discard each other's connections.
-        Close the copy when the run ends.
+        with ``run_id``. Its own session keeps one connection per request
+        the run has in flight, at most ``config.parallelism``, so runs
+        crawled at the same time never share a connection. Close the copy
+        when the run ends.
         """
         bound = copy.copy(self)
         bound.descriptor = replace(
             self.descriptor, model_id=config.model_id, temperature=config.temperature
         )
         bound.run_id = run_id
-        bound.session = requests.Session()
-        adapter = requests.adapters.HTTPAdapter(pool_maxsize=config.parallelism)
-        bound.session.mount("http://", adapter)
-        bound.session.mount("https://", adapter)
+        bound.session = Session()
         return bound
 
     def close(self) -> None:

@@ -16,9 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-import requests
-
-from .gateway import TransportError, send, with_retries
+from .gateway import Session, TransportError, send, with_retries
 from .model import NdjsonStore
 
 logger = logging.getLogger(__name__)
@@ -103,7 +101,7 @@ class WikidataClient:
         request_timeout_seconds: float = 30.0,
         max_retries: int = 3,
         rate_limiter: Optional[RateLimiter] = None,
-        session: Optional[requests.Session] = None,
+        session: Optional[Session] = None,
         sleep=time.sleep,
     ):
         self.endpoint_url = endpoint_url
@@ -112,10 +110,7 @@ class WikidataClient:
         self.max_retries = max_retries
         self._limiter = rate_limiter or RateLimiter()
         self._sleep = sleep
-        self._session = session or requests.Session()
-        self._session.headers.setdefault(
-            "User-Agent", "kbforge/0.1 (knowledge-base stability toolkit)"
-        )
+        self._session = session or Session()
 
     def _get(self, params: dict) -> dict:
         query = dict(params)

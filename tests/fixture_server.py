@@ -3,36 +3,75 @@
 One generic threaded server plus responder factories for the three wire
 protocols the package talks: chat completions, embeddings, and the
 Wikidata action API. Every request is recorded so tests can assert on
-call counts and payloads.
+call counts and payloads, and on the headers, target and TCP connection
+each one came with.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import http.server
+import itertools
 import json
+import socket
 import threading
+import time
 import urllib.parse
+from dataclasses import dataclass
+from http.client import HTTPMessage
+
+
+@dataclass
+class Received:
+    """How one request arrived."""
+
+    target: str  # as sent: origin-form, or absolute-form through a proxy
+    headers: HTTPMessage
+    connection: int  # ordinal of the TCP connection it came on
 
 
 class LocalServer:
-    """Context manager around a ThreadingHTTPServer on an ephemeral port."""
+    """Context manager around a ThreadingHTTPServer on an ephemeral port.
 
-    def __init__(self, responder):
+    The server speaks HTTP/1.0 and closes each connection after one
+    response, unless ``http11`` keeps connections open between requests.
+    """
+
+    def __init__(self, responder, http11: bool = False):
         self.responder = responder
         self.requests: list[tuple[str, str, dict, bytes]] = []
+        self.received: list[Received] = []
+        self._lock = threading.Lock()
+        self._connections = itertools.count()
+        self._open: set[socket.socket] = set()
         server = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if http11 else "HTTP/1.0"
+
             def log_message(self, *args):
                 pass
+
+            def setup(self):
+                super().setup()
+                with server._lock:
+                    self.ordinal = next(server._connections)
+                    server._open.add(self.connection)
+
+            def finish(self):
+                with server._lock:
+                    server._open.discard(self.connection)
+                super().finish()
 
             def _serve(self, method: str):
                 parsed = urllib.parse.urlsplit(self.path)
                 query = dict(urllib.parse.parse_qsl(parsed.query))
                 length = int(self.headers.get("Content-Length") or 0)
                 body = self.rfile.read(length) if length else b""
-                server.requests.append((method, parsed.path, query, body))
+                with server._lock:
+                    server.requests.append((method, parsed.path, query, body))
+                    server.received.append(Received(self.path, self.headers, self.ordinal))
                 status, payload = server.responder(method, parsed.path, query, body)
                 data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
                 self.send_response(status)
@@ -55,6 +94,19 @@ class LocalServer:
         host, port = self._httpd.server_address[:2]
         return f"http://{host}:{port}"
 
+    def close_idle(self, timeout: float = 5.0) -> None:
+        """Close every open connection from the server's side, as a server
+        does to a keep-alive connection it has timed out, and wait until
+        their handlers have ended."""
+        with self._lock:
+            for conn in self._open:
+                with contextlib.suppress(OSError):
+                    conn.shutdown(socket.SHUT_RDWR)
+        deadline = time.monotonic() + timeout
+        while self._open and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert not self._open, "connections still open after close_idle"
+
     def __enter__(self) -> "LocalServer":
         self._thread.start()
         return self
@@ -63,6 +115,13 @@ class LocalServer:
         self._httpd.shutdown()
         self._httpd.server_close()
         return False
+
+
+def closed_port() -> int:
+    """A local port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 def chat_ok(content: str) -> tuple[int, dict]:

@@ -1,11 +1,28 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import kbforge
 from kbforge.cli import main
 
-from fixture_server import LocalServer, chat_ok
+from fixture_server import LocalServer, chat_ok, closed_port
+
+
+def test_cli_import_leaves_requests_out():
+    src = Path(kbforge.__file__).parents[1]
+    probe = "import sys, kbforge.cli; print('requests' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 def _invoke(capsys, *argv):
@@ -123,6 +140,24 @@ class TestCrawlCommand:
         assert code == 1
         assert "KBFORGE_API_KEY" in err
         assert not (tmp_path / "runs").exists()
+
+    def test_unreachable_endpoint_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("KBFORGE_API_KEY", "test-key")
+        code, _, err = _invoke(
+            capsys,
+            "--workspace",
+            str(tmp_path),
+            "crawl",
+            "--endpoint",
+            f"http://127.0.0.1:{closed_port()}",
+            "--topic",
+            "babylon",
+            "--seed",
+            "Hammurabi",
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = _invoke(

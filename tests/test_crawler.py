@@ -1,5 +1,4 @@
 import json
-import logging
 import signal
 import threading
 import time
@@ -483,7 +482,7 @@ class TestRemoteSuite:
         elicited = [e for e in entries if e["kind"] == "elicit"]
         assert [r.raw_payload for r in replay_audit(audit_path)] == [e["response_text"] for e in elicited]
 
-    def test_connection_pools_fit_the_requests_in_flight(self, tmp_path, caplog):
+    def test_connection_pools_fit_the_requests_in_flight(self, tmp_path):
         # 16 subjects in layer 1: each of 3 runs keeps 4 requests in flight.
         children = [f"Child {i}" for i in range(16)]
         facts = {"Root": [["hasChild", c] for c in children]}
@@ -493,12 +492,21 @@ class TestRemoteSuite:
             json.dumps({"topic": "babylon", "entities": ["Root", *children], "facts": facts}),
             encoding="utf-8",
         )
-        configs = [RunConfig(topic="babylon", seed_entity="Root", parallelism=4)] * 3
-        with caplog.at_level(logging.WARNING, logger="urllib3.connectionpool"):
-            with LocalServer(_world_responder(MockWorldGateway(world), delay_s=0.02)) as server:
-                records = run_suite(configs, _remote_gateway(server.url), tmp_path / "suite")
+        models = ("m0", "m1", "m2")
+        configs = [
+            RunConfig(topic="babylon", seed_entity="Root", model_id=m, parallelism=4) for m in models
+        ]
+        responder = _world_responder(MockWorldGateway(world), delay_s=0.02)
+        with LocalServer(responder, http11=True) as server:
+            records = run_suite(configs, _remote_gateway(server.url), tmp_path / "suite")
         assert [len(r.kb) for r in records] == [48, 48, 48]
-        assert not [r for r in caplog.records if "Connection pool is full" in r.getMessage()]
+        connections = {m: set() for m in models}
+        for (_, _, _, body), received in zip(server.requests, server.received):
+            connections[json.loads(body)["model"]].add(received.connection)
+        for m in models:
+            assert 1 <= len(connections[m]) <= 4
+        # No connection carries two runs' requests.
+        assert sum(len(c) for c in connections.values()) == len(set().union(*connections.values()))
 
 
 class _ThreadRecordingGateway:

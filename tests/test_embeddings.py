@@ -163,6 +163,14 @@ class TestRemoteEmbedder:
             assert len(server.requests) == 1
         assert slept == []
 
+    def test_netrc_does_not_replace_the_bearer_key(self, tmp_path, monkeypatch):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login u password p\n", encoding="utf-8")
+        monkeypatch.setenv("NETRC", str(netrc))
+        with LocalServer(embeddings_responder(dim=6)) as server:
+            RemoteEmbedder(server.url, api_key="k", sleep=lambda s: None).embed(["one"])
+        assert server.received[0].headers["Authorization"] == "Bearer k"
+
     def test_batching_splits_requests(self):
         with LocalServer(embeddings_responder(dim=6)) as server:
             embedder = RemoteEmbedder(

@@ -1,8 +1,12 @@
 import json
+import socket
+import sys
+import threading
 
 import pytest
 
 from kbforge.gateway import (
+    BACKOFF_BASE_S,
     BackendDescriptor,
     ElicitationRequest,
     MalformedOutputError,
@@ -10,6 +14,7 @@ from kbforge.gateway import (
     NerRequest,
     RateLimitedError,
     RemoteChatGateway,
+    Session,
     TransportError,
     build_gateway,
     parse_elicitation_payload,
@@ -18,7 +23,45 @@ from kbforge.gateway import (
     with_retries,
 )
 
-from fixture_server import LocalServer, scripted_chat_responder
+from fixture_server import LocalServer, closed_port, scripted_chat_responder
+
+
+class RecordingSocket:
+    """A socket that keeps what each ``sendall`` wrote."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+        return self.sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+@pytest.fixture
+def opened_sockets(monkeypatch):
+    """Every socket http.client opens, or the address it failed to open."""
+    opened = []
+    create = socket.create_connection
+
+    def recording_create(address, *args, **kwargs):
+        opened.append(address)
+        opened[-1] = RecordingSocket(create(address, *args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(socket, "create_connection", recording_create)
+    return opened
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
 
 
 def _remote(server_url, tmp_path=None, max_retries=2, **kwargs):
@@ -172,6 +215,125 @@ class TestRemoteGateway:
             gateway = _remote(server.url, max_retries=2)
             response = gateway.classify_ner(NerRequest(["a", "b"], "babylon"))
         assert response.verdicts == [False, False]
+
+
+class TestTransport:
+    def test_netrc_does_not_replace_the_bearer_key(self, tmp_path, monkeypatch):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login u password p\n", encoding="utf-8")
+        monkeypatch.setenv("NETRC", str(netrc))
+        with LocalServer(scripted_chat_responder([(200, VALID_ELICIT)])) as server:
+            _remote(server.url).elicit(ElicitationRequest("Hammurabi", "babylon"))
+        assert server.received[0].headers["Authorization"] == "Bearer test-key"
+
+    def test_body_is_the_json_requests_would_send(self):
+        body = {"model": "m", "temperature": 0.5, "messages": [{"content": "Nabû-kudurri-uṣur ☃"}]}
+        with LocalServer(lambda *request: (200, {}), http11=True) as server:
+            session = Session()
+            assert session.post(server.url + "/x", json=body, timeout=5).json() == {}
+            session.close()
+        assert server.requests[0][3] == json.dumps(body, allow_nan=False).encode()
+        assert server.received[0].headers["Content-Type"] == "application/json"
+
+    def test_new_connections_set_tcp_nodelay(self, opened_sockets):
+        with LocalServer(lambda *request: (200, {}), http11=True) as server:
+            session = Session()
+            session.post(server.url + "/x", json={}, timeout=5)
+            [sock] = opened_sockets
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            session.close()
+
+    def test_each_request_is_one_write(self, opened_sockets):
+        body = {"input": ["x" * 3000]}
+        with LocalServer(lambda *request: (200, {}), http11=True) as server:
+            session = Session()
+            for _ in range(2):
+                session.post(server.url + "/x", json=body, timeout=5)
+            session.close()
+        [sock] = opened_sockets
+        assert len(sock.writes) == 2
+        for write in sock.writes:
+            assert write.startswith(b"POST /x HTTP/1.1\r\n")
+            assert write.endswith(b"\r\n\r\n" + json.dumps(body).encode())
+
+    def test_connections_are_reused_and_a_closed_one_is_replaced(self):
+        slept = []
+        script = [(200, VALID_ELICIT)] * 3
+        with LocalServer(scripted_chat_responder(script), http11=True) as server:
+            descriptor = BackendDescriptor(kind="remote", endpoint_url=server.url, max_retries=2)
+            gateway = RemoteChatGateway(descriptor, api_key="k", sleep=slept.append)
+            for _ in range(2):
+                gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
+            server.close_idle()
+            gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
+            gateway.close()
+        assert [r.connection for r in server.received] == [0, 0, 1]
+        assert slept == []
+
+    def test_connection_refused_is_retried_with_backoff(self, opened_sockets):
+        slept = []
+        descriptor = BackendDescriptor(
+            kind="remote", endpoint_url=f"http://127.0.0.1:{closed_port()}", max_retries=2
+        )
+        gateway = RemoteChatGateway(descriptor, api_key="k", sleep=slept.append)
+        with pytest.raises(TransportError) as err:
+            gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
+        assert err.value.retryable
+        assert isinstance(err.value.__cause__, ConnectionRefusedError)
+        assert len(opened_sockets) == 3
+        assert len(slept) == 2
+        for k, delay in enumerate(slept):
+            assert BACKOFF_BASE_S * 2**k <= delay <= BACKOFF_BASE_S * 2**k * 1.1
+
+    def test_http_proxy_gets_an_absolute_target(self, no_proxy_env):
+        with LocalServer(scripted_chat_responder([(200, VALID_ELICIT)])) as proxy, \
+                LocalServer(scripted_chat_responder([])) as origin:
+            no_proxy_env.setenv("HTTP_PROXY", proxy.url.replace("://", "://u:p@"))
+            _remote(origin.url).elicit(ElicitationRequest("Hammurabi", "babylon"))
+        assert [r.target for r in proxy.received] == [origin.url + "/chat/completions"]
+        assert proxy.received[0].headers["Proxy-Authorization"] == "Basic dTpw"
+        assert origin.requests == []
+
+    def test_no_proxy_bypasses_the_proxy(self, no_proxy_env):
+        with LocalServer(scripted_chat_responder([])) as proxy, \
+                LocalServer(scripted_chat_responder([(200, VALID_ELICIT)])) as origin:
+            no_proxy_env.setenv("HTTP_PROXY", proxy.url)
+            no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
+            _remote(origin.url).elicit(ElicitationRequest("Hammurabi", "babylon"))
+        assert [r.target for r in origin.received] == ["/chat/completions"]
+        assert proxy.requests == []
+
+    def test_threads_sharing_a_session_get_their_own_responses(self):
+        threads, calls = 8, 25
+
+        def echo(method, path, query, body):
+            return 200, {"echo": json.loads(body)}
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with LocalServer(echo, http11=True) as server:
+                session = Session()
+                mismatches = []
+
+                def worker(t):
+                    for i in range(calls):
+                        sent = {"thread": t, "call": i}
+                        if session.post(server.url + "/x", json=sent, timeout=5).json() != {"echo": sent}:
+                            mismatches.append(sent)
+
+                workers = [threading.Thread(target=worker, args=(t,)) for t in range(threads)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=30)
+                assert not any(w.is_alive() for w in workers)
+                session.close()
+        finally:
+            sys.setswitchinterval(previous)
+        assert mismatches == []
+        assert len(server.requests) == threads * calls
+        assert len({r.connection for r in server.received}) <= threads
 
 
 class TestAuditLog:

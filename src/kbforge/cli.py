@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import crawler, ensemble, export, metrics, popularity
 from .embeddings import EmbeddingCache, RemoteEmbedder, TrigramHashEmbedder
-from .gateway import BackendDescriptor, GatewayError, build_gateway
+from .gateway import BackendDescriptor, GatewayError, MockWorldGateway, RemoteChatGateway
 from .model import (
     KnowledgeBase,
     RunConfig,
@@ -26,23 +26,11 @@ from .model import (
     save_run,
     write_triples,
 )
+from .prompts import MissingTemplateError
 
-CATEGORY_ALIASES = {
-    "ne": StructuralCategory.NAMED_ENTITIES,
-    "named_entities": StructuralCategory.NAMED_ENTITIES,
-    "literals": StructuralCategory.LITERALS,
-    "predicates": StructuralCategory.PREDICATES,
-    "classes": StructuralCategory.CLASSES,
-    "triples": StructuralCategory.TRIPLES,
-}
+ALL_CATEGORIES = list(StructuralCategory)
 
-ALL_CATEGORIES = [
-    StructuralCategory.NAMED_ENTITIES,
-    StructuralCategory.LITERALS,
-    StructuralCategory.PREDICATES,
-    StructuralCategory.CLASSES,
-    StructuralCategory.TRIPLES,
-]
+CATEGORY_ALIASES = {"ne": StructuralCategory.NAMED_ENTITIES, **{c.value: c for c in ALL_CATEGORIES}}
 
 
 class CliError(Exception):
@@ -94,16 +82,13 @@ def _gateway(args, config: dict, workspace: Path):
         world_path = Path(world)
         if not world_path.exists():
             raise CliError(f"world file not found: {world_path}")
-        return build_gateway(BackendDescriptor(kind="mock"), world_path=world_path)
+        return MockWorldGateway(world_path)
     if endpoint:
         # Each crawl sends the model and temperature of its own run config.
         descriptor = BackendDescriptor(kind="remote", endpoint_url=endpoint)
         audit = _pick(getattr(args, "audit", None), config, "audit", None)
         audit_path = Path(audit) if audit else workspace / "audit.ndjson"
-        try:
-            return build_gateway(descriptor, audit_path=audit_path)
-        except GatewayError as exc:
-            raise CliError(str(exc)) from exc
+        return RemoteChatGateway(descriptor, audit_path=audit_path)
     raise CliError("select a backend with --world (fixture) or --endpoint (remote)")
 
 
@@ -189,11 +174,25 @@ def _embedding_provider(args):
     if name == "remote":
         if not args.embed_endpoint:
             raise CliError("remote embedding provider needs --embed-endpoint")
-        try:
-            return RemoteEmbedder(args.embed_endpoint, model_id=args.embed_model)
-        except GatewayError as exc:
-            raise CliError(str(exc)) from exc
+        return RemoteEmbedder(args.embed_endpoint, model_id=args.embed_model)
     raise CliError(f"unknown embedding provider {name!r}")
+
+
+def _entity_labels(record) -> list[str]:
+    return sorted(metrics.category_elements(record, StructuralCategory.NAMED_ENTITIES))
+
+
+def _bucketize(args, cache: Optional[str], workspace: Path, label_lists) -> list[popularity.BucketAssignment]:
+    """Each label list's popularity buckets, from one store and one client.
+
+    ``cache`` is the popularity store's path; it defaults to the workspace's.
+    """
+    store = popularity.PopularityStore(Path(cache) if cache else workspace / popularity.CACHE_NAME)
+    client = None if args.offline else popularity.WikidataClient(endpoint_url=args.wikidata_endpoint)
+    return [
+        popularity.bucketize(popularity.resolve_many(labels, client, store, offline=args.offline))
+        for labels in label_lists
+    ]
 
 
 def cmd_compare(args) -> int:
@@ -218,16 +217,7 @@ def cmd_compare(args) -> int:
 
     assignments = None
     if args.buckets:
-        store_path = Path(args.popularity_cache) if args.popularity_cache else workspace / popularity.CACHE_NAME
-        store = popularity.PopularityStore(store_path)
-        client = None
-        if not args.offline:
-            client = popularity.WikidataClient(endpoint_url=args.wikidata_endpoint)
-        assignments = []
-        for record in records:
-            entities = sorted(metrics.category_elements(record, StructuralCategory.NAMED_ENTITIES))
-            resolved = popularity.resolve_many(entities, client, store, offline=args.offline)
-            assignments.append(popularity.bucketize(resolved))
+        assignments = _bucketize(args, args.popularity_cache, workspace, map(_entity_labels, records))
 
     report = metrics.build_stability_report(
         records,
@@ -328,20 +318,13 @@ def cmd_popularity(args) -> int:
             if line.strip()
         ]
     elif args.run_dir:
-        record = load_run(Path(args.run_dir))
-        labels = sorted(metrics.category_elements(record, StructuralCategory.NAMED_ENTITIES))
+        labels = _entity_labels(load_run(Path(args.run_dir)))
     else:
         raise CliError("give a run directory or --labels FILE")
     if not labels:
         raise CliError("no entity labels to resolve")
 
-    store_path = Path(args.cache) if args.cache else workspace / popularity.CACHE_NAME
-    store = popularity.PopularityStore(store_path)
-    client = None
-    if not args.offline:
-        client = popularity.WikidataClient(endpoint_url=args.wikidata_endpoint)
-    records = popularity.resolve_many(labels, client, store, offline=args.offline)
-    assignment = popularity.bucketize(records)
+    (assignment,) = _bucketize(args, args.cache, workspace, [labels])
     for name in popularity.BUCKET_NAMES:
         print(f"{name}: {len(assignment.buckets[name])}")
     if args.out:
@@ -437,10 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GatewayError as exc:
+    except (CliError, GatewayError, MissingTemplateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,8 +2,9 @@
 
 Two providers share one interface: a deterministic offline embedder that
 hashes character trigrams into a fixed-width bag vector, and a remote
-embedder speaking the OpenAI embeddings wire format. A newline-delimited
-JSON cache keeps repeat comparisons from re-embedding unchanged rows.
+embedder speaking the OpenAI embeddings wire format. A cache, in memory
+or backed by a newline-delimited JSON file, keeps repeat comparisons from
+re-embedding unchanged rows.
 """
 
 from __future__ import annotations
@@ -128,12 +129,16 @@ class RemoteEmbedder:
 
 
 class EmbeddingCache:
-    """Append-only NDJSON store keyed by (provider_id, text)."""
+    """Vectors keyed by (provider_id, text), held in memory.
 
-    def __init__(self, path: Path):
-        self._store = NdjsonStore(path)
+    With a path, they are also read from and appended to an NDJSON store;
+    without one, the cache lives only as long as the object.
+    """
+
+    def __init__(self, path: Optional[Path] = None):
+        self._store = NdjsonStore(path) if path is not None else None
         self._vectors: dict[tuple[str, str], np.ndarray] = {}
-        for entry in self._store.entries():
+        for entry in self._store.entries() if self._store is not None else ():
             key = (entry["provider"], entry["text"])
             self._vectors[key] = np.asarray(entry["vector"], dtype=np.float64)
 
@@ -141,13 +146,12 @@ class EmbeddingCache:
         return self._vectors.get((provider_id, text))
 
     def put_many(self, provider_id: str, items: Iterable[tuple[str, np.ndarray]]) -> None:
-        def entries():
-            for text, vector in items:
-                vector = np.asarray(vector, dtype=np.float64)
-                self._vectors[(provider_id, text)] = vector
-                yield {"provider": provider_id, "text": text, "vector": vector.tolist()}
-
-        self._store.append(entries())
+        fresh = [(text, np.asarray(vector, dtype=np.float64)) for text, vector in items]
+        self._vectors.update(((provider_id, text), vector) for text, vector in fresh)
+        if self._store is not None:
+            self._store.append(
+                {"provider": provider_id, "text": text, "vector": vector.tolist()} for text, vector in fresh
+            )
 
 
 def embed_batch(

@@ -55,8 +55,9 @@ class GatewayError(Exception):
 class TransportError(GatewayError):
     """Network failure or HTTP error from the backend.
 
-    ``retryable`` is False for an HTTP 4xx other than 429: the request itself
-    was refused (a bad key, a bad body), so sending it again cannot help.
+    ``retryable`` is False for an HTTP 4xx other than 429, when the request
+    itself was refused (a bad key, a bad body), and for a URL that cannot be
+    requested at all: sending it again cannot help.
     """
 
     retryable = True
@@ -270,12 +271,15 @@ def send(request: Callable[[], Response]) -> Response:
     """Run one HTTP request and map its failure to a gateway error.
 
     Network failures and 5xx raise a retryable ``TransportError``, 429 raises
-    ``RateLimitedError`` and any other 4xx a non-retryable ``TransportError``.
+    ``RateLimitedError``, and any other 4xx or a malformed or non-http(s) URL
+    a non-retryable ``TransportError``.
     """
     try:
         resp = request()
     except (OSError, http.client.HTTPException) as exc:
-        raise TransportError(str(exc)) from exc
+        error = TransportError(str(exc))
+        error.retryable = not isinstance(exc, http.client.InvalidURL)
+        raise error from exc
     if resp.status_code == 429:
         raise RateLimitedError("rate limited by backend")
     if resp.status_code >= 400:
@@ -642,9 +646,8 @@ class MockWorldGateway:
     identical responses regardless of call order.
     """
 
-    def __init__(self, world_path: Path, descriptor: Optional[BackendDescriptor] = None) -> None:
+    def __init__(self, world_path: Path) -> None:
         self.world_path = Path(world_path)
-        self.descriptor = descriptor or BackendDescriptor(kind="mock")
         world = json.loads(self.world_path.read_text(encoding="utf-8"))
         self.facts: dict[str, list[tuple[str, str]]] = {
             subject: [(p, o) for p, o in pairs] for subject, pairs in world.get("facts", {}).items()
@@ -693,15 +696,3 @@ class MockWorldGateway:
 
     def classify_ner(self, req: NerRequest) -> NerResponse:
         return NerResponse(verdicts=[self._is_entity(p) for p in req.phrases])
-
-
-def build_gateway(
-    descriptor: BackendDescriptor,
-    world_path: Optional[Path] = None,
-    **remote_kwargs,
-):
-    if descriptor.kind == "mock":
-        if world_path is None:
-            raise ValueError("mock backend requires a world file path")
-        return MockWorldGateway(world_path, descriptor)
-    return RemoteChatGateway(descriptor, **remote_kwargs)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -188,14 +189,6 @@ class PairwiseMatrix:
             raise ValueError("no off-diagonal cells to average")
         return sum(cells) / len(cells)
 
-    def to_dict(self) -> dict:
-        return {
-            "run_ids": self.run_ids,
-            "values": self.values,
-            "metric_id": self.metric_id,
-            "category": self.category.value,
-        }
-
 
 @dataclass
 class CategoryRow:
@@ -212,20 +205,6 @@ class CategoryRow:
     avg_match_pct: float
     flags: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "category": self.category.value,
-            "run_ids": self.run_ids,
-            "yields": self.yields,
-            "yield_mean": self.yield_mean,
-            "yield_std": self.yield_std,
-            "yield_cv": self.yield_cv,
-            "avg_jaccard": self.avg_jaccard,
-            "avg_hausdorff": self.avg_hausdorff,
-            "avg_match_pct": self.avg_match_pct,
-            "flags": sorted(self.flags),
-        }
-
 
 @dataclass
 class BucketRow:
@@ -237,16 +216,6 @@ class BucketRow:
     avg_hausdorff: Optional[float]
     avg_match_pct: Optional[float]
     flags: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "bucket": self.bucket,
-            "pair_count": self.pair_count,
-            "avg_jaccard": self.avg_jaccard,
-            "avg_hausdorff": self.avg_hausdorff,
-            "avg_match_pct": self.avg_match_pct,
-            "flags": sorted(self.flags),
-        }
 
 
 @dataclass
@@ -264,37 +233,10 @@ class StabilityReport:
     matrices: list[PairwiseMatrix]
     bucket_rows: list[BucketRow] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "suite_id": self.suite_id,
-            "tau": self.tau,
-            "provider_id": self.provider_id,
-            "rows": [row.to_dict() for row in self.rows],
-            "matrices": [m.to_dict() for m in self.matrices],
-            "bucket_rows": [row.to_dict() for row in self.bucket_rows],
-        }
-
 
 def category_elements(record, category: StructuralCategory) -> set[str]:
     kb = getattr(record, "kb", record)
     return derive_categories(kb)[category]
-
-
-class _ReportVectors:
-    """In-memory embedding cache for one report when the caller gave none.
-
-    It has the ``get`` and ``put_many`` of an ``EmbeddingCache``, so a label
-    compared in several categories or in the bucketed rows is embedded once.
-    """
-
-    def __init__(self) -> None:
-        self._vectors: dict[tuple[str, str], np.ndarray] = {}
-
-    def get(self, provider_id: str, text: str) -> Optional[np.ndarray]:
-        return self._vectors.get((provider_id, text))
-
-    def put_many(self, provider_id: str, items) -> None:
-        self._vectors.update(((provider_id, text), vector) for text, vector in items)
 
 
 def _embed_sets(
@@ -495,7 +437,9 @@ def build_stability_report(
     embedded once for the whole report.
     """
     provider = provider or TrigramHashEmbedder()
-    vectors = cache if cache is not None else _ReportVectors()
+    # Without a caller's cache, an in-memory one still embeds a label
+    # compared in several categories or in the bucketed rows once.
+    vectors = cache if cache is not None else EmbeddingCache()
     # Only the compared sets are kept, so the others are freed at once.
     kept = set(categories)
     if assignments is not None:
@@ -543,6 +487,11 @@ _CSV_COLUMNS = [
 ]
 
 
+def _json_fields(fields: list[tuple[str, object]]) -> dict:
+    """A report dataclass as a JSON object: enum fields become their values."""
+    return {name: value.value if isinstance(value, Enum) else value for name, value in fields}
+
+
 def write_report(report: StabilityReport, out_dir: Path) -> tuple[Path, Path]:
     """Emit report.json (full matrices) and report.csv (one row per scope)."""
     out_dir = Path(out_dir)
@@ -550,7 +499,7 @@ def write_report(report: StabilityReport, out_dir: Path) -> tuple[Path, Path]:
     json_path = out_dir / REPORT_JSON
     csv_path = out_dir / REPORT_CSV
     json_path.write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+        json.dumps(asdict(report, dict_factory=_json_fields), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
     with csv_path.open("w", encoding="utf-8", newline="") as handle:
@@ -568,7 +517,7 @@ def write_report(report: StabilityReport, out_dir: Path) -> tuple[Path, Path]:
                     repr(row.avg_jaccard),
                     repr(row.avg_hausdorff),
                     repr(row.avg_match_pct),
-                    ";".join(sorted(row.flags)),
+                    ";".join(row.flags),
                 ]
             )
         for bucket in report.bucket_rows:
@@ -583,7 +532,7 @@ def write_report(report: StabilityReport, out_dir: Path) -> tuple[Path, Path]:
                     "" if bucket.avg_jaccard is None else repr(bucket.avg_jaccard),
                     "" if bucket.avg_hausdorff is None else repr(bucket.avg_hausdorff),
                     "" if bucket.avg_match_pct is None else repr(bucket.avg_match_pct),
-                    ";".join(sorted(bucket.flags)),
+                    ";".join(bucket.flags),
                 ]
             )
     return json_path, csv_path

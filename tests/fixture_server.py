@@ -87,7 +87,10 @@ class LocalServer:
                 self._serve("POST")
 
         self._httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # shutdown() waits for serve_forever's next poll: keep that short.
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     @property
     def url(self) -> str:

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import kbforge
-from kbforge.cli import main
+from kbforge import cli, gateway
+from kbforge.cli import build_parser, main
+from kbforge.gateway import MockWorldGateway, RemoteChatGateway
 
 from fixture_server import LocalServer, chat_ok, closed_port
 
@@ -159,6 +161,54 @@ class TestCrawlCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_malformed_endpoint_fails_after_one_attempt(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("KBFORGE_API_KEY", "test-key")
+        attempts, slept = [], []
+        request = gateway.Session._request
+        retries = gateway.with_retries
+        monkeypatch.setattr(gateway.Session, "_request", lambda *a: attempts.append(a) or request(*a))
+        monkeypatch.setattr(
+            gateway, "with_retries", lambda attempt, n, sleep, *rest: retries(attempt, n, slept.append, *rest)
+        )
+        code, _, err = _invoke(
+            capsys,
+            "--workspace",
+            str(tmp_path),
+            "crawl",
+            "--endpoint",
+            "ftp://example.invalid/v1",
+            "--topic",
+            "babylon",
+            "--seed",
+            "Hammurabi",
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: not an http(s) URL")
+        assert len(attempts) == 1 and slept == []
+        assert not (tmp_path / "runs").exists()
+
+    def test_language_without_templates_sends_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("KBFORGE_API_KEY", "test-key")
+        with LocalServer(lambda method, path, query, body: chat_ok('{"triples": []}')) as server:
+            code, _, err = _invoke(
+                capsys,
+                "--workspace",
+                str(tmp_path),
+                "crawl",
+                "--endpoint",
+                server.url,
+                "--language",
+                "de",
+                "--topic",
+                "babylon",
+                "--seed",
+                "Hammurabi",
+            )
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "'de'" in err
+        assert server.requests == []
+        assert not (tmp_path / "runs").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = _invoke(
             capsys,
@@ -218,6 +268,28 @@ class TestCrawlCommand:
         assert code == 1
         assert err.startswith("error: temperature")
         assert not (tmp_path / "runs").exists()
+
+
+class TestBackendSelection:
+    def _gateway(self, tmp_path, *argv):
+        args = build_parser().parse_args(["--workspace", str(tmp_path), "crawl", *argv])
+        return cli._gateway(args, {}, tmp_path)
+
+    def test_world_gives_the_mock_gateway(self, tmp_path, babylon_world_path):
+        chosen = self._gateway(tmp_path, "--world", str(babylon_world_path))
+        assert isinstance(chosen, MockWorldGateway)
+        assert chosen.world_path == babylon_world_path
+
+    def test_endpoint_gives_the_remote_gateway(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("KBFORGE_API_KEY", "test-key")
+        chosen = self._gateway(tmp_path, "--endpoint", "http://127.0.0.1:9/v1")
+        assert isinstance(chosen, RemoteChatGateway)
+        assert chosen.descriptor.endpoint_url == "http://127.0.0.1:9/v1"
+        assert chosen.audit.path == tmp_path / "audit.ndjson"
+
+    def test_missing_world_file_is_a_config_error(self, tmp_path):
+        with pytest.raises(cli.CliError, match="world file not found"):
+            self._gateway(tmp_path, "--world", str(tmp_path / "missing.json"))
 
 
 class TestSuiteCommand:
@@ -331,6 +403,14 @@ class TestSuiteCommand:
             assert code == 1
             assert err.startswith("error: temperature")
             assert sent == []
+
+    def test_remote_run_in_a_language_without_templates_is_failed(self, tmp_path, capsys, monkeypatch):
+        config = {"runs": [{"language": "de"}]}
+        (code, _, err), sent = self._remote_suite(tmp_path, capsys, monkeypatch, config)
+        assert code == 0
+        assert "failed" in err
+        assert "'de'" in (tmp_path / "s" / "run-000" / "FAILED").read_text()
+        assert sent == []
 
     def test_runs_list_is_required(self, tmp_path, capsys):
         config_path = tmp_path / "suite.json"

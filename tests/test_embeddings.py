@@ -95,6 +95,15 @@ class TestEmbeddingCache:
         reloaded = EmbeddingCache(path)
         np.testing.assert_array_equal(reloaded.get("p", "alpha"), [1.0, 2.0])
 
+    def test_without_a_path_vectors_stay_in_memory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = EmbeddingCache()
+        vector = np.array([0.5, -0.25])
+        cache.put_many("p", [("alpha", vector)])
+        assert cache.get("p", "alpha") is vector
+        assert cache.get("p", "beta") is None
+        assert list(tmp_path.iterdir()) == []
+
     def test_reads_and_writes_the_original_line_layout(self, tmp_path):
         line = '{"provider": "trigram-4", "text": "Nabû", "vector": [0.5, -0.25, 0.0, 1.0]}\n'
         old = tmp_path / "old.ndjson"

@@ -1,3 +1,4 @@
+import http.client
 import json
 import socket
 import sys
@@ -16,7 +17,6 @@ from kbforge.gateway import (
     RemoteChatGateway,
     Session,
     TransportError,
-    build_gateway,
     parse_elicitation_payload,
     parse_ner_payload,
     replay_audit,
@@ -285,6 +285,21 @@ class TestTransport:
         for k, delay in enumerate(slept):
             assert BACKOFF_BASE_S * 2**k <= delay <= BACKOFF_BASE_S * 2**k * 1.1
 
+    @pytest.mark.parametrize(
+        "url", ["ftp://example.invalid/v1", "http://[::1/v1", "http:///v1", "http://127.0.0.1:99999/v1"]
+    )
+    def test_malformed_url_fails_at_once(self, url, monkeypatch, opened_sockets):
+        slept, posts = [], []
+        descriptor = BackendDescriptor(kind="remote", endpoint_url=url, max_retries=2)
+        gateway = RemoteChatGateway(descriptor, api_key="k", sleep=slept.append)
+        post = gateway.session.post
+        monkeypatch.setattr(gateway.session, "post", lambda *a, **kw: posts.append(a) or post(*a, **kw))
+        with pytest.raises(TransportError) as err:
+            gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
+        assert not err.value.retryable
+        assert isinstance(err.value.__cause__, http.client.InvalidURL)
+        assert len(posts) == 1 and slept == [] and opened_sockets == []
+
     def test_http_proxy_gets_an_absolute_target(self, no_proxy_env):
         with LocalServer(scripted_chat_responder([(200, VALID_ELICIT)])) as proxy, \
                 LocalServer(scripted_chat_responder([])) as origin:
@@ -392,12 +407,6 @@ class TestMockWorld:
         gateway = MockWorldGateway(loop_world_path)
         request = NerRequest(["Nabu-mukin-zeri-mu-mu", "Q768509", "1792 BC"], "babylon")
         assert gateway.classify_ner(request).verdicts == [True, True, False]
-
-    def test_build_gateway_dispatch(self, babylon_world_path):
-        mock = build_gateway(BackendDescriptor(kind="mock"), world_path=babylon_world_path)
-        assert isinstance(mock, MockWorldGateway)
-        with pytest.raises(ValueError):
-            build_gateway(BackendDescriptor(kind="mock"))
 
 
 class TestWithRetries:

@@ -1,6 +1,6 @@
 import json
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -28,6 +28,10 @@ from kbforge.model import KnowledgeBase, StructuralCategory, TermKind, make_trip
 
 import oracles
 from conftest import build_fixture_kb
+
+
+def field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
 
 
 @dataclass
@@ -496,3 +500,26 @@ class TestReportSerialization:
         assert lines[0].startswith("scope,name,runs,")
         assert any(line.startswith("category,named_entities,2,") for line in lines)
         assert any(line.startswith("bucket,Q4,2,") for line in lines)
+
+    def test_json_keys_are_the_dataclass_fields(self, tmp_path):
+        runs = [
+            FakeRun("a", _kb_from([("X", "knows", "Y", TermKind.NAMED_ENTITY, 0)])),
+            FakeRun("b", _kb_from([])),
+        ]
+        report = build_stability_report(
+            runs,
+            [StructuralCategory.NAMED_ENTITIES, StructuralCategory.LITERALS],
+            assignments=[{"Q4": {"X"}, "Q1": set()}, {"Q4": set(), "Q1": set()}],
+        )
+        json_path, _ = write_report(report, tmp_path)
+        payload = json.loads(json_path.read_text(encoding="utf-8"))
+
+        assert set(payload) == field_names(metrics.StabilityReport)
+        for key, cls in (("rows", metrics.CategoryRow), ("matrices", metrics.PairwiseMatrix),
+                         ("bucket_rows", metrics.BucketRow)):
+            assert payload[key] and all(set(item) == field_names(cls) for item in payload[key])
+        assert [row["category"] for row in payload["rows"]] == ["named_entities", "literals"]
+        assert {m["category"] for m in payload["matrices"]} == {"named_entities", "literals"}
+        flag_lists = [item["flags"] for key in ("rows", "bucket_rows") for item in payload[key]]
+        assert any(len(flags) > 1 for flags in flag_lists)
+        assert all(flags == sorted(flags) for flags in flag_lists)

@@ -157,14 +157,20 @@ def _load_suite_runs(suite_dir: Path):
     manifest_path = suite_dir / crawler.SUITE_MANIFEST
     if not manifest_path.exists():
         raise CliError(f"no suite manifest in {suite_dir}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        run_ids = json.loads(manifest_path.read_text(encoding="utf-8"))["run_ids"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"suite manifest {manifest_path} is damaged: {exc!r}") from exc
     records = []
-    for run_id in manifest["run_ids"]:
+    for run_id in run_ids:
         run_dir = suite_dir / run_id
         if run_failed(run_dir) is not None:
             continue
-        records.append(load_run(run_dir))
-    return manifest, records
+        try:
+            records.append(load_run(run_dir))
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"run {run_dir} is damaged: {exc!r}") from exc
+    return records
 
 
 def _embedding_provider(args):
@@ -198,7 +204,7 @@ def _bucketize(args, cache: Optional[str], workspace: Path, label_lists) -> list
 def cmd_compare(args) -> int:
     workspace = Path(args.workspace)
     suite_dir = Path(args.suite_dir)
-    manifest, records = _load_suite_runs(suite_dir)
+    records = _load_suite_runs(suite_dir)
     if len(records) < 2:
         raise CliError("comparison needs at least two successful runs")
 
@@ -244,7 +250,7 @@ def cmd_compare(args) -> int:
 
 def cmd_ensemble(args) -> int:
     suite_dir = Path(args.suite_dir)
-    manifest, records = _load_suite_runs(suite_dir)
+    records = _load_suite_runs(suite_dir)
     if len(records) < 2:
         raise CliError("ensembling needs at least two successful runs")
     if args.k is None and not args.auto:
@@ -293,7 +299,10 @@ def cmd_export(args) -> int:
         if fmt not in export.EXPORTERS:
             raise CliError(f"unknown export format {fmt!r} (choose from {', '.join(export.EXPORTERS)})")
     kb = KnowledgeBase()
-    kb.add_all(load_triples(triples_path))
+    try:
+        kb.add_all(load_triples(triples_path))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"{triples_path} is damaged: {exc!r}") from exc
     out_dir = Path(args.out) if args.out else kb_dir.parent / (kb_dir.name + "-export")
     policy = export.IriPolicy(args.namespace) if args.namespace else export.IriPolicy()
     try:

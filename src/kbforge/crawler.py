@@ -121,8 +121,6 @@ def crawl(
     gateway,
     run_id: str = "",
     clock: Callable[[], float] = time.monotonic,
-    max_repeats: int = DEFAULT_MAX_REPEATS,
-    overlong_threshold: int = DEFAULT_OVERLONG_THRESHOLD,
 ) -> RunRecord:
     """Run one bounded knowledge crawl and return its full record.
 
@@ -140,14 +138,14 @@ def crawl(
     config.validate()
     run_id = run_id or default_run_id(config)
     if not hasattr(gateway, "for_run"):
-        return _crawl(config, gateway, map, run_id, clock, max_repeats, overlong_threshold)
+        return _crawl(config, gateway, map, run_id, clock)
     # A remote gateway sends this run's model and temperature, not its own,
     # over a connection pool that lives as long as the run, as do the threads.
     with (
         closing(gateway.for_run(config, run_id)) as bound,
         ThreadPoolExecutor(max_workers=config.parallelism) as pool,
     ):
-        return _crawl(config, bound, pool.map, run_id, clock, max_repeats, overlong_threshold)
+        return _crawl(config, bound, pool.map, run_id, clock)
 
 
 def _crawl(
@@ -156,8 +154,6 @@ def _crawl(
     map_: Callable,
     run_id: str,
     clock: Callable[[], float],
-    max_repeats: int,
-    overlong_threshold: int,
 ) -> RunRecord:
     """The BFS of ``crawl``. ``map_(fetch, frontier)`` elicits one layer's
     subjects, on the calling thread or on the run's pool, in frontier order."""
@@ -253,7 +249,7 @@ def _crawl(
                 continue
             if label in kb.visited_subjects:
                 continue
-            kind = classify_degeneracy(label, max_repeats, overlong_threshold)
+            kind = classify_degeneracy(label)
             if kind is not None:
                 events.append(DegeneracyEvent(kind=kind, entity=label, layer=layer + 1))
                 continue

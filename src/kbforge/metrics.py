@@ -82,49 +82,53 @@ def _as_rows(matrix: np.ndarray, name: str) -> np.ndarray:
     return rows
 
 
-# Rows of A per similarity product: a product holds at most this many rows
-# times the other set's size, whatever the sizes of the two sets.
-_BLOCK_ROWS = 512
+# Rows per similarity product, which holds at most this many rows times the
+# category's distinct rows; each set's column gather holds one more such block.
+_BLOCK_ROWS = 256
 
 
-def _verbatim(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Mask of the rows that occur byte for byte among ``others``."""
-    seen = {row.tobytes() for row in others}
-    return np.fromiter((row.tobytes() in seen for row in rows), dtype=bool, count=rows.shape[0])
+def _distinct(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The byte-distinct rows of ``vectors``, and each row's index among them."""
+    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+    keys = vectors.view(np.dtype((np.void, 8 * vectors.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return vectors[first], inverse.ravel()
+
+
+def _best_into(rows: np.ndarray, sets: Sequence[np.ndarray]) -> np.ndarray:
+    """``best[s, r]``: distinct row ``r``'s best cosine similarity into set ``s``.
+
+    Each set lists its members as indices into ``rows``. A row scores exactly
+    1.0 in a set that holds it, so equal sets reach the ceiling regardless of
+    float noise. Rows held by every set go through no product; the others go
+    against all rows, ``_BLOCK_ROWS`` at a time, and a set's value is the
+    maximum over its members' columns.
+    """
+    held = np.zeros((len(sets), rows.shape[0]), dtype=bool)
+    for s, members in enumerate(sets):
+        held[s, members] = True
+    best = np.zeros(held.shape)
+    todo = np.flatnonzero(~held.all(axis=0))
+    for start in range(0, todo.shape[0], _BLOCK_ROWS):
+        block = todo[start : start + _BLOCK_ROWS]
+        sim = pairwise_cosine_similarity(rows[block], rows)
+        for s, members in enumerate(sets):
+            if members.shape[0]:
+                best[s, block] = sim[:, members].max(axis=1)
+    best[held] = 1.0
+    return best
 
 
 def _best_matches(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's best cosine similarity into the other set: (A to B, B to A).
-
-    A row that occurs verbatim in the other matrix scores exactly 1.0, so
-    equal row sets reach the ceiling regardless of float noise. Only the
-    other rows go through the product, in blocks of ``_BLOCK_ROWS``: the
-    unmatched rows of A against all of B give A to B and part of B to A,
-    and the matched rows of A against the unmatched rows of B give the rest.
-    """
+    """Each row's best cosine similarity into the other set: (A to B, B to A)."""
     a = _as_rows(a, "A")
     b = _as_rows(b, "B")
     if a.shape[1] != b.shape[1]:
         raise ValueError("matrices must share one embedding dimension")
-    a_hit = _verbatim(a, b)
-    b_hit = _verbatim(b, a)
-    best_ab = np.ones(a.shape[0])
-    best_ba = np.full(b.shape[0], -np.inf)
-    a_todo = np.flatnonzero(~a_hit)
-    for start in range(0, a_todo.shape[0], _BLOCK_ROWS):
-        rows = a_todo[start : start + _BLOCK_ROWS]
-        sim = pairwise_cosine_similarity(a[rows], b)
-        best_ab[rows] = sim.max(axis=1)
-        np.maximum(best_ba, sim.max(axis=0), out=best_ba)
-    b_todo = np.flatnonzero(~b_hit)
-    if b_todo.shape[0]:
-        b_rest = b[b_todo]
-        a_done = np.flatnonzero(a_hit)
-        for start in range(0, a_done.shape[0], _BLOCK_ROWS):
-            sim = pairwise_cosine_similarity(a[a_done[start : start + _BLOCK_ROWS]], b_rest)
-            best_ba[b_todo] = np.maximum(best_ba[b_todo], sim.max(axis=0))
-    best_ba[b_hit] = 1.0
-    return best_ab, best_ba
+    rows, inverse = _distinct(np.vstack([a, b]))
+    members = [inverse[: a.shape[0]], inverse[a.shape[0] :]]
+    best = _best_into(rows, members)
+    return best[1, members[0]], best[0, members[1]]
 
 
 def _hausdorff(best_ab: np.ndarray, best_ba: np.ndarray) -> float:
@@ -239,40 +243,35 @@ def category_elements(record, category: StructuralCategory) -> set[str]:
     return derive_categories(kb)[category]
 
 
-def _embed_sets(
-    element_sets: Sequence[set[str]],
-    provider: EmbeddingProvider,
-    cache,
-) -> list[tuple[list[str], np.ndarray]]:
-    """Each set's sorted labels and their rows, embedding every distinct label once."""
-    union = sorted(set().union(*element_sets))
-    vectors = embed_batch(union, provider, cache)
-    index = {label: k for k, label in enumerate(union)}
-    out = []
-    for members in element_sets:
-        ordered = sorted(members)
-        out.append((ordered, vectors[[index[label] for label in ordered]]))
-    return out
+class _Table(NamedTuple):
+    """Label sets, each set's sorted labels as distinct rows, and ``best`` over them."""
+
+    sets: list[set[str]]
+    members: list[np.ndarray]
+    best: np.ndarray
 
 
-def _cells(
-    left: tuple[list[str], np.ndarray],
-    right: tuple[list[str], np.ndarray],
-    tau: float,
-    flags: set[str],
-) -> dict[str, float]:
-    """Jaccard, Hausdorff similarity and match % of one pair of embedded sets."""
-    a_labels, a_m = left
-    b_labels, b_m = right
-    if not a_labels and not b_labels:
+def _table(sets: list[set[str]], provider: EmbeddingProvider, cache) -> _Table:
+    """Embed every distinct label of the sets once and fill one best-match table."""
+    union = sorted(set().union(*sets))
+    rows, inverse = _distinct(embed_batch(union, provider, cache))
+    row_of = dict(zip(union, inverse.tolist()))
+    members = [np.array([row_of[label] for label in sorted(s)], dtype=np.intp) for s in sets]
+    return _Table(sets, members, _best_into(rows, members))
+
+
+def _cells(table: _Table, i: int, j: int, tau: float, flags: set[str]) -> dict[str, float]:
+    """Jaccard, Hausdorff similarity and match % of sets ``i`` and ``j`` of a table."""
+    a, b = table.sets[i], table.sets[j]
+    if not a and not b:
         flags.add("empty_set_convention")
         return dict(_DIAGONAL)
-    if not a_labels or not b_labels:
+    if not a or not b:
         flags.add("empty_set_convention")
         return dict(_ONE_EMPTY)
-    best_ab, best_ba = _best_matches(a_m, b_m)
+    best_ab, best_ba = table.best[j, table.members[i]], table.best[i, table.members[j]]
     return {
-        METRIC_LEXICAL: jaccard(set(a_labels), set(b_labels)),
+        METRIC_LEXICAL: jaccard(a, b),
         METRIC_HAUSDORFF: _hausdorff(best_ab, best_ba),
         METRIC_MATCH: _match_pct(best_ab, best_ba, tau).average,
     }
@@ -298,14 +297,14 @@ def pairwise_report(
     run_ids = [r.run_id for r in records]
     if element_sets is None:
         element_sets = [category_elements(r, category) for r in records]
-    embedded = _embed_sets(element_sets, provider, cache)
+    table = _table(list(element_sets), provider, cache)
 
     flags: set[str] = set()
     n = len(records)
     values = {metric_id: [[diagonal] * n for _ in range(n)] for metric_id, diagonal in _DIAGONAL.items()}
     for i in range(n):
         for j in range(i + 1, n):
-            for metric_id, cell in _cells(embedded[i], embedded[j], tau, flags).items():
+            for metric_id, cell in _cells(table, i, j, tau, flags).items():
                 values[metric_id][i][j] = cell
                 values[metric_id][j][i] = cell
     matrices: dict[str, PairwiseMatrix] = {}
@@ -353,7 +352,8 @@ def bucketed_report(
     Pairs are ordered (the bucket side and the full side differ), and a pair
     is skipped when the bucket is empty for run i. Buckets empty everywhere
     produce a flagged row with null metrics. ``element_sets`` holds each
-    run's named entities when the caller has derived them already.
+    run's named entities when the caller has derived them already. Each
+    run's slice of each bucket is one more set in the runs' table.
     """
     if category is not StructuralCategory.NAMED_ENTITIES:
         raise ValueError("bucketed comparison is defined over named entities")
@@ -365,7 +365,7 @@ def bucketed_report(
 
     if element_sets is None:
         element_sets = [category_elements(r, category) for r in records]
-    full_embedded = _embed_sets(element_sets, provider, cache)
+    sets = list(element_sets)
     buckets_per_run = [getattr(a, "buckets", a) for a in assignments]
     bucket_names: list[str] = []
     for per_run in buckets_per_run:
@@ -373,52 +373,43 @@ def bucketed_report(
             if name not in bucket_names:
                 bucket_names.append(name)
 
-    rows: list[BucketRow] = []
+    # Per bucket: its flags and its ordered (slice set, full run) pairs.
+    plan: list[tuple[str, set[str], list[tuple[int, int]]]] = []
     for name in bucket_names:
         flags: set[str] = set()
-        cells: list[dict[str, float]] = []
-        for i in range(len(records)):
-            members = buckets_per_run[i].get(name, set())
+        pairs: list[tuple[int, int]] = []
+        for i, per_run in enumerate(buckets_per_run):
+            members = set(per_run.get(name, ()))
             if not members:
                 flags.add(f"empty_bucket_skipped:{records[i].run_id}")
                 continue
-            ordered = sorted(members)
-            full_labels, full_matrix = full_embedded[i]
-            index = {label: k for k, label in enumerate(full_labels)}
-            missing = [label for label in ordered if label not in index]
+            missing = sorted(members - element_sets[i])
             if missing:
                 raise ValueError(
                     f"bucket {name!r} of run {records[i].run_id} has labels "
                     f"outside the run's named entities: {missing[:3]}"
                 )
-            sub_matrix = full_matrix[[index[label] for label in ordered]]
-            left = (ordered, sub_matrix)
-            for j in range(len(records)):
-                if i != j:
-                    cells.append(_cells(left, full_embedded[j], tau, flags))
-        if cells:
-            rows.append(
-                BucketRow(
-                    bucket=name,
-                    pair_count=len(cells),
-                    avg_jaccard=sum(c[METRIC_LEXICAL] for c in cells) / len(cells),
-                    avg_hausdorff=sum(c[METRIC_HAUSDORFF] for c in cells) / len(cells),
-                    avg_match_pct=sum(c[METRIC_MATCH] for c in cells) / len(cells),
-                    flags=sorted(flags),
-                )
-            )
-        else:
+            pairs.extend((len(sets), j) for j in range(len(records)) if j != i)
+            sets.append(members)
+        plan.append((name, flags, pairs))
+
+    table = _table(sets, provider, cache)
+    rows: list[BucketRow] = []
+    for name, flags, pairs in plan:
+        cells = [_cells(table, k, j, tau, flags) for k, j in pairs]
+        if not cells:
             flags.add("empty_for_all_runs")
-            rows.append(
-                BucketRow(
-                    bucket=name,
-                    pair_count=0,
-                    avg_jaccard=None,
-                    avg_hausdorff=None,
-                    avg_match_pct=None,
-                    flags=sorted(flags),
-                )
+        means = {m: sum(c[m] for c in cells) / len(cells) if cells else None for m in _DIAGONAL}
+        rows.append(
+            BucketRow(
+                bucket=name,
+                pair_count=len(cells),
+                avg_jaccard=means[METRIC_LEXICAL],
+                avg_hausdorff=means[METRIC_HAUSDORFF],
+                avg_match_pct=means[METRIC_MATCH],
+                flags=sorted(flags),
             )
+        )
     return rows
 
 

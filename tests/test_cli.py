@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,12 @@ def _invoke(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _assert_one_error_line(code, err, path):
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(path) in err and "Traceback" not in err
 
 
 def _crawl_args(workspace, world, *extra):
@@ -519,6 +526,17 @@ class TestCompareCommand:
         assert code == 1
         assert "suite manifest" in err
 
+    def test_unparsable_suite_manifest_is_one_error_line(self, suite_dir, capsys):
+        manifest = suite_dir / "suite.json"
+        manifest.write_text("{not json", encoding="utf-8")
+        code, _, err = _invoke(capsys, "compare", str(suite_dir), "--offline")
+        _assert_one_error_line(code, err, manifest)
+
+    def test_missing_run_directory_is_one_error_line(self, suite_dir, capsys):
+        shutil.rmtree(suite_dir / "run-001")
+        code, _, err = _invoke(capsys, "compare", str(suite_dir), "--offline")
+        _assert_one_error_line(code, err, suite_dir / "run-001")
+
 
 class TestEnsembleCommand:
     def test_fixed_k_equals_union_for_identical_runs(self, suite_dir, capsys):
@@ -558,6 +576,14 @@ class TestEnsembleCommand:
         assert code == 1
         assert "--k N or --auto" in err
 
+    def test_suite_manifest_without_run_ids_is_one_error_line(self, suite_dir, capsys):
+        manifest = suite_dir / "suite.json"
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        del payload["run_ids"]
+        manifest.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = _invoke(capsys, "ensemble", str(suite_dir), "--k", "1")
+        _assert_one_error_line(code, err, manifest)
+
 
 class TestExportCommand:
     def test_exports_run_directory(self, suite_dir, tmp_path, capsys):
@@ -590,6 +616,13 @@ class TestExportCommand:
         code, _, err = _invoke(capsys, "export", str(tmp_path))
         assert code == 1
         assert "triples.ndjson" in err
+
+    def test_truncated_triple_line_is_one_error_line(self, suite_dir, capsys):
+        triples = suite_dir / "run-000" / "triples.ndjson"
+        lines = triples.read_text(encoding="utf-8").splitlines(keepends=True)
+        triples.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2], encoding="utf-8")
+        code, _, err = _invoke(capsys, "export", str(suite_dir / "run-000"))
+        _assert_one_error_line(code, err, triples)
 
     def test_bad_namespace(self, suite_dir, capsys):
         code, _, err = _invoke(

@@ -260,9 +260,10 @@ class TestBlockedKernel:
         a = rng.normal(size=(10, 4))
         b = np.vstack([a[:6], rng.normal(size=(3, 4))])
         metrics._best_matches(a, b)
-        # Four unmatched A rows against all of B, then the six matched A rows,
-        # four at a time, against the three unmatched B rows.
-        assert shapes == [(4, 9), (4, 3), (2, 3)]
+        # The six rows held by both sets need no product; the other seven of
+        # the thirteen distinct rows go against all thirteen, four at a time.
+        assert shapes == [(4, 13), (3, 13)]
+        assert all(rows <= metrics._BLOCK_ROWS for rows, _ in shapes)
 
 
 class TestYieldCounts:
@@ -403,6 +404,105 @@ class TestBucketedReport:
         runs = _two_identical_runs()
         with pytest.raises(ValueError):
             bucketed_report(runs, [{}])
+
+
+class _TableProvider:
+    """Seeded random vectors per label; "twin-a" and "twin-b" share one vector."""
+
+    provider_id = "table"
+
+    def __init__(self, labels, seed=5, dim=6):
+        rng = np.random.default_rng(seed)
+        self.vectors = {label: rng.normal(size=dim) for label in sorted(labels)}
+        self.vectors["twin-b"] = self.vectors["twin-a"]
+
+    def embed(self, texts):
+        return np.array([self.vectors[text] for text in texts])
+
+
+def _oracle_cell(provider, a, b, tau=metrics.DEFAULT_TAU):
+    rows_a = [provider.vectors[label].tolist() for label in sorted(a)]
+    rows_b = [provider.vectors[label].tolist() for label in sorted(b)]
+    return (
+        len(a & b) / len(a | b),
+        oracles.hausdorff_similarity(rows_a, rows_b),
+        oracles.semantic_match_pct(rows_a, rows_b, tau)[2],
+    )
+
+
+def _runs_from_sets(entity_sets):
+    return [
+        FakeRun(f"r{i}", _kb_from([(label, "is", label, TermKind.NAMED_ENTITY, 0) for label in sorted(labels)]))
+        for i, labels in enumerate(entity_sets)
+    ]
+
+
+def _count_tables(monkeypatch):
+    tables = []
+    best_into = metrics._best_into
+    monkeypatch.setattr(metrics, "_best_into", lambda rows, sets: tables.append(len(sets)) or best_into(rows, sets))
+    return tables
+
+
+class TestTableAgainstOracle:
+    POOL = [f"e{k:02d}" for k in range(16)] + ["twin-a", "twin-b"]
+
+    def _entity_sets(self, n_runs, seed):
+        rng = np.random.default_rng(seed)
+        sets = [set(map(str, rng.choice(self.POOL, size=rng.integers(5, 12), replace=False))) for _ in range(n_runs)]
+        sets[0] |= {"twin-a"}
+        sets[1] |= {"twin-b"}
+        return sets
+
+    def test_every_pair_cell_equals_the_oracle(self, monkeypatch):
+        entity_sets = self._entity_sets(4, seed=11)
+        provider = _TableProvider(self.POOL)
+        tables = _count_tables(monkeypatch)
+        comparison = pairwise_report(
+            _runs_from_sets(entity_sets), StructuralCategory.NAMED_ENTITIES, provider=provider
+        )
+        assert tables == [4] and comparison.row.yields == [len(s) for s in entity_sets]
+        matrices = [comparison.matrices[m].values for m in (METRIC_LEXICAL, METRIC_HAUSDORFF, METRIC_MATCH)]
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    want = _oracle_cell(provider, entity_sets[i], entity_sets[j])
+                    got = [matrix[i][j] for matrix in matrices]
+                    assert got == pytest.approx(want, rel=0, abs=1e-12), (i, j)
+
+    def test_identical_runs_need_no_product(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metrics, "pairwise_cosine_similarity", lambda a, b: calls.append((a, b)))
+        runs = _runs_from_sets([set(self.POOL)] * 4)
+        row = pairwise_report(runs, StructuralCategory.NAMED_ENTITIES, provider=_TableProvider(self.POOL)).row
+        assert (row.avg_jaccard, row.avg_hausdorff, row.avg_match_pct) == (1.0, 1.0, 100.0)
+        assert calls == []
+
+    def test_bucket_rows_average_the_oracle_cells(self, monkeypatch):
+        entity_sets = self._entity_sets(3, seed=12)
+        provider = _TableProvider(self.POOL)
+        ordered = [sorted(s) for s in entity_sets]
+        assignments = [
+            {"Q1": set(ordered[0][:3]) | {"twin-a"}, "Q4": set(ordered[0][3:6])},
+            {"Q1": set(ordered[1][:2]) | {"twin-b"}, "Q4": set()},
+            {"Q1": set(ordered[2][1:4]), "Q4": set(ordered[2][:1])},
+        ]
+        tables = _count_tables(monkeypatch)
+        rows = bucketed_report(_runs_from_sets(entity_sets), assignments, provider=provider)
+        assert tables == [3 + 5]
+        for row in rows:
+            cells = [
+                _oracle_cell(provider, per_run[row.bucket], entity_sets[j])
+                for i, per_run in enumerate(assignments)
+                if per_run[row.bucket]
+                for j in range(3)
+                if j != i
+            ]
+            want = [sum(column) / len(cells) for column in zip(*cells)]
+            assert row.pair_count == len(cells)
+            got = [row.avg_jaccard, row.avg_hausdorff, row.avg_match_pct]
+            assert got == pytest.approx(want, rel=0, abs=1e-12), row.bucket
+        assert [row.flags for row in rows] == [[], ["empty_bucket_skipped:r1"]]
 
 
 class _CountingProvider:

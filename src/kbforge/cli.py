@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from . import crawler, ensemble, export, metrics, popularity
 from .embeddings import EmbeddingCache, RemoteEmbedder, TrigramHashEmbedder
@@ -32,23 +32,33 @@ ALL_CATEGORIES = list(StructuralCategory)
 
 CATEGORY_ALIASES = {"ne": StructuralCategory.NAMED_ENTITIES, **{c.value: c for c in ALL_CATEGORIES}}
 
+T = TypeVar("T")
+
 
 class CliError(Exception):
     """Fatal configuration or IO problem; maps to exit code 1."""
 
 
+def _read(what: str, path: Path, load: Callable[[Path], T]) -> T:
+    """``load(path)``, with a missing or damaged file as a CliError naming it."""
+    try:
+        return load(path)
+    except FileNotFoundError as exc:
+        raise CliError(f"{what} not found: {exc.filename or path}") from exc
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"{what} {path} is damaged: {exc!r}") from exc
+
+
+def _read_json(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def _load_config_file(path: Optional[str]) -> dict:
     if not path:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"config file not found: {p}")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config file {p} is not valid JSON: {exc}") from exc
+    data = _read("config file", Path(path), _read_json)
     if not isinstance(data, dict):
-        raise CliError(f"config file {p} must hold a JSON object")
+        raise CliError(f"config file {path} must hold a JSON object")
     return data
 
 
@@ -79,10 +89,7 @@ def _gateway(args, config: dict, workspace: Path):
     world = _pick(getattr(args, "world", None), config, "world", None)
     endpoint = _pick(getattr(args, "endpoint", None), config, "endpoint", None)
     if world:
-        world_path = Path(world)
-        if not world_path.exists():
-            raise CliError(f"world file not found: {world_path}")
-        return MockWorldGateway(world_path)
+        return _read("world file", Path(world), MockWorldGateway)
     if endpoint:
         # Each crawl sends the model and temperature of its own run config.
         descriptor = BackendDescriptor(kind="remote", endpoint_url=endpoint)
@@ -154,23 +161,9 @@ def cmd_suite(args) -> int:
 
 
 def _load_suite_runs(suite_dir: Path):
-    manifest_path = suite_dir / crawler.SUITE_MANIFEST
-    if not manifest_path.exists():
-        raise CliError(f"no suite manifest in {suite_dir}")
-    try:
-        run_ids = json.loads(manifest_path.read_text(encoding="utf-8"))["run_ids"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"suite manifest {manifest_path} is damaged: {exc!r}") from exc
-    records = []
-    for run_id in run_ids:
-        run_dir = suite_dir / run_id
-        if run_failed(run_dir) is not None:
-            continue
-        try:
-            records.append(load_run(run_dir))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"run {run_dir} is damaged: {exc!r}") from exc
-    return records
+    run_dirs = _read("suite manifest", suite_dir / crawler.SUITE_MANIFEST,
+                     lambda p: [suite_dir / run_id for run_id in _read_json(p)["run_ids"]])
+    return [_read("run", d, load_run) for d in run_dirs if run_failed(d) is None]
 
 
 def _embedding_provider(args):
@@ -291,18 +284,12 @@ def cmd_ensemble(args) -> int:
 
 def cmd_export(args) -> int:
     kb_dir = Path(args.kb_dir)
-    triples_path = kb_dir / "triples.ndjson"
-    if not triples_path.exists():
-        raise CliError(f"no triples.ndjson under {kb_dir}")
     formats = [f.strip().lower() for f in args.formats.split(",") if f.strip()]
     for fmt in formats:
         if fmt not in export.EXPORTERS:
             raise CliError(f"unknown export format {fmt!r} (choose from {', '.join(export.EXPORTERS)})")
     kb = KnowledgeBase()
-    try:
-        kb.add_all(load_triples(triples_path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{triples_path} is damaged: {exc!r}") from exc
+    kb.add_all(_read("triples file", kb_dir / "triples.ndjson", load_triples))
     out_dir = Path(args.out) if args.out else kb_dir.parent / (kb_dir.name + "-export")
     policy = export.IriPolicy(args.namespace) if args.namespace else export.IriPolicy()
     try:
@@ -318,16 +305,10 @@ def cmd_export(args) -> int:
 def cmd_popularity(args) -> int:
     workspace = Path(args.workspace)
     if args.labels:
-        labels_path = Path(args.labels)
-        if not labels_path.exists():
-            raise CliError(f"labels file not found: {labels_path}")
-        labels = [
-            line.strip()
-            for line in labels_path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        text = _read("labels file", Path(args.labels), lambda p: p.read_text(encoding="utf-8"))
+        labels = [line.strip() for line in text.splitlines() if line.strip()]
     elif args.run_dir:
-        labels = _entity_labels(load_run(Path(args.run_dir)))
+        labels = _entity_labels(_read("run", Path(args.run_dir), load_run))
     else:
         raise CliError("give a run directory or --labels FILE")
     if not labels:

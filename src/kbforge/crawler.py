@@ -54,6 +54,9 @@ _TOKEN_SPLIT = re.compile(r"[-\s]+")
 DEFAULT_MAX_REPEATS = 3
 DEFAULT_OVERLONG_THRESHOLD = 200
 
+# Phrases per NER request, on either backend.
+NER_BATCH = 100
+
 
 def detect_q_identifier(label: str) -> bool:
     """True for a bare Wikidata-style identifier: 'Q' plus digits, nothing else."""
@@ -127,7 +130,8 @@ def crawl(
     Caps are checked at every layer boundary; the wall clock is additionally
     checked before each request, so a timed-out run loses at most the
     remainder of its current layer. A subject whose elicitation output stays
-    malformed after retries contributes zero triples but counts as visited.
+    malformed after retries contributes zero triples but counts as visited,
+    and a NER batch whose output stays malformed makes its labels literals.
     Degenerate entity names keep their triples but never enter the frontier.
 
     A gateway that waits on a network (one with ``for_run``) gets one pool
@@ -185,6 +189,16 @@ def _crawl(
             logger.warning("subject %r failed elicitation: %s", subject, exc)
             return ElicitationResponse(triples=[], raw_payload="")
 
+    def classify(batch: list[str]) -> list[bool]:
+        request = NerRequest(batch, config.topic, config.prompt_language)
+        try:
+            return gateway.classify_ner(request).verdicts
+        except MalformedOutputError as exc:
+            # Conservative fallback: an unparseable batch stops expansion
+            # instead of admitting unvetted phrases to the frontier.
+            logger.warning("NER batch of %d defaulted to non-entity: %s", len(batch), exc)
+            return [False] * len(batch)
+
     while frontier:
         if clock() >= deadline:
             termination = Termination.CAPPED_TIME
@@ -208,7 +222,10 @@ def _crawl(
                 timed_out = True
                 continue
             kb.visited_subjects.add(subject)
-            for s, p, o in response.triples:
+            # The BFS graph stays well-formed only if every returned fact hangs
+            # off the requested subject: divergent subjects are overwritten,
+            # not dropped.
+            for _, p, o in response.triples:
                 p2, o2 = normalize_label(p), normalize_label(o)
                 if not p2 or not o2:
                     continue
@@ -223,13 +240,10 @@ def _crawl(
                 for label in new_labels:
                     kinds[label] = TermKind.LITERAL
             else:
-                ner = gateway.classify_ner(
-                    NerRequest(new_labels, config.topic, config.prompt_language)
-                )
-                for label, verdict in zip(new_labels, ner.verdicts):
-                    kinds[label] = (
-                        TermKind.NAMED_ENTITY if verdict else TermKind.LITERAL
-                    )
+                for start in range(0, len(new_labels), NER_BATCH):
+                    batch = new_labels[start : start + NER_BATCH]
+                    for label, verdict in zip(batch, classify(batch)):
+                        kinds[label] = TermKind.NAMED_ENTITY if verdict else TermKind.LITERAL
 
         added = kb.add_all(
             Triple(

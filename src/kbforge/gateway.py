@@ -1,10 +1,11 @@
 """Chat-completion gateways: a remote OpenAI-compatible backend and a mock.
 
 Both gateways expose the same two operations, ``elicit`` (facts about one
-subject) and ``classify_ner`` (entity verdicts for a batch of phrases).
-The remote backend declares a strict JSON schema for the response, retries
-transport failures and rate limits with exponential backoff, and appends
-every request/response pair, tagged with its run, to an audit log. The mock
+subject) and ``classify_ner`` (entity verdicts for a batch of phrases), and
+each remote call is one chat request: batching and fallbacks are the
+crawler's. The remote backend declares a strict JSON schema for the response,
+retries transport failures and rate limits with exponential backoff, and
+appends every outcome, tagged with its run, to an audit log. The mock
 backend answers from a world fixture file and is a pure function of (world,
 request), which is what makes crawl determinism testable.
 
@@ -438,19 +439,6 @@ def parse_ner_payload(text: str, expected: int) -> list[bool]:
     return verdicts
 
 
-def _force_subject(
-    raw: list[tuple[str, str, str]], subject: str
-) -> list[tuple[str, str, str]]:
-    # The BFS graph stays well-formed only if every returned fact hangs off
-    # the requested subject; divergent subjects are overwritten, not dropped.
-    forced = []
-    for s, p, o in raw:
-        if s != subject:
-            logger.debug("divergent subject %r forced to %r", s, subject)
-        forced.append((subject, p, o))
-    return forced
-
-
 def replay_audit(path: Path) -> list[ElicitationResponse]:
     """Re-parse every logged elicitation response.
 
@@ -462,8 +450,7 @@ def replay_audit(path: Path) -> list[ElicitationResponse]:
         if entry.get("kind") != "elicit" or entry.get("status") != "ok":
             continue
         raw = entry["response_text"]
-        triples = _force_subject(parse_elicitation_payload(raw), entry["subject"])
-        responses.append(ElicitationResponse(triples=triples, raw_payload=raw))
+        responses.append(ElicitationResponse(parse_elicitation_payload(raw), raw_payload=raw))
     return responses
 
 
@@ -475,7 +462,6 @@ class RemoteChatGateway:
         descriptor: BackendDescriptor,
         api_key: Optional[str] = None,
         audit_path: Optional[Path] = None,
-        ner_batch_size: int = 100,
         template_dir: Optional[Path] = None,
         sleep: Callable[[float], None] = time.sleep,
         backoff_base: float = BACKOFF_BASE_S,
@@ -490,9 +476,8 @@ class RemoteChatGateway:
             raise GatewayError(
                 f"no API key: set the {API_KEY_ENV} environment variable"
             )
-        # Every remote request/response pair, one timestamped line each.
+        # The outcome of every call, success or failure, one timestamped line each.
         self.audit = NdjsonStore(audit_path) if audit_path else None
-        self.ner_batch_size = ner_batch_size
         self.template_dir = template_dir
         self._sleep = sleep
         self._backoff_base = backoff_base
@@ -520,7 +505,19 @@ class RemoteChatGateway:
     def close(self) -> None:
         self.session.close()
 
-    def _post_chat(self, instruction: str, payload: str, schema_name: str, schema: dict) -> str:
+    def _audit(self, entry: dict) -> None:
+        if self.audit:
+            ts = datetime.datetime.now(datetime.timezone.utc).isoformat()
+            self.audit.append([{"run": self.run_id, **entry, "ts": ts}])
+
+    def _ask(self, entry: dict, instruction: str, payload: str, schema_name: str, schema: dict,
+             parse: Callable[[str], T]) -> tuple[str, T]:
+        """Send one chat request under ``with_retries``; return the message
+        content and what ``parse`` made of it.
+
+        A request that still fails is audited as ``entry`` with its error
+        class, then raised. The caller audits a success.
+        """
         body = {
             "model": self.descriptor.model_id,
             "temperature": self.descriptor.temperature,
@@ -534,75 +531,44 @@ class RemoteChatGateway:
             },
         }
         url = self.descriptor.endpoint_url.rstrip("/") + "/chat/completions"
-        resp = send(
-            lambda: self.session.post(
-                url,
-                json=body,
-                headers={"Authorization": f"Bearer {self.api_key}"},
-                timeout=self.descriptor.request_timeout_seconds,
-            )
-        )
-        try:
-            return resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise MalformedOutputError(f"unexpected completion envelope: {exc}") from exc
+        headers = {"Authorization": f"Bearer {self.api_key}"}
 
-    def _audit(self, entry: dict) -> None:
-        if self.audit:
-            ts = datetime.datetime.now(datetime.timezone.utc).isoformat()
-            self.audit.append([{"run": self.run_id, **entry, "ts": ts}])
+        def attempt() -> tuple[str, T]:
+            resp = send(
+                lambda: self.session.post(
+                    url, json=body, headers=headers, timeout=self.descriptor.request_timeout_seconds
+                )
+            )
+            try:
+                content = resp.json()["choices"][0]["message"]["content"]
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise MalformedOutputError(f"unexpected completion envelope: {exc}") from exc
+            return content, parse(content)
+
+        try:
+            return with_retries(attempt, self.descriptor.max_retries, self._sleep, self._backoff_base)
+        except GatewayError as exc:
+            self._audit({**entry, "status": type(exc).__name__, "error": str(exc)})
+            raise
 
     def elicit(self, req: ElicitationRequest) -> ElicitationResponse:
         instruction = render_elicitation_prompt(req.topic, req.language, self.template_dir)
-
-        def attempt() -> ElicitationResponse:
-            content = self._post_chat(instruction, req.subject, "elicitation_triples", ELICITATION_SCHEMA)
-            triples = parse_elicitation_payload(content)
-            return ElicitationResponse(
-                triples=_force_subject(triples, req.subject), raw_payload=content
-            )
-
-        try:
-            response = with_retries(
-                attempt, self.descriptor.max_retries, self._sleep, self._backoff_base
-            )
-        except GatewayError as exc:
-            self._audit(
-                {"kind": "elicit", "subject": req.subject, "status": type(exc).__name__, "error": str(exc)}
-            )
-            raise
-        self._audit(
-            {
-                "kind": "elicit",
-                "subject": req.subject,
-                "status": "ok",
-                "response_text": response.raw_payload,
-            }
+        entry = {"kind": "elicit", "subject": req.subject}
+        content, triples = self._ask(
+            entry, instruction, req.subject, "elicitation_triples", ELICITATION_SCHEMA,
+            parse_elicitation_payload,
         )
-        return response
+        self._audit({**entry, "status": "ok", "response_text": content})
+        return ElicitationResponse(triples=triples, raw_payload=content)
 
     def classify_ner(self, req: NerRequest) -> NerResponse:
         instruction = render_ner_prompt(req.topic, req.language, self.template_dir)
-        verdicts: list[bool] = []
-        for start in range(0, len(req.phrases), self.ner_batch_size):
-            batch = req.phrases[start : start + self.ner_batch_size]
-            payload = "\n".join(batch)
-
-            def attempt(batch=batch, payload=payload) -> list[bool]:
-                content = self._post_chat(instruction, payload, "ner_verdicts", NER_SCHEMA)
-                return parse_ner_payload(content, len(batch))
-
-            try:
-                batch_verdicts = with_retries(
-                    attempt, self.descriptor.max_retries, self._sleep, self._backoff_base
-                )
-            except MalformedOutputError as exc:
-                # Conservative fallback: an unparseable batch stops expansion
-                # instead of admitting unvetted phrases to the frontier.
-                logger.warning("NER batch of %d defaulted to non-entity: %s", len(batch), exc)
-                batch_verdicts = [False] * len(batch)
-            self._audit({"kind": "ner", "phrases": batch, "status": "ok", "verdicts": batch_verdicts})
-            verdicts.extend(batch_verdicts)
+        entry = {"kind": "ner", "phrases": req.phrases}
+        _, verdicts = self._ask(
+            entry, instruction, "\n".join(req.phrases), "ner_verdicts", NER_SCHEMA,
+            lambda content: parse_ner_payload(content, len(req.phrases)),
+        )
+        self._audit({**entry, "status": "ok", "verdicts": verdicts})
         return NerResponse(verdicts=verdicts)
 
 

@@ -228,6 +228,20 @@ class TestCrawlCommand:
         assert code == 1
         assert "config file not found" in err
 
+    def test_config_directory_is_one_error_line(self, tmp_path, capsys):
+        code, _, err = _invoke(capsys, "--workspace", str(tmp_path), "crawl", "--config", str(tmp_path))
+        _assert_one_error_line(code, err, tmp_path)
+
+    def test_world_file_that_is_not_json_is_one_error_line(self, tmp_path, capsys):
+        world = tmp_path / "world.json"
+        world.write_text("facts: none\n", encoding="utf-8")
+        code, _, err = _invoke(capsys, *_crawl_args(tmp_path, world))
+        _assert_one_error_line(code, err, world)
+
+    def test_world_directory_is_one_error_line(self, tmp_path, capsys):
+        code, _, err = _invoke(capsys, *_crawl_args(tmp_path, tmp_path))
+        _assert_one_error_line(code, err, tmp_path)
+
     def test_flag_overrides_config_file(self, tmp_path, babylon_world_path, capsys):
         config_path = tmp_path / "c.json"
         config_path.write_text(
@@ -678,6 +692,22 @@ class TestPopularityCommand:
         assert code == 0
         assert "NotFound: 0" in out
         assert "Q1: 1" in out
+
+    def test_missing_run_directory_is_one_error_line(self, tmp_path, capsys):
+        code, _, err = _invoke(capsys, "popularity", str(tmp_path / "missing"), "--offline")
+        _assert_one_error_line(code, err, tmp_path / "missing")
+
+    def test_damaged_run_directory_is_one_error_line(self, suite_dir, capsys):
+        manifest = suite_dir / "run-000" / "manifest.json"
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        del payload["termination"]
+        manifest.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = _invoke(capsys, "popularity", str(suite_dir / "run-000"), "--offline")
+        _assert_one_error_line(code, err, suite_dir / "run-000")
+
+    def test_labels_directory_is_one_error_line(self, tmp_path, capsys):
+        code, _, err = _invoke(capsys, "popularity", "--labels", str(tmp_path), "--offline")
+        _assert_one_error_line(code, err, tmp_path)
 
     def test_requires_some_input(self, tmp_path, capsys):
         code, _, err = _invoke(capsys, "--workspace", str(tmp_path), "popularity")

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from kbforge.crawler import (
+    NER_BATCH,
     classify_degeneracy,
     crawl,
     default_run_id,
@@ -35,7 +36,7 @@ from kbforge.model import (
     save_run,
 )
 
-from fixture_server import LocalServer, chat_ok
+from fixture_server import LocalServer, chat_ok, scripted_chat_responder
 from oracles import world_closure
 
 
@@ -586,3 +587,83 @@ class TestCrawlThreads:
         assert pools[0]._max_workers == 2
         reference = crawl(config, babylon_gateway)
         assert [t.key() for t in record.kb.triples] == [t.key() for t in reference.kb.triples]
+
+
+class _NerSpy(MockWorldGateway):
+    """A mock world that records the phrases of every NER request."""
+
+    def __init__(self, world_path):
+        super().__init__(world_path)
+        self.batches = []
+
+    def classify_ner(self, req):
+        self.batches.append(list(req.phrases))
+        return super().classify_ner(req)
+
+
+def _ner_batches(server):
+    return [
+        json.loads(body)["messages"][1]["content"].split("\n")
+        for _, _, _, body in server.requests
+        if not _is_elicitation(json.loads(body))
+    ]
+
+
+class TestNerBatches:
+    def test_both_backends_see_the_same_batches(self, tmp_path):
+        # The seed's 250 facts give layer 0 250 new literal labels.
+        labels = [f"value {i:03d}" for i in range(250)]
+        world = tmp_path / "literal_world.json"
+        world.write_text(
+            json.dumps({"topic": "babylon", "entities": ["Root"], "facts": {"Root": [["has", v] for v in labels]}}),
+            encoding="utf-8",
+        )
+        config = RunConfig(topic="babylon", seed_entity="Root", parallelism=2)
+        spy = _NerSpy(world)
+        save_run(crawl(config, spy, run_id="r"), tmp_path / "mock")
+        with LocalServer(_world_responder(MockWorldGateway(world))) as server:
+            record = crawl(config, _remote_gateway(server.url), run_id="r")
+        save_run(record, tmp_path / "remote")
+        assert NER_BATCH == 100
+        expected = [labels[:100], labels[100:200], labels[200:]]
+        assert spy.batches == expected
+        assert _ner_batches(server) == expected
+        assert record.termination is Termination.ORGANIC
+        triples = [(tmp_path / side / "triples.ndjson").read_bytes() for side in ("mock", "remote")]
+        assert triples[0] == triples[1]
+
+    def test_malformed_batch_makes_literals_and_the_crawl_ends(self, babylon_config, babylon_gateway, tmp_path):
+        serve = _world_responder(babylon_gateway)
+        ner_requests = []
+
+        def responder(method, path, query, body):
+            if not _is_elicitation(json.loads(body)):
+                ner_requests.append(body)
+                if len(ner_requests) == 2:
+                    return chat_ok("garbage")  # layer 1's batch
+            return serve(method, path, query, body)
+
+        audit_path = tmp_path / "audit.ndjson"
+        with LocalServer(responder) as server:
+            record = crawl(babylon_config, _remote_gateway(server.url, audit_path))
+            _, layer_1 = _ner_batches(server)
+        assert record.termination is Termination.ORGANIC
+        assert record.deepest_layer == 1
+        assert record.per_layer_counts[1].new_entities == 0
+        kinds = {t.object_kind for t in record.kb.triples if t.object in layer_1}
+        assert kinds == {TermKind.LITERAL}
+        failed = [e for e in map(json.loads, audit_path.read_text(encoding="utf-8").splitlines()) if e["status"] != "ok"]
+        assert [(e["kind"], e["phrases"], e["status"]) for e in failed] == [("ner", layer_1, "MalformedOutputError")]
+
+
+class TestDivergentSubjects:
+    def test_facts_are_filed_under_the_requested_subject(self):
+        divergent = json.dumps(
+            {"triples": [{"subject": "Somebody Else", "predicate": "knows", "object": "Things"}]}
+        )
+        script = [(200, divergent), (200, json.dumps({"verdicts": [False]}))]
+        config = RunConfig(topic="babylon", seed_entity="Hammurabi", parallelism=1)
+        with LocalServer(scripted_chat_responder(script)) as server:
+            record = crawl(config, _remote_gateway(server.url))
+        assert [(t.subject, t.predicate, t.object) for t in record.kb.triples] == [("Hammurabi", "knows", "Things")]
+        assert record.kb.visited_subjects == {"Hammurabi"}

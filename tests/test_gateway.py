@@ -64,15 +64,18 @@ def no_proxy_env(monkeypatch):
     return monkeypatch
 
 
-def _remote(server_url, tmp_path=None, max_retries=2, **kwargs):
+def _remote(server_url, tmp_path=None, max_retries=2):
     descriptor = BackendDescriptor(kind="remote", endpoint_url=server_url, max_retries=max_retries)
     return RemoteChatGateway(
         descriptor,
         api_key="test-key",
         audit_path=(tmp_path / "audit.ndjson") if tmp_path else None,
         sleep=lambda s: None,
-        **kwargs,
     )
+
+
+def _audit_lines(tmp_path):
+    return [json.loads(line) for line in (tmp_path / "audit.ndjson").read_text(encoding="utf-8").splitlines()]
 
 
 VALID_ELICIT = json.dumps(
@@ -128,14 +131,17 @@ class TestRemoteGateway:
             RemoteChatGateway(descriptor)
         assert "KBFORGE_API_KEY" in str(err.value)
 
-    def test_elicit_round_trip_and_subject_forcing(self, tmp_path):
+    def test_elicit_round_trip(self, tmp_path):
+        # The gateway returns the facts as parsed; filing them under the
+        # requested subject is the crawler's job.
         divergent = json.dumps(
             {"triples": [{"subject": "Somebody Else", "predicate": "knows", "object": "Things"}]}
         )
         with LocalServer(scripted_chat_responder([(200, divergent)])) as server:
             gateway = _remote(server.url, tmp_path)
             response = gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
-        assert response.triples == [("Hammurabi", "knows", "Things")]
+        assert response.triples == [("Somebody Else", "knows", "Things")]
+        assert response.raw_payload == divergent
 
     def test_request_shape(self):
         with LocalServer(scripted_chat_responder([(200, VALID_ELICIT)])) as server:
@@ -198,23 +204,16 @@ class TestRemoteGateway:
             with pytest.raises(MalformedOutputError):
                 gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
 
-    def test_ner_batching_splits_requests(self):
-        batch1 = json.dumps({"verdicts": [True, False]})
-        batch2 = json.dumps({"verdicts": [True]})
-        with LocalServer(scripted_chat_responder([(200, batch1), (200, batch2)])) as server:
-            gateway = _remote(server.url, ner_batch_size=2)
-            response = gateway.classify_ner(NerRequest(["a", "b", "c"], "babylon"))
-        assert response.verdicts == [True, False, True]
-        assert len(server.requests) == 2
-        first_user = json.loads(server.requests[0][3])["messages"][1]["content"]
-        assert first_user == "a\nb"
-
-    def test_ner_malformed_batch_defaults_to_false(self):
+    def test_ner_malformed_batch_raises_after_retries(self, tmp_path):
         script = [(200, "garbage")] * 3
         with LocalServer(scripted_chat_responder(script)) as server:
-            gateway = _remote(server.url, max_retries=2)
-            response = gateway.classify_ner(NerRequest(["a", "b"], "babylon"))
-        assert response.verdicts == [False, False]
+            gateway = _remote(server.url, tmp_path, max_retries=2)
+            with pytest.raises(MalformedOutputError):
+                gateway.classify_ner(NerRequest(["a", "b"], "babylon"))
+            assert len(server.requests) == 3
+        [entry] = _audit_lines(tmp_path)
+        assert entry["kind"] == "ner" and entry["phrases"] == ["a", "b"]
+        assert entry["status"] == "MalformedOutputError"
 
 
 class TestTransport:
@@ -369,6 +368,17 @@ class TestAuditLog:
         entry = json.loads(lines[-1])
         assert entry["status"] == "TransportError"
         assert "ts" in entry
+
+    def test_failed_ner_batch_is_logged(self, tmp_path):
+        with LocalServer(scripted_chat_responder([(503, {})] * 3)) as server:
+            gateway = _remote(server.url, tmp_path, max_retries=2)
+            with pytest.raises(TransportError):
+                gateway.classify_ner(NerRequest(["Babylon", "1792 BC"], "babylon"))
+            assert len(server.requests) == 3
+        [entry] = _audit_lines(tmp_path)
+        assert list(entry) == ["run", "kind", "phrases", "status", "error", "ts"]
+        assert entry["phrases"] == ["Babylon", "1792 BC"]
+        assert entry["status"] == "TransportError" and "HTTP 503" in entry["error"]
 
 
 class TestMockWorld:

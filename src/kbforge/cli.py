@@ -133,6 +133,8 @@ def cmd_suite(args) -> int:
         raise CliError("suite config must define a non-empty 'runs' list")
     dimension = _pick(args.dimension, config, "dimension", "base")
     defaults = config.get("defaults", {})
+    if not isinstance(defaults, dict):
+        raise CliError("suite 'defaults' must be a JSON object")
 
     if not all(isinstance(entry, dict) for entry in config["runs"]):
         raise CliError("each suite run entry must be a JSON object")
@@ -197,6 +199,8 @@ def _bucketize(args, cache: Optional[str], workspace: Path, label_lists) -> list
 def cmd_compare(args) -> int:
     workspace = Path(args.workspace)
     suite_dir = Path(args.suite_dir)
+    if not 0.0 < args.tau <= 1.0:
+        raise CliError(f"--tau must lie in (0, 1], not {args.tau}")
     records = _load_suite_runs(suite_dir)
     if len(records) < 2:
         raise CliError("comparison needs at least two successful runs")

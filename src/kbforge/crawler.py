@@ -9,7 +9,6 @@ organically when the frontier empties, or with the first cap that fires.
 
 from __future__ import annotations
 
-import datetime
 import hashlib
 import json
 import logging
@@ -39,6 +38,7 @@ from .model import (
     Triple,
     normalize_label,
     save_run,
+    utcnow,
 )
 
 logger = logging.getLogger(__name__)
@@ -115,10 +115,6 @@ def default_run_id(config: RunConfig) -> str:
     return f"run-{digest[:10]}"
 
 
-def _utcnow() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
 def crawl(
     config: RunConfig,
     gateway,
@@ -161,7 +157,7 @@ def _crawl(
 ) -> RunRecord:
     """The BFS of ``crawl``. ``map_(fetch, frontier)`` elicits one layer's
     subjects, on the calling thread or on the run's pool, in frontier order."""
-    started_at = _utcnow()
+    started_at = utcnow()
     start = clock()
     deadline = start + config.caps.max_wall_seconds
 
@@ -187,7 +183,7 @@ def _crawl(
             )
         except MalformedOutputError as exc:
             logger.warning("subject %r failed elicitation: %s", subject, exc)
-            return ElicitationResponse(triples=[], raw_payload="")
+            return ElicitationResponse([])
 
     def classify(batch: list[str]) -> list[bool]:
         request = NerRequest(batch, config.topic, config.prompt_language)
@@ -252,7 +248,6 @@ def _crawl(
                 object=o,
                 object_kind=kinds[o],
                 layer=layer,
-                run_id=run_id,
             )
             for s, p, o in pending
         )
@@ -291,7 +286,7 @@ def _crawl(
         per_layer_counts=per_layer,
         degeneracy_events=events,
         started_at=started_at,
-        finished_at=_utcnow(),
+        finished_at=utcnow(),
     )
 
 
@@ -327,7 +322,7 @@ def run_suite(
         raise ValueError(f"unknown suite dimension {dimension!r}")
     suite_dir = Path(suite_dir)
     suite_dir.mkdir(parents=True, exist_ok=True)
-    started_at = _utcnow()
+    started_at = utcnow()
     run_ids = [f"run-{index:03d}" for index in range(len(configs))]
     interrupted = threading.Event()
 
@@ -370,7 +365,7 @@ def run_suite(
             if record is None
         },
         "started_at": started_at,
-        "finished_at": _utcnow(),
+        "finished_at": utcnow(),
     }
     (suite_dir / SUITE_MANIFEST).write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"

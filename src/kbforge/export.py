@@ -171,7 +171,6 @@ _SLUG_KEEP = re.compile(r"[^A-Za-z0-9._-]")
 def _page_names(labels: Iterable[str]) -> dict[str, str]:
     """Injective label -> file name map; collisions get a hash suffix."""
     names: dict[str, str] = {}
-    taken = {"index.html"}
     taken_fold = {"index.html"}
     for label in sorted(labels):
         slug = _SLUG_KEEP.sub("_", label).strip("._") or "entity"
@@ -180,7 +179,6 @@ def _page_names(labels: Iterable[str]) -> dict[str, str]:
             digest = hashlib.sha1(label.encode("utf-8")).hexdigest()[:8]
             candidate = f"{slug}-{digest}.html"
         names[label] = candidate
-        taken.add(candidate)
         taken_fold.add(candidate.lower())
     return names
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import base64
 import copy
-import datetime
 import http.client
 import json
 import logging
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, TypeVar
 
-from .model import NdjsonStore, read_ndjson
+from .model import NdjsonStore, read_ndjson, utcnow
 from .prompts import render_elicitation_prompt, render_ner_prompt
 
 logger = logging.getLogger(__name__)
@@ -330,7 +329,6 @@ class ElicitationRequest:
 @dataclass
 class ElicitationResponse:
     triples: list[tuple[str, str, str]]
-    raw_payload: str = ""
 
 
 @dataclass
@@ -449,8 +447,7 @@ def replay_audit(path: Path) -> list[ElicitationResponse]:
     for entry in read_ndjson(path):
         if entry.get("kind") != "elicit" or entry.get("status") != "ok":
             continue
-        raw = entry["response_text"]
-        responses.append(ElicitationResponse(parse_elicitation_payload(raw), raw_payload=raw))
+        responses.append(ElicitationResponse(parse_elicitation_payload(entry["response_text"])))
     return responses
 
 
@@ -507,8 +504,7 @@ class RemoteChatGateway:
 
     def _audit(self, entry: dict) -> None:
         if self.audit:
-            ts = datetime.datetime.now(datetime.timezone.utc).isoformat()
-            self.audit.append([{"run": self.run_id, **entry, "ts": ts}])
+            self.audit.append([{"run": self.run_id, **entry, "ts": utcnow()}])
 
     def _ask(self, entry: dict, instruction: str, payload: str, schema_name: str, schema: dict,
              parse: Callable[[str], T]) -> tuple[str, T]:
@@ -559,7 +555,7 @@ class RemoteChatGateway:
             parse_elicitation_payload,
         )
         self._audit({**entry, "status": "ok", "response_text": content})
-        return ElicitationResponse(triples=triples, raw_payload=content)
+        return ElicitationResponse(triples=triples)
 
     def classify_ner(self, req: NerRequest) -> NerResponse:
         instruction = render_ner_prompt(req.topic, req.language, self.template_dir)
@@ -615,6 +611,8 @@ class MockWorldGateway:
     def __init__(self, world_path: Path) -> None:
         self.world_path = Path(world_path)
         world = json.loads(self.world_path.read_text(encoding="utf-8"))
+        if not isinstance(world, dict):
+            raise ValueError(f"world {self.world_path} must hold a JSON object")
         self.facts: dict[str, list[tuple[str, str]]] = {
             subject: [(p, o) for p, o in pairs] for subject, pairs in world.get("facts", {}).items()
         }
@@ -654,11 +652,7 @@ class MockWorldGateway:
         if self.q_id and subject == self.q_id.host:
             for qid in self.q_id.qids:
                 triples.append((subject, "relatedEntity", qid))
-        payload = json.dumps(
-            {"triples": [{"subject": s, "predicate": p, "object": o} for s, p, o in triples]},
-            ensure_ascii=False,
-        )
-        return ElicitationResponse(triples=triples, raw_payload=payload)
+        return ElicitationResponse(triples=triples)
 
     def classify_ner(self, req: NerRequest) -> NerResponse:
         return NerResponse(verdicts=[self._is_entity(p) for p in req.phrases])

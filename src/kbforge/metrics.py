@@ -343,7 +343,6 @@ def bucketed_report(
     tau: float = DEFAULT_TAU,
     provider: Optional[EmbeddingProvider] = None,
     cache: Optional[EmbeddingCache] = None,
-    category: StructuralCategory = StructuralCategory.NAMED_ENTITIES,
     *,
     element_sets: Optional[Sequence[set[str]]] = None,
 ) -> list[BucketRow]:
@@ -355,8 +354,6 @@ def bucketed_report(
     run's named entities when the caller has derived them already. Each
     run's slice of each bucket is one more set in the runs' table.
     """
-    if category is not StructuralCategory.NAMED_ENTITIES:
-        raise ValueError("bucketed comparison is defined over named entities")
     if len(records) != len(assignments):
         raise ValueError("one bucket assignment per run is required")
     if len(records) < 2:
@@ -364,7 +361,7 @@ def bucketed_report(
     provider = provider or TrigramHashEmbedder()
 
     if element_sets is None:
-        element_sets = [category_elements(r, category) for r in records]
+        element_sets = [category_elements(r, StructuralCategory.NAMED_ENTITIES) for r in records]
     sets = list(element_sets)
     buckets_per_run = [getattr(a, "buckets", a) for a in assignments]
     bucket_names: list[str] = []
@@ -496,34 +493,17 @@ def write_report(report: StabilityReport, out_dir: Path) -> tuple[Path, Path]:
     with csv_path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_CSV_COLUMNS)
-        for row in report.rows:
+        scopes = [
+            ("category", row.category.value, len(row.run_ids), row.yield_mean, row.yield_std,
+             row.yield_cv, row.avg_jaccard, row.avg_hausdorff, row.avg_match_pct, row.flags)
+            for row in report.rows
+        ] + [
+            ("bucket", row.bucket, row.pair_count, None, None,
+             None, row.avg_jaccard, row.avg_hausdorff, row.avg_match_pct, row.flags)
+            for row in report.bucket_rows
+        ]
+        for scope, name, runs, *values, flags in scopes:
             writer.writerow(
-                [
-                    "category",
-                    row.category.value,
-                    len(row.run_ids),
-                    repr(row.yield_mean),
-                    repr(row.yield_std),
-                    "" if row.yield_cv is None else repr(row.yield_cv),
-                    repr(row.avg_jaccard),
-                    repr(row.avg_hausdorff),
-                    repr(row.avg_match_pct),
-                    ";".join(row.flags),
-                ]
-            )
-        for bucket in report.bucket_rows:
-            writer.writerow(
-                [
-                    "bucket",
-                    bucket.bucket,
-                    bucket.pair_count,
-                    "",
-                    "",
-                    "",
-                    "" if bucket.avg_jaccard is None else repr(bucket.avg_jaccard),
-                    "" if bucket.avg_hausdorff is None else repr(bucket.avg_hausdorff),
-                    "" if bucket.avg_match_pct is None else repr(bucket.avg_match_pct),
-                    ";".join(bucket.flags),
-                ]
+                [scope, name, runs, *("" if v is None else repr(v) for v in values), ";".join(flags)]
             )
     return json_path, csv_path

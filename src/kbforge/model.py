@@ -10,6 +10,7 @@ every append-only store in the package.
 
 from __future__ import annotations
 
+import datetime
 import json
 import re
 import threading
@@ -64,7 +65,7 @@ class StructuralCategory(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Triple:
-    """One (subject, predicate, object) fact with crawl provenance.
+    """One (subject, predicate, object) fact and the crawl layer that found it.
 
     Slotted, without a ``__dict__``: a run holds tens of thousands of them.
     """
@@ -74,7 +75,6 @@ class Triple:
     object: str
     object_kind: TermKind
     layer: int
-    run_id: str = ""
 
     def __post_init__(self) -> None:
         if not self.subject or not self.predicate:
@@ -95,7 +95,6 @@ def make_triple(
     obj: str,
     object_kind: TermKind,
     layer: int,
-    run_id: str = "",
 ) -> Triple:
     """Build a Triple with all three labels whitespace-normalized."""
     return Triple(
@@ -104,7 +103,6 @@ def make_triple(
         object=normalize_label(obj),
         object_kind=object_kind,
         layer=layer,
-        run_id=run_id,
     )
 
 
@@ -232,8 +230,15 @@ class RunConfig:
         """Build a config from the flat keys of a CLI config file or suite entry.
 
         Raises ValueError when a numeric key holds something that is not a
-        number; range checks are left to ``validate``.
+        number, or a text key something that is not a string; range checks
+        are left to ``validate``.
         """
+
+        def text(key: str, default: str) -> str:
+            value = flat.get(key, default)
+            if not isinstance(value, str):
+                raise ValueError(f"{key} must be a string, not {value!r}")
+            return value
 
         def number(key: str, cast: Callable, default):
             value = flat.get(key, default)
@@ -243,11 +248,11 @@ class RunConfig:
                 raise ValueError(f"{key} must be a number, not {value!r}") from None
 
         return cls(
-            topic=flat.get("topic", ""),
-            seed_entity=flat.get("seed", ""),
-            prompt_language=flat.get("language", cls.prompt_language),
+            topic=text("topic", ""),
+            seed_entity=text("seed", ""),
+            prompt_language=text("language", cls.prompt_language),
             temperature=number("temperature", float, cls.temperature),
-            model_id=flat.get("model", cls.model_id),
+            model_id=text("model", cls.model_id),
             caps=Caps(
                 max_layers=number("max_layers", int, Caps.max_layers),
                 max_wall_seconds=number("max_seconds", int, Caps.max_wall_seconds),
@@ -306,6 +311,11 @@ class RunRecord:
 
 MANIFEST_NAME = "manifest.json"
 TRIPLES_NAME = "triples.ndjson"
+
+
+def utcnow() -> str:
+    """The current UTC time in ISO 8601, as every manifest and log line stamps it."""
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def _ndjson_line(entry: dict) -> str:
@@ -400,10 +410,10 @@ def save_run(record: RunRecord, run_dir: Path) -> None:
     write_triples(run_dir / TRIPLES_NAME, record.kb.triples)
 
 
-def load_triples(path: Path, run_id: str = "") -> list[Triple]:
+def load_triples(path: Path) -> list[Triple]:
     kind = TermKind.from_code
     return [
-        Triple(obj["s"], obj["p"], obj["o"], kind(obj["o_kind"]), int(obj["layer"]), run_id)
+        Triple(obj["s"], obj["p"], obj["o"], kind(obj["o_kind"]), int(obj["layer"]))
         for obj in read_ndjson(path)
     ]
 
@@ -417,12 +427,11 @@ def load_run(run_dir: Path) -> RunRecord:
     """
     run_dir = Path(run_dir)
     manifest = json.loads((run_dir / MANIFEST_NAME).read_text(encoding="utf-8"))
-    run_id = manifest["run_id"]
     kb = KnowledgeBase()
-    kb.add_all(load_triples(run_dir / TRIPLES_NAME, run_id=run_id))
+    kb.add_all(load_triples(run_dir / TRIPLES_NAME))
     kb.visited_subjects = kb.subjects()
     return RunRecord(
-        run_id=run_id,
+        run_id=manifest["run_id"],
         config=RunConfig.from_dict(manifest["config"]),
         kb=kb,
         termination=Termination(manifest["termination"]),

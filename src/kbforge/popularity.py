@@ -8,7 +8,6 @@ through a permanent on-disk cache so repeat reports cost no network calls.
 
 from __future__ import annotations
 
-import datetime
 import logging
 import threading
 import time
@@ -17,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .gateway import Session, TransportError, send, with_retries
-from .model import NdjsonStore
+from .model import NdjsonStore, utcnow
 
 logger = logging.getLogger(__name__)
 
@@ -85,10 +84,6 @@ class RateLimiter:
                 self._sleep(delay)
                 now = self._next_at
             self._next_at = max(now, self._next_at) + self._interval
-
-
-def _utcnow() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 class WikidataClient:
@@ -199,9 +194,9 @@ def resolve_popularity(
             return cached
     qid = client.search_qid(entity)
     if qid is None:
-        record = PopularityRecord(entity, None, None, _utcnow())
+        record = PopularityRecord(entity, None, None, utcnow())
     else:
-        record = PopularityRecord(entity, qid, client.statement_count(qid), _utcnow())
+        record = PopularityRecord(entity, qid, client.statement_count(qid), utcnow())
     if store is not None:
         store.put(record)
     return record
@@ -223,7 +218,7 @@ def resolve_many(
             continue
         if offline:
             logger.warning("offline: %r not in cache, treating as NotFound", entity)
-            records.append(PopularityRecord(entity, None, None, _utcnow()))
+            records.append(PopularityRecord(entity, None, None, utcnow()))
             continue
         if client is None:
             raise ValueError("online resolution requires a client")

@@ -1,5 +1,5 @@
 """The benchmark's hooks into kbforge: the functions its trace mode wraps by
-name must exist, and its remote set-up must still drive a checked crawl."""
+name must exist, and its remote and mock set-ups must still drive checked passes."""
 
 import dataclasses
 import importlib.util
@@ -38,3 +38,22 @@ def test_remote_benchmark_pass_meets_its_checks(tmp_path, monkeypatch):
     finally:
         bench.close()
     assert faults["failed"] == 2 * spec.runs
+
+
+def test_mock_benchmark_pass_meets_its_checks(tmp_path, monkeypatch):
+    """One full pass of the warm-up workload on the mock backend: the report
+    matches independent references within 1e-12, and the ensemble and the
+    export bytes hold."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import pipeline
+
+    bench = pipeline.Bench(pipeline.WARMUP, seed=7, work=tmp_path)
+    try:
+        bench.setup()
+        run_dir = tmp_path / "pass-0"
+        out = pipeline.run_pipeline(pipeline.WARMUP, bench.world, bench.gateway(run_dir), run_dir)
+        checks.check_all(bench, out)
+    finally:
+        bench.close()
+    assert out.loaded and out.kb is not None

@@ -11,8 +11,9 @@ import kbforge
 from kbforge import cli, gateway
 from kbforge.cli import build_parser, main
 from kbforge.gateway import MockWorldGateway, RemoteChatGateway
+from kbforge.model import derive_categories, load_run
 
-from fixture_server import LocalServer, chat_ok, closed_port
+from fixture_server import LocalServer, chat_ok, closed_port, embeddings_responder
 
 
 def test_cli_import_leaves_requests_out():
@@ -242,6 +243,12 @@ class TestCrawlCommand:
         code, _, err = _invoke(capsys, *_crawl_args(tmp_path, tmp_path))
         _assert_one_error_line(code, err, tmp_path)
 
+    def test_world_file_that_is_not_an_object_is_one_error_line(self, tmp_path, capsys):
+        world = tmp_path / "world.json"
+        world.write_text("[1, 2]\n", encoding="utf-8")
+        code, _, err = _invoke(capsys, *_crawl_args(tmp_path, world))
+        _assert_one_error_line(code, err, world)
+
     def test_flag_overrides_config_file(self, tmp_path, babylon_world_path, capsys):
         config_path = tmp_path / "c.json"
         config_path.write_text(
@@ -288,6 +295,24 @@ class TestCrawlCommand:
         )
         assert code == 1
         assert err.startswith("error: temperature")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("topic", 5), ("seed", 7), ("language", ["en"]), ("model", 1)],
+        ids=["topic", "seed", "language", "model"],
+    )
+    def test_non_string_config_value_is_a_config_error(
+        self, tmp_path, babylon_world_path, capsys, key, value
+    ):
+        config = {"world": str(babylon_world_path), "topic": "babylon", "seed": "Hammurabi", key: value}
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = _invoke(
+            capsys, "--workspace", str(tmp_path), "crawl", "--config", str(config_path)
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {key} must be a string")
         assert not (tmp_path / "runs").exists()
 
 
@@ -372,6 +397,20 @@ class TestSuiteCommand:
         )
         assert code == 1
         assert err.startswith("error: max_layers")
+        assert not out_dir.exists()
+
+    def test_defaults_that_are_not_an_object_are_a_config_error(
+        self, tmp_path, babylon_world_path, capsys
+    ):
+        config = {"world": str(babylon_world_path), "defaults": [1], "runs": [{"seed": "Hammurabi"}]}
+        config_path = tmp_path / "suite.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out_dir = tmp_path / "s"
+        code, _, err = _invoke(
+            capsys, "--workspace", str(tmp_path), "suite", "--config", str(config_path), "--out", str(out_dir)
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: suite 'defaults'")
         assert not out_dir.exists()
 
     def _remote_suite(self, tmp_path, capsys, monkeypatch, config):
@@ -484,6 +523,35 @@ class TestCompareCommand:
         code, _, err = _invoke(capsys, "compare", str(suite_dir), "--categories", "vibes")
         assert code == 1
         assert "unknown category" in err
+
+    def test_remote_embeddings_embed_each_label_once(self, suite_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("KBFORGE_API_KEY", "test-key")
+        with LocalServer(embeddings_responder()) as server:
+            code, _, err = _invoke(
+                capsys, "compare", str(suite_dir), "--provider", "remote",
+                "--embed-endpoint", server.url, "--embed-model", "emb-test", "--out", str(tmp_path / "rep"),
+            )
+        assert code == 0, err
+        report = json.loads((tmp_path / "rep" / "report.json").read_text(encoding="utf-8"))
+        assert report["provider_id"] == "remote-emb-test"
+        sent = [text for _, _, _, body in server.requests for text in json.loads(body)["input"]]
+        labels = set().union(
+            *(elements for run in ("run-000", "run-001", "run-002")
+              for elements in derive_categories(load_run(suite_dir / run).kb).values())
+        )
+        assert sorted(sent) == sorted(labels)
+
+    def test_remote_embeddings_need_an_endpoint(self, suite_dir, capsys):
+        code, _, err = _invoke(capsys, "compare", str(suite_dir), "--provider", "remote")
+        assert code == 1
+        assert err.splitlines() == ["error: remote embedding provider needs --embed-endpoint"]
+
+    @pytest.mark.parametrize("tau", ["0", "1.5"])
+    def test_tau_out_of_range_is_one_error_line(self, suite_dir, capsys, tau):
+        code, _, err = _invoke(capsys, "compare", str(suite_dir), "--tau", tau)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: --tau must lie in (0, 1]")
+        assert not (suite_dir / "report").exists()
 
     def test_single_run_suite_is_rejected(self, tmp_path, babylon_world_path, capsys):
         config = _write_suite_config(tmp_path / "one.json", babylon_world_path, n_runs=1)

@@ -23,6 +23,7 @@ from kbforge.gateway import (
     MockWorldGateway,
     NerRequest,
     RemoteChatGateway,
+    parse_elicitation_payload,
     replay_audit,
 )
 from kbforge.model import (
@@ -177,22 +178,28 @@ class _Clock:
 
 
 class _ExpiringGateway:
-    """Wraps a gateway; pushes the clock past any deadline after N elicits."""
+    """Wraps a gateway; pushes the clock past any deadline after N calls of
+    ``kind`` ("elicit" or "classify_ner")."""
 
-    def __init__(self, inner, clock, detonate_after):
+    def __init__(self, inner, clock, detonate_after, kind="elicit"):
         self.inner = inner
         self.clock = clock
         self.left = detonate_after
+        self.kind = kind
 
-    def elicit(self, req):
-        response = self.inner.elicit(req)
-        self.left -= 1
-        if self.left <= 0:
-            self.clock.now = 1e9
+    def _call(self, kind, req):
+        response = getattr(self.inner, kind)(req)
+        if kind == self.kind:
+            self.left -= 1
+            if self.left <= 0:
+                self.clock.now = 1e9
         return response
 
+    def elicit(self, req):
+        return self._call("elicit", req)
+
     def classify_ner(self, req):
-        return self.inner.classify_ner(req)
+        return self._call("classify_ner", req)
 
 
 class TestCaps:
@@ -233,6 +240,24 @@ class TestCaps:
         # The seed layer completed before the clock ran out.
         assert len(record.kb) == 5
         assert record.kb.visited_subjects == {"Hammurabi"}
+
+    def test_time_cap_after_a_committed_layer(self, babylon_gateway):
+        # The clock runs out after layer 0's NER batch, so the layer is
+        # committed with its verdicts and the next layer never starts.
+        clock = _Clock()
+        gateway = _ExpiringGateway(babylon_gateway, clock, detonate_after=1, kind="classify_ner")
+        config = RunConfig(
+            topic="babylon",
+            seed_entity="Hammurabi",
+            caps=Caps(max_wall_seconds=100),
+            parallelism=1,
+        )
+        record = crawl(config, gateway, clock=clock)
+        assert record.termination is Termination.CAPPED_TIME
+        assert [(s.layer, s.new_entities, s.new_triples) for s in record.per_layer_counts] == [(0, 4, 5)]
+        assert {t.layer for t in record.kb.triples} == {0}
+        assert record.kb.visited_subjects == {"Hammurabi"}
+        assert record.deepest_layer == 0
 
     def test_time_cap_mid_layer_skips_subjects(self, babylon_gateway):
         clock = _Clock()
@@ -365,7 +390,11 @@ def _world_responder(world_gateway, before=None, delay_s=0.0):
         time.sleep(delay_s)
         payload = request["messages"][1]["content"]
         if request["response_format"]["json_schema"]["name"] == "elicitation_triples":
-            return chat_ok(world_gateway.elicit(ElicitationRequest(payload, "babylon")).raw_payload)
+            triples = world_gateway.elicit(ElicitationRequest(payload, "babylon")).triples
+            return chat_ok(json.dumps(
+                {"triples": [{"subject": s, "predicate": p, "object": o} for s, p, o in triples]},
+                ensure_ascii=False,
+            ))
         verdicts = world_gateway.classify_ner(NerRequest(payload.split("\n"), "babylon")).verdicts
         return chat_ok(json.dumps({"verdicts": verdicts}))
 
@@ -481,7 +510,9 @@ class TestRemoteSuite:
         for run_id in sent:
             assert sorted(logged[run_id]) == sorted(sent[run_id])
         elicited = [e for e in entries if e["kind"] == "elicit"]
-        assert [r.raw_payload for r in replay_audit(audit_path)] == [e["response_text"] for e in elicited]
+        assert [r.triples for r in replay_audit(audit_path)] == [
+            parse_elicitation_payload(e["response_text"]) for e in elicited
+        ]
 
     def test_connection_pools_fit_the_requests_in_flight(self, tmp_path):
         # 16 subjects in layer 1: each of 3 runs keeps 4 requests in flight.

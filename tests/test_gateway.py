@@ -141,7 +141,6 @@ class TestRemoteGateway:
             gateway = _remote(server.url, tmp_path)
             response = gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
         assert response.triples == [("Somebody Else", "knows", "Things")]
-        assert response.raw_payload == divergent
 
     def test_request_shape(self):
         with LocalServer(scripted_chat_responder([(200, VALID_ELICIT)])) as server:
@@ -386,8 +385,6 @@ class TestMockWorld:
         response = babylon_gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
         assert ("Hammurabi", "instanceOf", "King") in response.triples
         assert len(response.triples) == 5
-        payload = json.loads(response.raw_payload)
-        assert len(payload["triples"]) == 5
 
     def test_unknown_subject_yields_empty(self, babylon_gateway):
         response = babylon_gateway.elicit(ElicitationRequest("Atlantis", "babylon"))

@@ -393,13 +393,6 @@ class TestBucketedReport:
         with pytest.raises(ValueError):
             bucketed_report(runs, assignments)
 
-    def test_only_named_entities_supported(self):
-        runs = _two_identical_runs()
-        with pytest.raises(ValueError):
-            bucketed_report(
-                runs, [{}, {}], category=StructuralCategory.LITERALS
-            )
-
     def test_assignment_count_must_match(self):
         runs = _two_identical_runs()
         with pytest.raises(ValueError):
@@ -600,6 +593,37 @@ class TestReportSerialization:
         assert lines[0].startswith("scope,name,runs,")
         assert any(line.startswith("category,named_entities,2,") for line in lines)
         assert any(line.startswith("bucket,Q4,2,") for line in lines)
+
+    def test_csv_bytes_with_null_cells(self, tmp_path):
+        # Classes are empty in both runs (zero mean yield, so no yield_cv),
+        # and bucket Q1 is empty in every run (no averages).
+        class FixedVectors:
+            provider_id = "fixed"
+            vectors = {"X": [1.0, 0.0], "Y": [0.0, 1.0], "Z": [0.6, 0.8]}
+
+            def embed(self, texts):
+                return np.array([self.vectors[t] for t in texts])
+
+        runs = [
+            FakeRun("a", _kb_from([("X", "knows", "Y", TermKind.NAMED_ENTITY, 0)])),
+            FakeRun("b", _kb_from([("X", "knows", "Y", TermKind.NAMED_ENTITY, 0),
+                                   ("X", "knows", "Z", TermKind.NAMED_ENTITY, 0)])),
+        ]
+        report = build_stability_report(
+            runs,
+            [StructuralCategory.NAMED_ENTITIES, StructuralCategory.CLASSES],
+            tau=0.7,
+            provider=FixedVectors(),
+            assignments=[{"Q4": {"X"}, "Q1": set()}, {"Q4": {"X", "Z"}, "Q1": set()}],
+        )
+        _, csv_path = write_report(report, tmp_path)
+        assert csv_path.read_bytes() == (
+            b"scope,name,runs,yield_mean,yield_std,yield_cv,avg_jaccard,avg_hausdorff,avg_match_pct,flags\r\n"
+            b"category,named_entities,2,2.5,0.5,0.2,0.6666666666666666,0.9666666666666667,100.0,\r\n"
+            b"category,classes,2,0.0,0.0,,1.0,1.0,100.0,empty_set_convention;zero_mean_yield\r\n"
+            b"bucket,Q4,2,,,,0.3333333333333333,0.8333333333333334,83.33333333333334,\r\n"
+            b"bucket,Q1,0,,,,,,,empty_bucket_skipped:a;empty_bucket_skipped:b;empty_for_all_runs\r\n"
+        )
 
     def test_json_keys_are_the_dataclass_fields(self, tmp_path):
         runs = [

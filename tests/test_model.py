@@ -272,7 +272,7 @@ class TestTripleCodec:
         assert [(t.key(), t.object_kind, t.layer) for t in loaded.kb.triples] == [
             (t.key(), t.object_kind, t.layer) for t in kb.triples
         ]
-        assert all(t.run_id == "run-test" for t in loaded.kb.triples)
+        assert loaded.run_id == "run-test"
 
     def test_loaded_duplicates_collapse(self, tmp_path):
         path = tmp_path / "triples.ndjson"

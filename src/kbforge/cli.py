@@ -24,9 +24,9 @@ from .model import (
     load_triples,
     run_failed,
     save_run,
+    text_value,
     write_triples,
 )
-from .prompts import MissingTemplateError
 
 ALL_CATEGORIES = list(StructuralCategory)
 
@@ -62,12 +62,14 @@ def _load_config_file(path: Optional[str]) -> dict:
     return data
 
 
-def _pick(cli_value, config: dict, key: str, default):
+def _pick(cli_value: Optional[str], config: dict, key: str, default: Optional[str]) -> Optional[str]:
+    """A text setting: its flag, else its config key, else ``default``."""
     if cli_value is not None:
         return cli_value
-    if key in config:
-        return config[key]
-    return default
+    try:
+        return text_value(config, key, default)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _run_config(args, config: dict) -> RunConfig:
@@ -88,12 +90,12 @@ def _run_config(args, config: dict) -> RunConfig:
 def _gateway(args, config: dict, workspace: Path):
     world = _pick(getattr(args, "world", None), config, "world", None)
     endpoint = _pick(getattr(args, "endpoint", None), config, "endpoint", None)
+    audit = _pick(getattr(args, "audit", None), config, "audit", None)
     if world:
         return _read("world file", Path(world), MockWorldGateway)
     if endpoint:
         # Each crawl sends the model and temperature of its own run config.
         descriptor = BackendDescriptor(kind="remote", endpoint_url=endpoint)
-        audit = _pick(getattr(args, "audit", None), config, "audit", None)
         audit_path = Path(audit) if audit else workspace / "audit.ndjson"
         return RemoteChatGateway(descriptor, audit_path=audit_path)
     raise CliError("select a backend with --world (fixture) or --endpoint (remote)")
@@ -188,7 +190,8 @@ def _bucketize(args, cache: Optional[str], workspace: Path, label_lists) -> list
 
     ``cache`` is the popularity store's path; it defaults to the workspace's.
     """
-    store = popularity.PopularityStore(Path(cache) if cache else workspace / popularity.CACHE_NAME)
+    store = _read("popularity cache", Path(cache) if cache else workspace / popularity.CACHE_NAME,
+                  popularity.PopularityStore)
     client = None if args.offline else popularity.WikidataClient(endpoint_url=args.wikidata_endpoint)
     return [
         popularity.bucketize(popularity.resolve_many(labels, client, store, offline=args.offline))
@@ -216,7 +219,7 @@ def cmd_compare(args) -> int:
             categories.append(CATEGORY_ALIASES[token])
 
     provider = _embedding_provider(args)
-    cache = EmbeddingCache(Path(args.cache)) if args.cache else None
+    cache = _read("embedding cache", Path(args.cache), EmbeddingCache) if args.cache else None
 
     assignments = None
     if args.buckets:
@@ -289,6 +292,8 @@ def cmd_ensemble(args) -> int:
 def cmd_export(args) -> int:
     kb_dir = Path(args.kb_dir)
     formats = [f.strip().lower() for f in args.formats.split(",") if f.strip()]
+    if not formats:
+        raise CliError("no export format given")
     for fmt in formats:
         if fmt not in export.EXPORTERS:
             raise CliError(f"unknown export format {fmt!r} (choose from {', '.join(export.EXPORTERS)})")
@@ -414,7 +419,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, GatewayError, MissingTemplateError) as exc:
+    except (CliError, GatewayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -51,8 +51,8 @@ _TOKEN_SPLIT = re.compile(r"[-\s]+")
 # Detector thresholds. Labels may legitimately repeat a syllable twice
 # (reduplicated names exist); three consecutive trailing repeats is the
 # point where generation loops, not language, is the credible explanation.
-DEFAULT_MAX_REPEATS = 3
-DEFAULT_OVERLONG_THRESHOLD = 200
+MAX_REPEATS = 3
+OVERLONG_THRESHOLD = 200
 
 # Phrases per NER request, on either backend.
 NER_BATCH = 100
@@ -63,13 +63,11 @@ def detect_q_identifier(label: str) -> bool:
     return Q_IDENTIFIER.fullmatch(label) is not None
 
 
-def detect_repetition_loop(label: str, max_repeats: int = DEFAULT_MAX_REPEATS) -> bool:
-    """True when the label ends in >= max_repeats consecutive copies of a token.
+def detect_repetition_loop(label: str) -> bool:
+    """True when the label ends in >= MAX_REPEATS consecutive copies of a token.
 
     Tokens are split on hyphens and whitespace; only the trailing run counts.
     """
-    if max_repeats < 2:
-        raise ValueError("max_repeats must be >= 2")
     tokens = [t for t in _TOKEN_SPLIT.split(label) if t]
     if not tokens:
         return False
@@ -78,24 +76,20 @@ def detect_repetition_loop(label: str, max_repeats: int = DEFAULT_MAX_REPEATS) -
         if prev != cur:
             break
         run += 1
-    return run >= max_repeats
+    return run >= MAX_REPEATS
 
 
-def detect_overlong_label(label: str, threshold: int = DEFAULT_OVERLONG_THRESHOLD) -> bool:
-    return len(label) > threshold
+def detect_overlong_label(label: str) -> bool:
+    return len(label) > OVERLONG_THRESHOLD
 
 
-def classify_degeneracy(
-    label: str,
-    max_repeats: int = DEFAULT_MAX_REPEATS,
-    overlong_threshold: int = DEFAULT_OVERLONG_THRESHOLD,
-) -> Optional[str]:
+def classify_degeneracy(label: str) -> Optional[str]:
     """Name the first degeneracy a label exhibits, or None for a clean label."""
     if detect_q_identifier(label):
         return "q_identifier"
-    if detect_repetition_loop(label, max_repeats):
+    if detect_repetition_loop(label):
         return "repetition_loop"
-    if detect_overlong_label(label, overlong_threshold):
+    if detect_overlong_label(label):
         return "overlong_label"
     return None
 

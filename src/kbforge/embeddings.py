@@ -10,17 +10,19 @@ re-embedding unchanged rows.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from pathlib import Path
 from typing import Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .gateway import API_KEY_ENV, GatewayError, Session, TransportError, send, with_retries
+from .gateway import REQUEST_TIMEOUT_S, Session, TransportError, auth_headers, send, with_retries
 from .model import NdjsonStore
 
 EMBED_DIM = 384
+
+# Texts per embeddings request.
+EMBED_BATCH = 256
 
 # Sentinels mark label boundaries so "abc" and "xabcx" share fewer grams.
 _START = "\x02"
@@ -82,25 +84,16 @@ class RemoteEmbedder:
         endpoint_url: str,
         model_id: str = "text-embedding-3-small",
         api_key: Optional[str] = None,
-        request_timeout_seconds: float = 60.0,
         max_retries: int = 2,
-        batch_size: int = 256,
         sleep=time.sleep,
     ):
-        key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
-        if not key:
-            raise GatewayError(
-                f"no API key: pass api_key or set {API_KEY_ENV} in the environment"
-            )
+        self._headers = auth_headers(api_key)
         self.endpoint_url = endpoint_url.rstrip("/")
         self.model_id = model_id
         self.provider_id = f"remote-{model_id}"
-        self.timeout = request_timeout_seconds
         self.max_retries = max_retries
-        self.batch_size = batch_size
         self._sleep = sleep
         self._session = Session()
-        self._session.headers["Authorization"] = f"Bearer {key}"
 
     def _post(self, batch: Sequence[str]) -> list[list[float]]:
         def attempt() -> list[list[float]]:
@@ -108,7 +101,8 @@ class RemoteEmbedder:
                 lambda: self._session.post(
                     f"{self.endpoint_url}/embeddings",
                     json={"model": self.model_id, "input": list(batch)},
-                    timeout=self.timeout,
+                    headers=self._headers,
+                    timeout=REQUEST_TIMEOUT_S,
                 )
             )
             try:
@@ -123,8 +117,8 @@ class RemoteEmbedder:
         if not texts:
             return np.zeros((0, 0), dtype=np.float64)
         rows: list[list[float]] = []
-        for start in range(0, len(texts), self.batch_size):
-            rows.extend(self._post(texts[start : start + self.batch_size]))
+        for start in range(0, len(texts), EMBED_BATCH):
+            rows.extend(self._post(texts[start : start + EMBED_BATCH]))
         return np.asarray(rows, dtype=np.float64)
 
 

@@ -261,7 +261,6 @@ def export_kb(
     out_dir: Path,
     formats: Iterable[str],
     policy: IriPolicy | None = None,
-    basename: str = "kb",
 ) -> list[Path]:
     """Emit the selected formats into out_dir; returns the paths written."""
     policy = policy or IriPolicy()
@@ -270,11 +269,11 @@ def export_kb(
     written: list[Path] = []
     for fmt in formats:
         if fmt == "csv":
-            written.append(to_csv(kb, out_dir / f"{basename}.csv"))
+            written.append(to_csv(kb, out_dir / "kb.csv"))
         elif fmt == "sql":
-            written.append(to_sql_dump(kb, out_dir / f"{basename}.sql"))
+            written.append(to_sql_dump(kb, out_dir / "kb.sql"))
         elif fmt == "ttl":
-            written.append(to_turtle(kb, policy, out_dir / f"{basename}.ttl"))
+            written.append(to_turtle(kb, policy, out_dir / "kb.ttl"))
         elif fmt == "html":
             written.append(to_html(kb, out_dir / "html"))
         else:

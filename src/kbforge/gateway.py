@@ -43,6 +43,9 @@ API_KEY_ENV = "KBFORGE_API_KEY"
 # First retry delay in seconds; each further retry doubles it.
 BACKOFF_BASE_S = 0.5
 
+# Socket timeout of a chat or embeddings request.
+REQUEST_TIMEOUT_S = 60
+
 USER_AGENT = "kbforge/0.1 (knowledge-base stability toolkit)"
 
 T = TypeVar("T")
@@ -50,6 +53,15 @@ T = TypeVar("T")
 
 class GatewayError(Exception):
     pass
+
+
+def auth_headers(api_key: Optional[str]) -> dict:
+    """The ``Authorization`` header for ``api_key``, or for the key in
+    ``KBFORGE_API_KEY`` when none is given; GatewayError when there is none."""
+    key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
+    if not key:
+        raise GatewayError(f"no API key: set the {API_KEY_ENV} environment variable")
+    return {"Authorization": f"Bearer {key}"}
 
 
 class TransportError(GatewayError):
@@ -166,7 +178,7 @@ class Session:
     reads the response in full before it puts the connection back, so a
     session holds at most as many connections as it has requests in flight.
     A request that reached the server is never sent again here; retrying is
-    ``with_retries``' decision.
+    ``with_retries``' decision. Every request carries ``USER_AGENT``.
 
     ``HTTP(S)_PROXY`` and ``NO_PROXY`` are read once per origin. ``https``
     verifies certificates against the system store (``SSL_CERT_FILE``
@@ -174,7 +186,6 @@ class Session:
     """
 
     def __init__(self) -> None:
-        self.headers = {"User-Agent": USER_AGENT}
         self._idle: dict[tuple, list[http.client.HTTPConnection]] = {}
         self._proxies: dict[tuple, Optional[_Proxy]] = {}
         self._tls: Optional[ssl.SSLContext] = None
@@ -208,7 +219,7 @@ class Session:
         origin = (parts.scheme, *_host_port(parts, 443 if parts.scheme == "https" else 80))
         netloc = parts.netloc.rpartition("@")[2]
         proxy = self._proxy(origin, netloc)
-        headers = {**self.headers, **headers}
+        headers = {"User-Agent": USER_AGENT, **headers}
         target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
         if proxy and parts.scheme == "http":
             target = f"http://{netloc}{target}"
@@ -355,7 +366,6 @@ class BackendDescriptor:
     endpoint_url: str = ""
     model_id: str = "gpt-4.1-mini"
     temperature: float = 0.0
-    request_timeout_seconds: int = 60
     max_retries: int = 2
 
     def __post_init__(self) -> None:
@@ -459,7 +469,6 @@ class RemoteChatGateway:
         descriptor: BackendDescriptor,
         api_key: Optional[str] = None,
         audit_path: Optional[Path] = None,
-        template_dir: Optional[Path] = None,
         sleep: Callable[[float], None] = time.sleep,
         backoff_base: float = BACKOFF_BASE_S,
     ) -> None:
@@ -468,14 +477,9 @@ class RemoteChatGateway:
         if not descriptor.endpoint_url:
             raise ValueError("remote backend needs an endpoint_url")
         self.descriptor = descriptor
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
-        if not self.api_key:
-            raise GatewayError(
-                f"no API key: set the {API_KEY_ENV} environment variable"
-            )
+        self._headers = auth_headers(api_key)
         # The outcome of every call, success or failure, one timestamped line each.
         self.audit = NdjsonStore(audit_path) if audit_path else None
-        self.template_dir = template_dir
         self._sleep = sleep
         self._backoff_base = backoff_base
         # The run whose requests these are; ``for_run`` sets it.
@@ -527,13 +531,10 @@ class RemoteChatGateway:
             },
         }
         url = self.descriptor.endpoint_url.rstrip("/") + "/chat/completions"
-        headers = {"Authorization": f"Bearer {self.api_key}"}
 
         def attempt() -> tuple[str, T]:
             resp = send(
-                lambda: self.session.post(
-                    url, json=body, headers=headers, timeout=self.descriptor.request_timeout_seconds
-                )
+                lambda: self.session.post(url, json=body, headers=self._headers, timeout=REQUEST_TIMEOUT_S)
             )
             try:
                 content = resp.json()["choices"][0]["message"]["content"]
@@ -548,7 +549,7 @@ class RemoteChatGateway:
             raise
 
     def elicit(self, req: ElicitationRequest) -> ElicitationResponse:
-        instruction = render_elicitation_prompt(req.topic, req.language, self.template_dir)
+        instruction = render_elicitation_prompt(req.topic, req.language)
         entry = {"kind": "elicit", "subject": req.subject}
         content, triples = self._ask(
             entry, instruction, req.subject, "elicitation_triples", ELICITATION_SCHEMA,
@@ -558,7 +559,7 @@ class RemoteChatGateway:
         return ElicitationResponse(triples=triples)
 
     def classify_ner(self, req: NerRequest) -> NerResponse:
-        instruction = render_ner_prompt(req.topic, req.language, self.template_dir)
+        instruction = render_ner_prompt(req.topic, req.language)
         entry = {"kind": "ner", "phrases": req.phrases}
         _, verdicts = self._ask(
             entry, instruction, "\n".join(req.phrases), "ner_verdicts", NER_SCHEMA,

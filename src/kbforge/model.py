@@ -182,6 +182,15 @@ def derive_categories(kb: KnowledgeBase) -> dict[StructuralCategory, set[str]]:
     }
 
 
+def text_value(flat: dict, key: str, default: Optional[str]) -> Optional[str]:
+    """``flat[key]``, or ``default`` when the key is absent; ValueError
+    naming the key when its value is not a string."""
+    value = flat.get(key, default)
+    if key in flat and not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, not {value!r}")
+    return value
+
+
 @dataclass
 class Caps:
     """Hard limits that bound a crawl."""
@@ -234,12 +243,6 @@ class RunConfig:
         are left to ``validate``.
         """
 
-        def text(key: str, default: str) -> str:
-            value = flat.get(key, default)
-            if not isinstance(value, str):
-                raise ValueError(f"{key} must be a string, not {value!r}")
-            return value
-
         def number(key: str, cast: Callable, default):
             value = flat.get(key, default)
             try:
@@ -248,11 +251,11 @@ class RunConfig:
                 raise ValueError(f"{key} must be a number, not {value!r}") from None
 
         return cls(
-            topic=text("topic", ""),
-            seed_entity=text("seed", ""),
-            prompt_language=text("language", cls.prompt_language),
+            topic=text_value(flat, "topic", ""),
+            seed_entity=text_value(flat, "seed", ""),
+            prompt_language=text_value(flat, "language", cls.prompt_language),
             temperature=number("temperature", float, cls.temperature),
-            model_id=text("model", cls.model_id),
+            model_id=text_value(flat, "model", cls.model_id),
             caps=Caps(
                 max_layers=number("max_layers", int, Caps.max_layers),
                 max_wall_seconds=number("max_seconds", int, Caps.max_wall_seconds),

@@ -28,6 +28,9 @@ BUCKET_NAMES = (BUCKET_NOT_FOUND,) + QUARTILE_BUCKETS
 # Public API etiquette: stay under 5 requests/second.
 MAX_REQUESTS_PER_SECOND = 5.0
 
+# Socket timeout of a Wikidata request.
+WIKIDATA_TIMEOUT_S = 30.0
+
 
 @dataclass(frozen=True)
 class PopularityRecord:
@@ -65,12 +68,10 @@ class BucketAssignment:
 
 
 class RateLimiter:
-    """Blocks callers so requests stay under a fixed per-second budget."""
+    """Blocks callers so requests stay under MAX_REQUESTS_PER_SECOND."""
 
-    def __init__(self, per_second: float = MAX_REQUESTS_PER_SECOND, clock=time.monotonic, sleep=time.sleep):
-        if per_second <= 0:
-            raise ValueError("per_second must be positive")
-        self._interval = 1.0 / per_second
+    def __init__(self, clock=time.monotonic, sleep=time.sleep):
+        self._interval = 1.0 / MAX_REQUESTS_PER_SECOND
         self._clock = clock
         self._sleep = sleep
         self._lock = threading.Lock()
@@ -92,20 +93,15 @@ class WikidataClient:
     def __init__(
         self,
         endpoint_url: str = WIKIDATA_API,
-        language: str = "en",
-        request_timeout_seconds: float = 30.0,
         max_retries: int = 3,
         rate_limiter: Optional[RateLimiter] = None,
-        session: Optional[Session] = None,
         sleep=time.sleep,
     ):
         self.endpoint_url = endpoint_url
-        self.language = language
-        self.timeout = request_timeout_seconds
         self.max_retries = max_retries
         self._limiter = rate_limiter or RateLimiter()
         self._sleep = sleep
-        self._session = session or Session()
+        self._session = Session()
 
     def _get(self, params: dict) -> dict:
         query = dict(params)
@@ -114,7 +110,7 @@ class WikidataClient:
         def attempt() -> dict:
             self._limiter.wait()
             resp = send(
-                lambda: self._session.get(self.endpoint_url, params=query, timeout=self.timeout)
+                lambda: self._session.get(self.endpoint_url, params=query, timeout=WIKIDATA_TIMEOUT_S)
             )
             try:
                 return resp.json()
@@ -129,8 +125,8 @@ class WikidataClient:
             {
                 "action": "wbsearchentities",
                 "search": label,
-                "language": self.language,
-                "uselang": self.language,
+                "language": "en",
+                "uselang": "en",
                 "type": "item",
                 "limit": 5,
             }

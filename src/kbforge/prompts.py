@@ -1,8 +1,9 @@
 """Prompt templates for knowledge elicitation and NER classification.
 
-English templates are built in; any other language is loaded from a
-per-language JSON file ``{template_dir}/{language}.json`` holding
-``{"elicitation": ..., "ner": ...}`` with a ``{topic}`` placeholder. Known
+English templates are built in; any other language is loaded from the
+package's ``templates/{language}.json``, which holds
+``{"elicitation": ..., "ner": ...}`` with a ``{topic}`` placeholder. No such
+file ships yet. Known
 short topic keys expand to their full topic phrase; any other topic string
 is used verbatim.
 """
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional
+
+TEMPLATE_DIR = Path(__file__).parent / "templates"
 
 TOPIC_PHRASES = {
     "babylon": "ancient city of Babylon",
@@ -52,12 +54,8 @@ def topic_phrase(topic: str) -> str:
     return TOPIC_PHRASES.get(topic, topic)
 
 
-def _load_language_templates(language: str, template_dir: Optional[Path]) -> dict:
-    if template_dir is None:
-        raise MissingTemplateError(
-            f"no template directory configured for language {language!r}"
-        )
-    path = Path(template_dir) / f"{language}.json"
+def _load_language_templates(language: str) -> dict:
+    path = TEMPLATE_DIR / f"{language}.json"
     if not path.exists():
         raise MissingTemplateError(f"no prompt template file for language {language!r}: {path}")
     data = json.loads(path.read_text(encoding="utf-8"))
@@ -67,25 +65,21 @@ def _load_language_templates(language: str, template_dir: Optional[Path]) -> dic
     return data
 
 
-def render_elicitation_prompt(
-    topic: str, language: str = "en", template_dir: Optional[Path] = None
-) -> str:
+def render_elicitation_prompt(topic: str, language: str = "en") -> str:
     """Render the knowledge-elicitation instruction for a topic and language."""
     if not topic:
         raise ValueError("topic must be non-empty")
     phrase = topic_phrase(topic)
     if language == "en":
         return ELICITATION_TEMPLATE_EN.format(topic=phrase)
-    return _load_language_templates(language, template_dir)["elicitation"].format(topic=phrase)
+    return _load_language_templates(language)["elicitation"].format(topic=phrase)
 
 
-def render_ner_prompt(
-    topic: str, language: str = "en", template_dir: Optional[Path] = None
-) -> str:
+def render_ner_prompt(topic: str, language: str = "en") -> str:
     """Render the NER classification instruction for a topic and language."""
     if not topic:
         raise ValueError("topic must be non-empty")
     phrase = topic_phrase(topic)
     if language == "en":
         return NER_TEMPLATE_EN.format(topic=phrase)
-    return _load_language_templates(language, template_dir)["ner"].format(topic=phrase)
+    return _load_language_templates(language)["ner"].format(topic=phrase)

@@ -338,6 +338,42 @@ class TestBackendSelection:
             self._gateway(tmp_path, "--world", str(tmp_path / "missing.json"))
 
 
+class TestBackendKeys:
+    """A backend or suite-directory key that is not a string ends in one
+    error line, before any request is sent or any run directory written."""
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("crawl", {"world": 5}),
+            ("crawl", {"endpoint": 5}),
+            ("crawl", {"endpoint": "SERVER", "audit": 5}),
+            ("suite", {"endpoint": 5}),
+            ("suite", {"endpoint": "SERVER", "dimension": 5}),
+            ("suite", {"endpoint": "SERVER", "dimension": ["seed"]}),
+        ],
+        ids=["crawl-world", "crawl-endpoint", "crawl-audit", "suite-endpoint", "suite-dimension",
+             "suite-dimension-list"],
+    )
+    def test_non_string_key_is_one_error_line(self, tmp_path, capsys, monkeypatch, command, keys):
+        monkeypatch.setenv("KBFORGE_API_KEY", "test-key")
+        attempts = []
+        request = gateway.Session._request
+        monkeypatch.setattr(gateway.Session, "_request", lambda *a: attempts.append(a) or request(*a))
+        (key, _), = [(k, v) for k, v in keys.items() if not isinstance(v, str)]
+        run = {"topic": "babylon", "seed": "Hammurabi"}
+        with LocalServer(lambda *_: chat_ok('{"triples": []}')) as server:
+            config = {k: server.url if v == "SERVER" else v for k, v in keys.items()}
+            config.update(run if command == "crawl" else {"defaults": run, "runs": [{}, {}]})
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            code, _, err = _invoke(capsys, "--workspace", str(tmp_path), command, "--config", str(config_path))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {key} must be a string")
+        assert attempts == [] and server.requests == []
+        assert not (tmp_path / "runs").exists() and not (tmp_path / "suites").exists()
+
+
 class TestSuiteCommand:
     def test_identical_runs_are_byte_identical(self, suite_dir, capsys):
         manifest = json.loads((suite_dir / "suite.json").read_text())
@@ -603,6 +639,21 @@ class TestCompareCommand:
         not_found = next(r for r in report["bucket_rows"] if r["bucket"] == "NotFound")
         assert not_found["pair_count"] == 6
 
+    @pytest.mark.parametrize("flags", [["--cache"], ["--buckets", "--offline", "--popularity-cache"]],
+                             ids=["embedding", "popularity"])
+    def test_damaged_cache_is_one_error_line(self, suite_dir, tmp_path, capsys, flags):
+        cache = tmp_path / "cache.ndjson"
+        cache.write_text("{not json\n", encoding="utf-8")
+        code, _, err = _invoke(capsys, "compare", str(suite_dir), *flags, str(cache), "--out", str(tmp_path / "rep"))
+        _assert_one_error_line(code, err, cache)
+        assert not (tmp_path / "rep").exists()
+
+    def test_embedding_cache_line_without_text_is_one_error_line(self, suite_dir, tmp_path, capsys):
+        cache = tmp_path / "emb.ndjson"
+        cache.write_text(json.dumps({"provider": "trigram-384", "vector": [1.0]}) + "\n", encoding="utf-8")
+        code, _, err = _invoke(capsys, "compare", str(suite_dir), "--cache", str(cache))
+        _assert_one_error_line(code, err, cache)
+
     def test_missing_suite_dir(self, tmp_path, capsys):
         code, _, err = _invoke(capsys, "compare", str(tmp_path / "missing"))
         assert code == 1
@@ -706,6 +757,13 @@ class TestExportCommand:
         code, _, err = _invoke(capsys, "export", str(suite_dir / "run-000"))
         _assert_one_error_line(code, err, triples)
 
+    def test_no_format_is_one_error_line(self, suite_dir, tmp_path, capsys):
+        out_dir = tmp_path / "exported"
+        code, out, err = _invoke(capsys, "export", str(suite_dir / "run-000"), "--formats", ",", "--out", str(out_dir))
+        assert code == 1
+        assert err == "error: no export format given\n" and out == ""
+        assert not out_dir.exists()
+
     def test_bad_namespace(self, suite_dir, capsys):
         code, _, err = _invoke(
             capsys,
@@ -775,6 +833,22 @@ class TestPopularityCommand:
 
     def test_labels_directory_is_one_error_line(self, tmp_path, capsys):
         code, _, err = _invoke(capsys, "popularity", "--labels", str(tmp_path), "--offline")
+        _assert_one_error_line(code, err, tmp_path)
+
+    def test_damaged_cache_is_one_error_line(self, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("Hammurabi\n", encoding="utf-8")
+        cache = tmp_path / "pop.ndjson"
+        cache.write_text("{not json\n", encoding="utf-8")
+        code, _, err = _invoke(capsys, "popularity", "--labels", str(labels), "--cache", str(cache), "--offline")
+        _assert_one_error_line(code, err, cache)
+
+    def test_out_that_is_a_directory_is_one_error_line(self, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("Hammurabi\n", encoding="utf-8")
+        code, _, err = _invoke(
+            capsys, "--workspace", str(tmp_path), "popularity", "--labels", str(labels), "--offline", "--out", str(tmp_path)
+        )
         _assert_one_error_line(code, err, tmp_path)
 
     def test_requires_some_input(self, tmp_path, capsys):

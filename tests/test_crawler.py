@@ -78,22 +78,11 @@ class TestRepetitionDetector:
     def test_negative(self, label):
         assert not detect_repetition_loop(label)
 
-    def test_threshold_is_configurable(self):
-        assert detect_repetition_loop("mu-mu", max_repeats=2)
-        assert not detect_repetition_loop("mu-mu-mu", max_repeats=4)
-
-    def test_threshold_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            detect_repetition_loop("anything", max_repeats=1)
-
 
 class TestOverlongDetector:
     def test_boundary(self):
         assert not detect_overlong_label("x" * 200)
         assert detect_overlong_label("x" * 201)
-
-    def test_custom_threshold(self):
-        assert detect_overlong_label("abcdef", threshold=5)
 
 
 class TestClassifyDegeneracy:

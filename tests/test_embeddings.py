@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from kbforge import embeddings
 from kbforge.embeddings import (
     EMBED_DIM,
     EmbeddingCache,
@@ -10,7 +13,7 @@ from kbforge.embeddings import (
     embed_batch,
     pairwise_cosine_similarity,
 )
-from kbforge.gateway import GatewayError, TransportError
+from kbforge.gateway import GatewayError, Session, TransportError
 
 import oracles
 from fixture_server import LocalServer, embeddings_responder, fake_embedding
@@ -180,14 +183,28 @@ class TestRemoteEmbedder:
             RemoteEmbedder(server.url, api_key="k", sleep=lambda s: None).embed(["one"])
         assert server.received[0].headers["Authorization"] == "Bearer k"
 
-    def test_batching_splits_requests(self):
+    def test_batching_splits_requests(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "EMBED_BATCH", 2)
         with LocalServer(embeddings_responder(dim=6)) as server:
-            embedder = RemoteEmbedder(
-                server.url, api_key="k", batch_size=2, sleep=lambda s: None
-            )
+            embedder = RemoteEmbedder(server.url, api_key="k", sleep=lambda s: None)
             rows = embedder.embed(["a", "b", "c"])
             assert len(server.requests) == 2
         assert rows.shape == (3, 6)
+
+    def test_requests_carry_the_fixed_batch_timeout_user_agent_and_key(self, monkeypatch):
+        monkeypatch.setenv("KBFORGE_API_KEY", "env-key")
+        timeouts = []
+        post = Session.post
+        monkeypatch.setattr(Session, "post", lambda self, *a, **kw: timeouts.append(kw["timeout"]) or post(self, *a, **kw))
+        texts = [f"label {i}" for i in range(257)]
+        with LocalServer(embeddings_responder(dim=6)) as server:
+            rows = RemoteEmbedder(server.url, sleep=lambda s: None).embed(texts)
+        assert rows.shape == (257, 6)
+        assert [len(json.loads(body)["input"]) for *_, body in server.requests] == [256, 1]
+        assert timeouts == [60, 60]
+        for received in server.received:
+            assert received.headers["Authorization"] == "Bearer env-key"
+            assert received.headers["User-Agent"].startswith("kbforge/0.1 ")
 
     def test_missing_api_key_is_fatal(self, monkeypatch):
         monkeypatch.delenv("KBFORGE_API_KEY", raising=False)

@@ -216,6 +216,18 @@ class TestRemoteGateway:
 
 
 class TestTransport:
+    def test_chat_requests_carry_the_fixed_timeout_and_user_agent(self, monkeypatch):
+        timeouts = []
+        post = Session.post
+        monkeypatch.setattr(Session, "post", lambda self, *a, **kw: timeouts.append(kw["timeout"]) or post(self, *a, **kw))
+        script = [(200, VALID_ELICIT), (200, '{"verdicts": [true]}')]
+        with LocalServer(scripted_chat_responder(script)) as server:
+            remote = _remote(server.url)
+            remote.elicit(ElicitationRequest("Hammurabi", "babylon"))
+            remote.classify_ner(NerRequest(["Babylon"], "babylon"))
+        assert timeouts == [60, 60]
+        assert all(r.headers["User-Agent"].startswith("kbforge/0.1 ") for r in server.received)
+
     def test_netrc_does_not_replace_the_bearer_key(self, tmp_path, monkeypatch):
         netrc = tmp_path / "netrc"
         netrc.write_text("machine 127.0.0.1 login u password p\n", encoding="utf-8")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kbforge.gateway import TransportError
+from kbforge.gateway import Session, TransportError
 from kbforge.popularity import (
     BUCKET_NOT_FOUND,
     BucketAssignment,
@@ -108,7 +108,7 @@ class TestRateLimiter:
             slept.append(seconds)
             now["t"] += seconds
 
-        limiter = RateLimiter(per_second=5.0, clock=clock, sleep=sleep)
+        limiter = RateLimiter(clock=clock, sleep=sleep)
         limiter.wait()
         limiter.wait()
         limiter.wait()
@@ -121,7 +121,7 @@ class TestRateLimiter:
         def clock():
             return now["t"]
 
-        limiter = RateLimiter(per_second=5.0, clock=clock, sleep=slept.append)
+        limiter = RateLimiter(clock=clock, sleep=slept.append)
         limiter.wait()
         now["t"] += 10.0
         limiter.wait()
@@ -163,6 +163,18 @@ class TestWikidataClient:
             client = _client(server.url, max_retries=1)
             with pytest.raises(TransportError):
                 client.search_qid("Hammurabi")
+
+    def test_requests_carry_the_fixed_timeout_language_and_user_agent(self, monkeypatch):
+        timeouts = []
+        get = Session.get
+        monkeypatch.setattr(Session, "get", lambda self, *a, **kw: timeouts.append(kw["timeout"]) or get(self, *a, **kw))
+        with LocalServer(wikidata_responder(CATALOG)) as server:
+            client = _client(server.url)
+            client.statement_count(client.search_qid("Hammurabi"))
+        assert timeouts == [30, 30]
+        search = server.requests[0][2]
+        assert (search["action"], search["language"], search["uselang"]) == ("wbsearchentities", "en", "en")
+        assert all(r.headers["User-Agent"].startswith("kbforge/0.1 ") for r in server.received)
 
 
 class TestResolveAndCache:

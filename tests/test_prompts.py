@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kbforge import prompts
 from kbforge.prompts import (
     MissingTemplateError,
     render_elicitation_prompt,
@@ -64,7 +65,8 @@ def test_empty_topic_rejected():
         render_ner_prompt("")
 
 
-def test_language_templates_load_from_directory(tmp_path):
+def test_language_templates_load_from_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(prompts, "TEMPLATE_DIR", tmp_path)
     (tmp_path / "de.json").write_text(
         json.dumps(
             {
@@ -74,20 +76,22 @@ def test_language_templates_load_from_directory(tmp_path):
         ),
         encoding="utf-8",
     )
-    prompt = render_elicitation_prompt("babylon", language="de", template_dir=tmp_path)
+    prompt = render_elicitation_prompt("babylon", language="de")
     assert prompt == "Erstelle einen Wissensgraphen zum Thema ancient city of Babylon."
-    ner = render_ner_prompt("babylon", language="de", template_dir=tmp_path)
+    ner = render_ner_prompt("babylon", language="de")
     assert "ancient city of Babylon" in ner
 
 
-def test_missing_language_template_is_an_error(tmp_path):
+def test_missing_language_template_is_an_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(prompts, "TEMPLATE_DIR", tmp_path)
     with pytest.raises(MissingTemplateError):
-        render_elicitation_prompt("babylon", language="fr", template_dir=tmp_path)
+        render_elicitation_prompt("babylon", language="fr")
     with pytest.raises(MissingTemplateError):
-        render_ner_prompt("babylon", language="fr", template_dir=None)
+        render_ner_prompt("babylon", language="fr")
 
 
-def test_incomplete_language_file_is_an_error(tmp_path):
+def test_incomplete_language_file_is_an_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(prompts, "TEMPLATE_DIR", tmp_path)
     (tmp_path / "es.json").write_text(json.dumps({"elicitation": "hola {topic}"}), encoding="utf-8")
     with pytest.raises(MissingTemplateError):
-        render_ner_prompt("babylon", language="es", template_dir=tmp_path)
+        render_ner_prompt("babylon", language="es")

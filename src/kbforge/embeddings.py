@@ -5,6 +5,10 @@ hashes character trigrams into a fixed-width bag vector, and a remote
 embedder speaking the OpenAI embeddings wire format. A cache, in memory
 or backed by a newline-delimited JSON file, keeps repeat comparisons from
 re-embedding unchanged rows.
+
+Cosine similarity comes in two steps: ``unit_rows`` scales rows to unit
+length, and ``pairwise_cosine_similarity`` multiplies unit rows, so a
+caller comparing one table block by block normalises it once.
 """
 
 from __future__ import annotations
@@ -37,11 +41,17 @@ class EmbeddingProvider(Protocol):
         ...
 
 
-def _trigrams(text: str) -> list[str]:
-    padded = _START + text + _END
-    if len(padded) < 3:
-        return [padded]
-    return [padded[i : i + 3] for i in range(len(padded) - 2)]
+# A trigram packs its three code points (each below 2**21) into one int64
+# key; the one gram of an empty text, the 2-character padding, gets -1.
+_POINT_BITS = 21
+_POINT_MASK = (1 << _POINT_BITS) - 1
+_EMPTY_KEY = -1
+
+
+def _gram(key: int) -> str:
+    if key == _EMPTY_KEY:
+        return _START + _END
+    return chr(key >> 2 * _POINT_BITS) + chr(key >> _POINT_BITS & _POINT_MASK) + chr(key & _POINT_MASK)
 
 
 class TrigramHashEmbedder:
@@ -66,11 +76,34 @@ class TrigramHashEmbedder:
             bucket = self._buckets[gram] = int.from_bytes(digest, "big") % self.dim
         return bucket
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
+    def _counts(self, texts: Sequence[str]) -> np.ndarray:
+        """Each text's padded trigrams counted per hash bucket.
+
+        All texts are encoded at once and each distinct gram is hashed once;
+        the counts are small integers, exact in float64.
+        """
+        # Allocated before the temporaries below, so that freeing them can
+        # return their memory rather than leave it stranded under ``out``.
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
-        for row, text in enumerate(texts):
-            for gram in _trigrams(text):
-                out[row, self._bucket(gram)] += 1.0
+        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        padded = _START + (_END + _START).join(texts) + _END
+        points = np.frombuffer(padded.encode("utf-32-le"), dtype="<u4").astype(np.int64)
+        # A text of n characters has n grams; its first starts after the
+        # previous texts' characters and two padding characters each.
+        rows = np.repeat(np.arange(len(texts)), lengths)
+        starts = np.arange(rows.shape[0]) + 2 * rows
+        keys = points[starts] << 2 * _POINT_BITS | points[starts + 1] << _POINT_BITS | points[starts + 2]
+        empty = np.flatnonzero(lengths == 0)
+        rows = np.concatenate([rows, empty])
+        keys = np.concatenate([keys, np.full(empty.shape[0], _EMPTY_KEY, dtype=np.int64)])
+        grams, gram_of = np.unique(keys, return_inverse=True)
+        buckets = np.array([self._bucket(_gram(key)) for key in grams.tolist()], dtype=np.int64)
+        cells, counts = np.unique(rows * self.dim + buckets[gram_of], return_counts=True)
+        out.reshape(-1)[cells] = counts
+        return out
+
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        out = self._counts(texts)
         norms = np.linalg.norm(out, axis=1, keepdims=True)
         np.divide(out, norms, out=out, where=norms > 0)
         return out
@@ -187,15 +220,18 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return max(-1.0, min(1.0, value))
 
 
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """A new array of ``rows`` each scaled to unit length; zero rows stay zero."""
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return np.divide(rows, norms, out=np.zeros_like(rows, dtype=np.float64), where=norms > 0)
+
+
 def pairwise_cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Similarity matrix between row sets: out[i, j] = cos(a[i], b[j])."""
+    """Cosine similarity matrix of unit rows: out[i, j] = a[i] · b[j], clipped to [-1, 1].
+
+    The rows must already be unit length or zero, as ``unit_rows`` returns them.
+    """
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("expected 2-D row matrices")
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
-    na = np.linalg.norm(a, axis=1, keepdims=True)
-    nb = np.linalg.norm(b, axis=1, keepdims=True)
-    an = np.divide(a, na, out=np.zeros_like(a, dtype=np.float64), where=na > 0)
-    bn = np.divide(b, nb, out=np.zeros_like(b, dtype=np.float64), where=nb > 0)
-    sim = an @ bn.T
+    sim = a @ b.T
     return np.clip(sim, -1.0, 1.0, out=sim)

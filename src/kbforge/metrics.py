@@ -19,7 +19,14 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingCache, EmbeddingProvider, TrigramHashEmbedder, embed_batch, pairwise_cosine_similarity
+from .embeddings import (
+    EmbeddingCache,
+    EmbeddingProvider,
+    TrigramHashEmbedder,
+    embed_batch,
+    pairwise_cosine_similarity,
+    unit_rows,
+)
 from .model import RunRecord, StructuralCategory, derive_categories
 
 DEFAULT_TAU = 0.95
@@ -83,7 +90,7 @@ def _as_rows(matrix: np.ndarray, name: str) -> np.ndarray:
 
 
 # Rows per similarity product, which holds at most this many rows times the
-# category's distinct rows; each set's column gather holds one more such block.
+# category's distinct rows, next to the table's one normalised copy.
 _BLOCK_ROWS = 256
 
 
@@ -101,20 +108,33 @@ def _best_into(rows: np.ndarray, sets: Sequence[np.ndarray]) -> np.ndarray:
     Each set lists its members as indices into ``rows``. A row scores exactly
     1.0 in a set that holds it, so equal sets reach the ceiling regardless of
     float noise. Rows held by every set go through no product; the others go
-    against all rows, ``_BLOCK_ROWS`` at a time, and a set's value is the
-    maximum over its members' columns.
+    against all rows, ``_BLOCK_ROWS`` at a time, normalised once for the
+    table. Columns are grouped by membership pattern (which sets hold the
+    column's row): each pattern's maximum is taken once, over its columns,
+    and a set's value is the maximum over the patterns that include it.
+    Besides ``best``, this holds one normalised copy of the rows and one
+    block's product.
+
+    The columns keep their order: BLAS kernels compute a product's last few
+    columns on a separate path, so moving a row there can change its
+    similarities in the last bit.
     """
     held = np.zeros((len(sets), rows.shape[0]), dtype=bool)
     for s, members in enumerate(sets):
         held[s, members] = True
     best = np.zeros(held.shape)
+    patterns, pattern_of = np.unique(held.T, axis=0, return_inverse=True)
+    order = np.argsort(pattern_of, kind="stable")
+    columns = np.split(order, np.flatnonzero(np.diff(pattern_of[order])) + 1)
+    unit = unit_rows(rows)
     todo = np.flatnonzero(~held.all(axis=0))
     for start in range(0, todo.shape[0], _BLOCK_ROWS):
         block = todo[start : start + _BLOCK_ROWS]
-        sim = pairwise_cosine_similarity(rows[block], rows)
-        for s, members in enumerate(sets):
-            if members.shape[0]:
-                best[s, block] = sim[:, members].max(axis=1)
+        sim = pairwise_cosine_similarity(unit[block], unit)
+        per_pattern = np.stack([sim[:, cols].max(axis=1) for cols in columns], axis=1)
+        for s, holds in enumerate(patterns.T):
+            if holds.any():
+                best[s, block] = per_pattern[:, holds].max(axis=1)
     best[held] = 1.0
     return best
 

@@ -25,6 +25,9 @@ BUCKET_NOT_FOUND = "NotFound"
 QUARTILE_BUCKETS = ("Q1", "Q2", "Q3", "Q4")
 BUCKET_NAMES = (BUCKET_NOT_FOUND,) + QUARTILE_BUCKETS
 
+# Uncached labels named in the one offline warning of a call.
+_LOGGED_MISSES = 3
+
 # Public API etiquette: stay under 5 requests/second.
 MAX_REQUESTS_PER_SECOND = 5.0
 
@@ -205,20 +208,28 @@ def resolve_many(
     offline: bool = False,
 ) -> list[PopularityRecord]:
     """Resolve a batch of labels. Offline mode never touches the network:
-    uncached labels come back NotFound (and are not written to the cache)."""
+    uncached labels come back NotFound (and are not written to the cache),
+    reported in one warning per call."""
     records: list[PopularityRecord] = []
+    misses: list[str] = []
     for entity in entities:
         cached = store.get(entity) if store is not None else None
         if cached is not None:
             records.append(cached)
             continue
         if offline:
-            logger.warning("offline: %r not in cache, treating as NotFound", entity)
+            misses.append(entity)
             records.append(PopularityRecord(entity, None, None, utcnow()))
             continue
         if client is None:
             raise ValueError("online resolution requires a client")
         records.append(resolve_popularity(entity, client, store))
+    if misses:
+        logger.warning(
+            "offline: %d labels not in cache, treating as NotFound (first: %s)",
+            len(misses),
+            ", ".join(map(repr, misses[:_LOGGED_MISSES])),
+        )
     return records
 
 

@@ -2,14 +2,19 @@
 
 Everything here is deliberately written in a different style from the
 production code (plain loops, no numpy, stack-based traversal) so that
-agreement between the two routes is meaningful.
+agreement between the two routes is meaningful. The two per-item loops at
+the end keep numpy's arithmetic, because the package must match them bit
+for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
+
+import numpy as np
 
 
 def world_closure(world_path: Path, seed: str):
@@ -130,3 +135,49 @@ def occurrence_counts(runs):
             key = (triple.subject, triple.predicate, triple.object)
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def trigram_embed(texts, dim):
+    """Per-gram loop reference for ``TrigramHashEmbedder.embed``.
+
+    Pads each text with \\x02 and \\x03, adds 1.0 to the blake2b bucket of
+    each of its trigrams (or of the padding alone for an empty text), then
+    scales each row to unit length.
+    """
+    out = np.zeros((len(texts), dim), dtype=np.float64)
+    for row, text in enumerate(texts):
+        padded = "\x02" + text + "\x03"
+        grams = [padded] if len(padded) < 3 else [padded[i : i + 3] for i in range(len(padded) - 2)]
+        for gram in grams:
+            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+            out[row, int.from_bytes(digest, "big") % dim] += 1.0
+    norms = np.linalg.norm(out, axis=1, keepdims=True)
+    np.divide(out, norms, out=out, where=norms > 0)
+    return out
+
+
+def best_into_gathered(rows, sets, block_rows):
+    """Per-set gather reference for ``metrics._best_into``.
+
+    Normalises the rows for every block, multiplies the block's rows that
+    some set lacks against all rows, and takes each set's maximum over its
+    members' columns.
+    """
+    held = np.zeros((len(sets), rows.shape[0]), dtype=bool)
+    for s, members in enumerate(sets):
+        held[s, members] = True
+    best = np.zeros(held.shape)
+    todo = np.flatnonzero(~held.all(axis=0))
+    for start in range(0, todo.shape[0], block_rows):
+        block = todo[start : start + block_rows]
+        a, b = rows[block], rows
+        na = np.linalg.norm(a, axis=1, keepdims=True)
+        nb = np.linalg.norm(b, axis=1, keepdims=True)
+        an = np.divide(a, na, out=np.zeros_like(a, dtype=np.float64), where=na > 0)
+        bn = np.divide(b, nb, out=np.zeros_like(b, dtype=np.float64), where=nb > 0)
+        sim = np.clip(an @ bn.T, -1.0, 1.0)
+        for s, members in enumerate(sets):
+            if members.shape[0]:
+                best[s, block] = sim[:, members].max(axis=1)
+    best[held] = 1.0
+    return best

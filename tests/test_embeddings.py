@@ -12,6 +12,7 @@ from kbforge.embeddings import (
     cosine_similarity,
     embed_batch,
     pairwise_cosine_similarity,
+    unit_rows,
 )
 from kbforge.gateway import GatewayError, Session, TransportError
 
@@ -49,6 +50,25 @@ class TestTrigramEmbedder:
     def test_provider_id_reflects_dim(self):
         assert TrigramHashEmbedder(dim=64).provider_id == "trigram-64"
 
+    @pytest.mark.parametrize("dim", [384, 7])
+    def test_equals_the_per_gram_loop_bit_for_bit(self, dim):
+        texts = [
+            "", "a", "ab", "abc", "\x02", "\x03", "a\x02b", "\x03\x02", "\x02\x03",
+            "𝄞", "a😀", "😀😀😀", "e\u0301", "Nabû-kudurri-uṣur", "Ṭàbu\u0323\u0304",
+            "Marduk", "Marduk", "", "Marduk Temple",
+        ]
+        rng = np.random.default_rng(5)
+        alphabet = list("abcxyz -'é\u0301𝄞😀\x02\x03")
+        texts += ["".join(rng.choice(alphabet, size=rng.integers(0, 24))) for _ in range(3000)]
+        embedder = TrigramHashEmbedder(dim=dim)
+        want = oracles.trigram_embed(texts, dim)
+        assert np.array_equal(embedder.embed(texts), want)
+        # A second call reuses the hashed grams and still agrees.
+        assert np.array_equal(embedder.embed(texts[::-1]), want[::-1])
+
+    def test_no_texts(self):
+        assert TrigramHashEmbedder(dim=8).embed([]).shape == (0, 8)
+
 
 class TestCosine:
     def test_identical_unit_vectors(self):
@@ -73,13 +93,21 @@ class TestCosine:
         rng = np.random.default_rng(11)
         a = rng.normal(size=(4, 6))
         b = rng.normal(size=(3, 6))
-        matrix = pairwise_cosine_similarity(a, b)
+        matrix = pairwise_cosine_similarity(unit_rows(a), unit_rows(b))
         assert matrix.shape == (4, 3)
         for i in range(4):
             for j in range(3):
                 assert matrix[i, j] == pytest.approx(
                     cosine_similarity(a[i], b[j]), abs=1e-12
                 )
+
+    def test_unit_rows_keeps_zero_rows_and_the_input(self):
+        rows = np.array([[3.0, 4.0], [0.0, 0.0], [-2.0, 0.0]])
+        before = rows.copy()
+        unit = unit_rows(rows)
+        np.testing.assert_array_equal(unit, [[0.6, 0.8], [0.0, 0.0], [-1.0, 0.0]])
+        np.testing.assert_array_equal(rows, before)
+        assert not np.shares_memory(unit, rows)
 
     def test_pairwise_rejects_flat_input(self):
         with pytest.raises(ValueError):

@@ -266,6 +266,46 @@ class TestBlockedKernel:
         assert all(rows <= metrics._BLOCK_ROWS for rows, _ in shapes)
 
 
+def _random_table(rng, n, dim):
+    """Rows with zero and duplicate rows, three runs and each run's bucket slices."""
+    rows = rng.normal(size=(n, dim))
+    rows[rng.random(n) < 0.05] = 0.0
+    rows[1] = rows[0]
+    runs = [np.flatnonzero(rng.random(n) < 0.8) for _ in range(3)]
+    runs[0] = np.union1d(runs[0], [0, 1])
+    slices = [
+        np.sort(rng.choice(run, size=rng.integers(0, run.shape[0] // 2 + 1), replace=False))
+        for run in runs
+        for _ in range(3)
+    ]
+    return rows, runs + slices + [np.arange(0)]
+
+
+class TestPatternKernel:
+    @pytest.mark.parametrize("block_rows", [1, 3, 512])
+    def test_equals_the_per_set_gather_bit_for_bit(self, monkeypatch, block_rows):
+        monkeypatch.setattr(metrics, "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(17)
+        for n, dim in [(13, 6), (37, 6), (61, 16), (203, 384), (1030, 24)]:
+            rows, sets = _random_table(rng, n, dim)
+            held = np.zeros((len(sets), n), dtype=bool)
+            for s, members in enumerate(sets):
+                held[s, members] = True
+            assert np.unique(held.T, axis=0).shape[0] > 7
+            want = oracles.best_into_gathered(rows, sets, block_rows)
+            assert np.array_equal(metrics._best_into(rows, sets), want), (n, dim)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 512])
+    def test_all_held_and_empty_sets(self, monkeypatch, block_rows):
+        monkeypatch.setattr(metrics, "_BLOCK_ROWS", block_rows)
+        rows = np.random.default_rng(18).normal(size=(9, 5))
+        rows[4] = 0.0
+        everything, nothing = np.arange(9), np.arange(0)
+        for sets in ([everything, everything], [everything, np.arange(3, 9), nothing], [nothing, nothing]):
+            want = oracles.best_into_gathered(rows, sets, block_rows)
+            assert np.array_equal(metrics._best_into(rows, sets), want)
+
+
 class TestYieldCounts:
     def test_fixture_kb(self):
         counts = yield_counts(_fixture_run())

@@ -220,6 +220,15 @@ class TestResolveAndCache:
         assert store.get("Uncached Thing") is None
         assert any("offline" in m for m in caplog.messages)
 
+    def test_offline_misses_share_one_warning(self, tmp_path, caplog):
+        store = PopularityStore(tmp_path / "popularity.ndjson")
+        store.put(_record("Babylon", 120))
+        with caplog.at_level("WARNING"):
+            records = resolve_many(["Ur", "Babylon", "Uruk", "Lagash"], client=None, store=store, offline=True)
+        assert [r.found for r in records] == [False, True, False, False]
+        assert len(caplog.records) == 1
+        assert "3 labels" in caplog.messages[0] and "'Lagash'" in caplog.messages[0]
+
     def test_online_without_client_is_an_error(self, tmp_path):
         store = PopularityStore(tmp_path / "popularity.ndjson")
         with pytest.raises(ValueError):

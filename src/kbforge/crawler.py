@@ -30,6 +30,7 @@ from .model import (
     Caps,
     DegeneracyEvent,
     KnowledgeBase,
+    LabelTable,
     LayerStats,
     RunConfig,
     RunRecord,
@@ -39,6 +40,7 @@ from .model import (
     normalize_label,
     save_run,
     utcnow,
+    write_atomic,
 )
 
 logger = logging.getLogger(__name__)
@@ -160,7 +162,10 @@ def _crawl(
     events: list[DegeneracyEvent] = []
     per_layer: list[LayerStats] = []
 
-    seed = normalize_label(config.seed_entity)
+    # Each distinct label the crawl meets is one string, however many
+    # triples and layers hold it.
+    labels = LabelTable()
+    seed = labels[normalize_label(config.seed_entity)]
     kinds[seed] = TermKind.NAMED_ENTITY
     # The not-yet-expanded subjects of the current layer, in discovery order.
     layer = 0
@@ -216,7 +221,7 @@ def _crawl(
             # off the requested subject: divergent subjects are overwritten,
             # not dropped.
             for _, p, o in response.triples:
-                p2, o2 = normalize_label(p), normalize_label(o)
+                p2, o2 = labels[normalize_label(p)], labels[normalize_label(o)]
                 if not p2 or not o2:
                     continue
                 pending.append((subject, p2, o2))
@@ -230,21 +235,12 @@ def _crawl(
                 for label in new_labels:
                     kinds[label] = TermKind.LITERAL
             else:
-                for start in range(0, len(new_labels), NER_BATCH):
-                    batch = new_labels[start : start + NER_BATCH]
+                for first in range(0, len(new_labels), NER_BATCH):
+                    batch = new_labels[first : first + NER_BATCH]
                     for label, verdict in zip(batch, classify(batch)):
                         kinds[label] = TermKind.NAMED_ENTITY if verdict else TermKind.LITERAL
 
-        added = kb.add_all(
-            Triple(
-                subject=s,
-                predicate=p,
-                object=o,
-                object_kind=kinds[o],
-                layer=layer,
-            )
-            for s, p, o in pending
-        )
+        added = kb.add_all(Triple(s, p, o, kinds[o], layer) for s, p, o in pending)
 
         next_subjects: list[str] = []
         for label in new_labels:
@@ -361,7 +357,5 @@ def run_suite(
         "started_at": started_at,
         "finished_at": utcnow(),
     }
-    (suite_dir / SUITE_MANIFEST).write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(suite_dir / SUITE_MANIFEST, [json.dumps(manifest, indent=2) + "\n"])
     return [record for record, _ in outcomes]

@@ -41,8 +41,7 @@ class SharedTripleCurve:
 def _occurrences(records: Sequence[RunRecord]) -> Counter:
     counts: Counter = Counter()
     for record in records:
-        for triple in record.kb.triples:
-            counts[triple.key()] += 1
+        counts.update(record.kb.keys())
     return counts
 
 

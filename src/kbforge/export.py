@@ -16,7 +16,15 @@ from pathlib import Path
 from typing import Iterable
 from urllib.parse import quote
 
-from .model import INSTANCE_OF, KnowledgeBase, StructuralCategory, TermKind, Triple, derive_categories
+from .model import (
+    INSTANCE_OF,
+    KnowledgeBase,
+    LabelTable,
+    StructuralCategory,
+    TermKind,
+    Triple,
+    derive_categories,
+)
 
 CSV_HEADER = ["subject", "predicate", "object", "object_kind", "layer"]
 
@@ -65,6 +73,7 @@ def read_csv(path: Path) -> KnowledgeBase:
     round trip is how exports are verified to keep every fact.
     """
     kb = KnowledgeBase()
+    labels = LabelTable()
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -76,9 +85,9 @@ def read_csv(path: Path) -> KnowledgeBase:
             s, p, o, kind, layer = row
             kb.add(
                 Triple(
-                    subject=s,
-                    predicate=p,
-                    object=o,
+                    subject=labels[s],
+                    predicate=labels[p],
+                    object=labels[o],
                     object_kind=TermKind.from_code(kind),
                     layer=int(layer),
                 )
@@ -123,24 +132,16 @@ def to_sql_dump(kb: KnowledgeBase, path: Path) -> Path:
     return path
 
 
+# Turtle string escapes: the short forms where Turtle has one, \uXXXX for
+# the other control characters below U+0020, and every other character as is.
+_TURTLE_ESCAPES = {code: f"\\u{code:04X}" for code in range(0x20)}
+_TURTLE_ESCAPES.update(
+    {ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"}
+)
+
+
 def _turtle_literal(value: str) -> str:
-    out = []
-    for ch in value:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
+    return '"' + value.translate(_TURTLE_ESCAPES) + '"'
 
 
 def to_turtle(kb: KnowledgeBase, policy: IriPolicy, path: Path) -> Path:

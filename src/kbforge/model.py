@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 import re
 import threading
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional
 
 # Separator used when a whole triple is flattened to a single set element.
 # U+241F (symbol for unit separator) never occurs in natural labels, so the
@@ -85,9 +86,6 @@ class Triple:
     def key(self) -> tuple[str, str, str]:
         return (self.subject, self.predicate, self.object)
 
-    def flat(self) -> str:
-        return TRIPLE_SEP.join(self.key())
-
 
 def make_triple(
     subject: str,
@@ -104,6 +102,22 @@ def make_triple(
         object_kind=object_kind,
         layer=layer,
     )
+
+
+class LabelTable(dict):
+    """Looks each label up as the first equal string it was given.
+
+    Where triples are built from outside text (a response, a file), every
+    label is a fresh string; looking labels up here makes equal ones share
+    one object. A table lives for one crawl or one file read and its strings
+    are freed with the triples that hold them. ``sys.intern`` would share
+    across runs too, but CPython 3.12 keeps interned strings until the
+    process exits.
+    """
+
+    def __missing__(self, label: str) -> str:
+        self[label] = label
+        return label
 
 
 class KnowledgeBase:
@@ -136,15 +150,28 @@ class KnowledgeBase:
 
         Returns True when the triple was actually added.
         """
-        key = triple.key()
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        self.triples.append(triple)
-        return True
+        return self.add_all((triple,)) == 1
 
     def add_all(self, triples: Iterable[Triple]) -> int:
-        return sum(1 for t in triples if self.add(t))
+        """Insert, in order, each triple whose (s, p, o) is not yet present.
+
+        Returns how many were added.
+        """
+        keys, append = self._keys, self.triples.append
+        before = len(keys)
+        for t in triples:
+            key = t.key()
+            if key not in keys:
+                keys.add(key)
+                append(t)
+        return len(keys) - before
+
+    def keys(self) -> AbstractSet[tuple[str, str, str]]:
+        """The distinct (s, p, o) keys, in no order.
+
+        This is the KB's own set, not a copy: callers must not change it.
+        """
+        return self._keys
 
     def subjects(self) -> set[str]:
         return {t.subject for t in self.triples}
@@ -162,7 +189,6 @@ def derive_categories(kb: KnowledgeBase) -> dict[StructuralCategory, set[str]]:
     literals: set[str] = set()
     predicates: set[str] = set()
     classes: set[str] = set()
-    flat: set[str] = set()
     for t in kb.triples:
         named.add(t.subject)
         predicates.add(t.predicate)
@@ -172,13 +198,12 @@ def derive_categories(kb: KnowledgeBase) -> dict[StructuralCategory, set[str]]:
             literals.add(t.object)
         if t.predicate == INSTANCE_OF:
             classes.add(t.object)
-        flat.add(t.flat())
     return {
         StructuralCategory.NAMED_ENTITIES: named,
         StructuralCategory.LITERALS: literals,
         StructuralCategory.PREDICATES: predicates,
         StructuralCategory.CLASSES: classes,
-        StructuralCategory.TRIPLES: flat,
+        StructuralCategory.TRIPLES: {TRIPLE_SEP.join(key) for key in kb.keys()},
     }
 
 
@@ -366,26 +391,48 @@ class NdjsonStore:
                 fh.writelines(map(_ndjson_line, entries))
 
 
+def write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` as UTF-8 to a temporary sibling, then rename it to ``path``.
+
+    A reader sees the old file or the whole new one, never part of one: a
+    write that raises removes the sibling and leaves ``path`` as it was.
+    Nothing is fsynced, so this survives a killed process, not a lost machine.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_triples(path: Path, triples: Iterable[Triple]) -> None:
     """Write one JSON object per triple, the layout ``load_triples`` reads.
 
     Each line equals ``_ndjson_line`` of a dict keyed s, p, o, o_kind, layer
     in that order: the labels go through the string encoder of ``json.dumps``.
     """
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.writelines(
+    write_atomic(
+        path,
+        (
             f'{{"s": {encode_basestring(t.subject)}, "p": {encode_basestring(t.predicate)}, '
             f'"o": {encode_basestring(t.object)}, "o_kind": "{t.object_kind.value}", '
             f'"layer": {t.layer}}}\n'
             for t in triples
-        )
+        ),
+    )
 
 
 def save_run(record: RunRecord, run_dir: Path) -> None:
     """Persist a run as manifest.json plus one JSON object per triple.
 
     Timestamps live only in the manifest so the triples file stays stable
-    across reruns of a deterministic backend.
+    across reruns of a deterministic backend. Each file is replaced whole,
+    the triples first, so a manifest written by this call follows a complete
+    triples file.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -407,16 +454,21 @@ def save_run(record: RunRecord, run_dir: Path) -> None:
         "started_at": record.started_at,
         "finished_at": record.finished_at,
     }
-    (run_dir / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
     write_triples(run_dir / TRIPLES_NAME, record.kb.triples)
+    write_atomic(run_dir / MANIFEST_NAME, [json.dumps(manifest, indent=2, ensure_ascii=False) + "\n"])
 
 
 def load_triples(path: Path) -> list[Triple]:
-    kind = TermKind.from_code
+    """The triples of a ``write_triples`` file, in file order.
+
+    Equal labels within the file share one string (see ``LabelTable``).
+    """
+    kind, labels = TermKind.from_code, LabelTable()
     return [
-        Triple(obj["s"], obj["p"], obj["o"], kind(obj["o_kind"]), int(obj["layer"]))
+        Triple(
+            labels[obj["s"]], labels[obj["p"]], labels[obj["o"]],
+            kind(obj["o_kind"]), int(obj["layer"]),
+        )
         for obj in read_ndjson(path)
     ]
 

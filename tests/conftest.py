@@ -72,6 +72,17 @@ def fixture_kb() -> KnowledgeBase:
     return build_fixture_kb()
 
 
+def label_objects(kbs) -> dict[str, set[int]]:
+    """Each label held by the KBs' triples -> the ids of the string objects
+    that hold it; one id per label when equal labels share one string."""
+    objects: dict[str, set[int]] = {}
+    for kb in kbs:
+        for t in kb.triples:
+            for label in t.key():
+                objects.setdefault(label, set()).add(id(label))
+    return objects
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not acceptance_log.RESULTS:
         return

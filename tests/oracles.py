@@ -2,9 +2,10 @@
 
 Everything here is deliberately written in a different style from the
 production code (plain loops, no numpy, stack-based traversal) so that
-agreement between the two routes is meaningful. The two per-item loops at
-the end keep numpy's arithmetic, because the package must match them bit
-for bit.
+agreement between the two routes is meaningful. The two per-item loops
+``trigram_embed`` and ``best_into_gathered`` keep numpy's arithmetic,
+because the package must match them bit for bit. The last function is
+the per-character loop that ``export._turtle_literal`` must equal exactly.
 """
 
 from __future__ import annotations
@@ -181,3 +182,24 @@ def best_into_gathered(rows, sets, block_rows):
                 best[s, block] = sim[:, members].max(axis=1)
     best[held] = 1.0
     return best
+
+
+def turtle_literal_loop(value: str) -> str:
+    """The per-character loop ``export._turtle_literal`` must equal."""
+    out = []
+    for ch in value:
+        if ch == "\\":
+            out.append("\\\\")
+        elif ch == '"':
+            out.append('\\"')
+        elif ch == "\n":
+            out.append("\\n")
+        elif ch == "\r":
+            out.append("\\r")
+        elif ch == "\t":
+            out.append("\\t")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return '"' + "".join(out) + '"'

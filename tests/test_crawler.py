@@ -37,6 +37,7 @@ from kbforge.model import (
     save_run,
 )
 
+from conftest import label_objects
 from fixture_server import LocalServer, chat_ok, scripted_chat_responder
 from oracles import world_closure
 
@@ -144,6 +145,10 @@ class TestFixtureCrawl:
         expected_entities, _ = world_closure(babylon_world_path, "Hammurabi")
         assert record.kb.visited_subjects == expected_entities
 
+    def test_equal_labels_are_one_string(self, babylon_config, babylon_gateway):
+        objects = label_objects([crawl(babylon_config, babylon_gateway).kb])
+        assert {label: len(ids) for label, ids in objects.items() if len(ids) > 1} == {}
+
     def test_rerun_is_deterministic(self, babylon_config, babylon_gateway, tmp_path):
         first = crawl(babylon_config, babylon_gateway, run_id="r")
         second = crawl(babylon_config, babylon_gateway, run_id="r")
@@ -214,6 +219,18 @@ class TestCaps:
         record = crawl(config, babylon_gateway)
         assert record.termination is Termination.CAPPED_TRIPLES
         assert len(record.kb) == 5
+
+    def test_wall_seconds_is_the_clock_elapsed(self, babylon_config, babylon_world_path):
+        readings = []
+
+        def clock():
+            readings.append(1000.0 + 0.5 * len(readings))
+            return readings[-1]
+
+        spy = _NerSpy(babylon_world_path)
+        record = crawl(babylon_config, spy, clock=clock)
+        assert spy.batches
+        assert record.wall_seconds == readings[-1] - readings[0]
 
     def test_time_cap_at_layer_boundary(self, babylon_gateway):
         clock = _Clock()

@@ -6,6 +6,7 @@ import pytest
 from kbforge.export import (
     EXPORTERS,
     IriPolicy,
+    _turtle_literal,
     export_kb,
     read_csv,
     to_csv,
@@ -15,6 +16,7 @@ from kbforge.export import (
 )
 from kbforge.model import KnowledgeBase, TermKind, Triple, make_triple
 
+from oracles import turtle_literal_loop
 from turtle_check import A_PREDICATE, TurtleSyntaxError, parse_turtle
 
 NE = TermKind.NAMED_ENTITY
@@ -145,6 +147,12 @@ class TestTurtle:
         literals = {value for _, _, (kind, value) in statements if kind == "lit"}
         assert 'Ur, "the old" city' in literals
         assert "line one\nline two" in literals
+
+    def test_literal_escapes_equal_the_character_loop(self):
+        ascii_chars = [chr(code) for code in range(0x80)]
+        texts = ascii_chars + ["".join(ascii_chars), "", "Nabû\u2028巴比伦\x85\U0001F3DB\"\\\n", "\u00a0\ufeff"]
+        for text in texts:
+            assert _turtle_literal(text) == turtle_literal_loop(text), repr(text)
 
     def test_empty_kb_writes_empty_file(self, tmp_path):
         path = to_turtle(KnowledgeBase(), IriPolicy(), tmp_path / "kb.ttl")

@@ -1,10 +1,13 @@
+import gc
 import json
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
+from kbforge import model
 from kbforge.model import (
     Caps,
     KnowledgeBase,
@@ -21,11 +24,12 @@ from kbforge.model import (
     read_ndjson,
     run_failed,
     save_run,
+    write_atomic,
     write_triples,
 )
 from kbforge.model import RunRecord, Termination
 
-from conftest import build_fixture_kb
+from conftest import build_fixture_kb, label_objects
 
 
 class TestNormalizeLabel:
@@ -55,8 +59,9 @@ class TestTriple:
         assert t.key() == ("Hammurabi", "ruled Over", "Babylon")
 
     def test_flat_uses_unit_separator(self):
-        t = make_triple("s", "p", "o", TermKind.LITERAL, 0)
-        assert t.flat() == "s␟p␟o"
+        kb = KnowledgeBase()
+        kb.add(make_triple("s", "p", "o", TermKind.LITERAL, 0))
+        assert derive_categories(kb)[StructuralCategory.TRIPLES] == {"s␟p␟o"}
 
     def test_kind_codes_round_trip(self):
         assert TermKind.from_code("ne") is TermKind.NAMED_ENTITY
@@ -178,6 +183,101 @@ class TestPersistence:
         save_run(self._record(fixture_kb), tmp_path / "run")
         triples = load_triples(tmp_path / "run" / "triples.ndjson")
         assert [t.key() for t in triples] == [t.key() for t in fixture_kb.triples]
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        def chunks():
+            yield "first line\n"
+            raise RuntimeError("write failed")
+
+        path = tmp_path / "out.txt"
+        with pytest.raises(RuntimeError):
+            write_atomic(path, chunks())
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            write_atomic(path, chunks())
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text(encoding="utf-8") == "old\n"
+
+    def test_save_that_fails_midway_keeps_the_previous_run(self, tmp_path, fixture_kb, monkeypatch):
+        record = self._record(fixture_kb)
+        run_dir = tmp_path / "run"
+        save_run(record, run_dir)
+        saved = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        # Encoding the last label fails, after every other line is written.
+        labels_left = [3 * len(fixture_kb)]
+
+        def encode(label):
+            labels_left[0] -= 1
+            if not labels_left[0]:
+                raise OSError("disk full")
+            return model.encode_basestring(label)
+
+        monkeypatch.setattr(model, "encode_basestring", encode)
+        with pytest.raises(OSError):
+            save_run(record, tmp_path / "fresh")
+        assert labels_left == [0]
+        assert list((tmp_path / "fresh").iterdir()) == []
+        labels_left[0] = 3 * len(fixture_kb)
+        with pytest.raises(OSError):
+            save_run(record, run_dir)
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == saved
+
+    def test_loaded_run_shares_equal_labels(self, tmp_path, fixture_kb):
+        save_run(self._record(fixture_kb), tmp_path / "run")
+        objects = label_objects([load_run(tmp_path / "run").kb])
+        assert {label: len(ids) for label, ids in objects.items() if len(ids) > 1} == {}
+
+    def test_loaded_labels_are_freed_with_the_run(self, tmp_path):
+        # Long labels, so that ~2 MB is held while the run is loaded.
+        kb = KnowledgeBase()
+        for i in range(400):
+            subject, obj = f"subject {i} " + "s" * 2000, f"object {i} " + "o" * 2000
+            kb.add(Triple(subject, "p", obj, TermKind.LITERAL, 0))
+        save_run(self._record(kb), tmp_path / "run")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_run(tmp_path / "run")
+            held = tracemalloc.get_traced_memory()[0] - before
+            label = loaded.kb.triples[0].subject
+            # Not interned: CPython 3.12 never frees an interned string.
+            assert sys.intern("".join(label)) is not label
+            del loaded, label
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held > 1_500_000
+        assert left < 50_000
+
+    def test_loaded_run_costs_under_300_bytes_per_triple(self, tmp_path):
+        # 5.5k triples over 600 entities, 30 predicates and 1,500 literals;
+        # unshared labels cost ~450 B per triple here.
+        rng = random.Random(5)
+        entities = [f"Entity {rng.randrange(10**6)} of Babylon" for _ in range(600)]
+        predicates = [f"predicate{i}" for i in range(30)]
+        literals = [f"literal value {i}" for i in range(1500)]
+        kb = KnowledgeBase()
+        while len(kb) < 5500:
+            named = rng.random() < 0.5
+            kb.add(Triple(
+                rng.choice(entities), rng.choice(predicates),
+                rng.choice(entities if named else literals),
+                TermKind.NAMED_ENTITY if named else TermKind.LITERAL, rng.randrange(5),
+            ))
+        save_run(self._record(kb), tmp_path / "run")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_run(tmp_path / "run")
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(loaded.kb) == 5500
+        assert used / len(loaded.kb) < 300
 
     def test_run_failed_marker(self, tmp_path):
         assert run_failed(tmp_path) is None

@@ -39,9 +39,10 @@ class SharedTripleCurve:
 
 
 def _occurrences(records: Sequence[RunRecord]) -> Counter:
+    # Counted as (s, p, o) tuples, which hash in C; a Triple's hash is Python code.
     counts: Counter = Counter()
     for record in records:
-        counts.update(record.kb.keys())
+        counts.update(t.key() for t in record.kb.triples)
     return counts
 
 

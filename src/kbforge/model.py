@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 from enum import Enum
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import AbstractSet, Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 # Separator used when a whole triple is flattened to a single set element.
 # U+241F (symbol for unit separator) never occurs in natural labels, so the
@@ -68,20 +68,29 @@ class StructuralCategory(Enum):
 class Triple:
     """One (subject, predicate, object) fact and the crawl layer that found it.
 
-    Slotted, without a ``__dict__``: a run holds tens of thousands of them.
+    A triple is the fact it states: equality and hash cover (s, p, o) alone,
+    so two triples that differ only in ``object_kind`` or ``layer`` are equal
+    and a set or dict of triples is its own deduplication index. ``repr``
+    still shows all five fields. Slotted, without a ``__dict__``: a run holds
+    up to millions of them.
     """
 
     subject: str
     predicate: str
     object: str
-    object_kind: TermKind
-    layer: int
+    object_kind: TermKind = field(compare=False)
+    layer: int = field(compare=False)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.subject, str) and isinstance(self.predicate, str)
+                and isinstance(self.object, str)):
+            raise ValueError(f"labels must be strings: {self!r}")
         if not self.subject or not self.predicate:
             raise ValueError("subject and predicate must be non-empty")
-        if self.layer < 0:
-            raise ValueError("layer must be non-negative")
+        if not isinstance(self.object_kind, TermKind):
+            raise ValueError(f"object_kind must be a TermKind, not {self.object_kind!r}")
+        if type(self.layer) is not int or self.layer < 0:
+            raise ValueError(f"layer must be a non-negative int, not {self.layer!r}")
 
     def key(self) -> tuple[str, str, str]:
         return (self.subject, self.predicate, self.object)
@@ -123,6 +132,11 @@ class LabelTable(dict):
 class KnowledgeBase:
     """A run's accumulated facts, deduplicated on normalized (s, p, o).
 
+    ``triples`` lists each fact once, in the order it was first added; a
+    later duplicate is dropped, so the first copy keeps its kind and layer.
+    The deduplication index holds the same ``Triple`` objects as keys (a
+    triple's equality is its (s, p, o)), not a second copy of each key.
+
     Mutation is single-writer: the crawl that owns the KB commits one layer
     at a time from the thread that runs it, never from its request workers.
     Reads and category derivation are safe once a layer has been committed.
@@ -131,13 +145,19 @@ class KnowledgeBase:
     def __init__(self) -> None:
         self.triples: list[Triple] = []
         self.visited_subjects: set[str] = set()
-        self._keys: set[tuple[str, str, str]] = set()
+        # A dict, not a set: its compact entry array costs less per triple
+        # than a set's table, which grows 4x at a time.
+        self._index: dict[Triple, None] = {}
 
     def __len__(self) -> int:
         return len(self.triples)
 
     def __contains__(self, key: tuple[str, str, str]) -> bool:
-        return key in self._keys
+        try:
+            probe = Triple(*key, TermKind.LITERAL, 0)
+        except ValueError:  # not a valid fact, so not one the KB holds
+            return False
+        return probe in self._index
 
     @property
     def layer_count(self) -> int:
@@ -157,21 +177,16 @@ class KnowledgeBase:
 
         Returns how many were added.
         """
-        keys, append = self._keys, self.triples.append
-        before = len(keys)
+        # One hash per triple: storing an equal key keeps the first one, so
+        # the index grows only when the fact is new.
+        index, append = self._index, self.triples.append
+        before = size = len(index)
         for t in triples:
-            key = t.key()
-            if key not in keys:
-                keys.add(key)
+            index[t] = None
+            if len(index) > size:
+                size += 1
                 append(t)
-        return len(keys) - before
-
-    def keys(self) -> AbstractSet[tuple[str, str, str]]:
-        """The distinct (s, p, o) keys, in no order.
-
-        This is the KB's own set, not a copy: callers must not change it.
-        """
-        return self._keys
+        return size - before
 
     def subjects(self) -> set[str]:
         return {t.subject for t in self.triples}
@@ -203,7 +218,7 @@ def derive_categories(kb: KnowledgeBase) -> dict[StructuralCategory, set[str]]:
         StructuralCategory.LITERALS: literals,
         StructuralCategory.PREDICATES: predicates,
         StructuralCategory.CLASSES: classes,
-        StructuralCategory.TRIPLES: {TRIPLE_SEP.join(key) for key in kb.keys()},
+        StructuralCategory.TRIPLES: {TRIPLE_SEP.join(t.key()) for t in kb.triples},
     }
 
 
@@ -467,7 +482,7 @@ def load_triples(path: Path) -> list[Triple]:
     return [
         Triple(
             labels[obj["s"]], labels[obj["p"]], labels[obj["o"]],
-            kind(obj["o_kind"]), int(obj["layer"]),
+            kind(obj["o_kind"]), obj["layer"],
         )
         for obj in read_ndjson(path)
     ]

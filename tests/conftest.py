@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,24 @@ def build_fixture_kb() -> KnowledgeBase:
 @pytest.fixture
 def fixture_kb() -> KnowledgeBase:
     return build_fixture_kb()
+
+
+def synthetic_kb(size: int, seed: int = 5) -> KnowledgeBase:
+    """A KB of ``size`` distinct random facts over 600 entities, 30
+    predicates and 1,500 literals; half the objects are entities."""
+    rng = random.Random(seed)
+    entities = [f"Entity {rng.randrange(10**6)} of Babylon" for _ in range(600)]
+    predicates = [f"predicate{i}" for i in range(30)]
+    literals = [f"literal value {i}" for i in range(1500)]
+    kb = KnowledgeBase()
+    while len(kb) < size:
+        named = rng.random() < 0.5
+        kb.add(Triple(
+            rng.choice(entities), rng.choice(predicates),
+            rng.choice(entities if named else literals),
+            TermKind.NAMED_ENTITY if named else TermKind.LITERAL, rng.randrange(5),
+        ))
+    return kb
 
 
 def label_objects(kbs) -> dict[str, set[int]]:

@@ -670,6 +670,20 @@ class TestCompareCommand:
         code, _, err = _invoke(capsys, "compare", str(suite_dir), "--offline")
         _assert_one_error_line(code, err, suite_dir / "run-001")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("s", 5), ("o", None), ("layer", 3.7), ("layer", True), ("o_kind", "x")],
+    )
+    def test_damaged_triple_line_is_one_error_line(self, suite_dir, capsys, field, value):
+        triples = suite_dir / "run-001" / "triples.ndjson"
+        lines = triples.read_text(encoding="utf-8").splitlines(keepends=True)
+        damaged = json.loads(lines[-1])
+        damaged[field] = value
+        triples.write_text("".join(lines[:-1]) + json.dumps(damaged) + "\n", encoding="utf-8")
+        code, _, err = _invoke(capsys, "compare", str(suite_dir), "--offline")
+        _assert_one_error_line(code, err, suite_dir / "run-001")
+        assert not (suite_dir / "report").exists()
+
 
 class TestEnsembleCommand:
     def test_fixed_k_equals_union_for_identical_runs(self, suite_dir, capsys):

@@ -16,6 +16,7 @@ from kbforge.ensemble import (
 from kbforge.model import KnowledgeBase, TermKind, make_triple
 
 import oracles
+from conftest import FIXTURE_ROWS
 
 
 def curve_from_counts(counts):
@@ -76,6 +77,17 @@ class TestSharedTripleCurve:
     def test_hand_counted_curve(self):
         curve = shared_triple_curve(_three_overlapping_runs())
         assert curve.points == [(1, 4), (2, 2), (3, 1)]
+
+    def test_fixture_curve_counts_facts_not_kinds_or_layers(self):
+        # Run b restates its first fact with another kind and layer, and
+        # changes the kind and layer of the rows it shares with a.
+        a = _run("a", FIXTURE_ROWS)
+        relabelled = [(s, p, o, LIT if kind is NE else NE, layer + 1) for s, p, o, kind, layer in FIXTURE_ROWS]
+        b = _run("b", FIXTURE_ROWS[:8] + relabelled[:1])
+        c = _run("c", relabelled[6:])
+        assert len(b.kb) == 8
+        assert shared_triple_curve([a, b, c]).points == [(1, 12), (2, 12), (3, 2)]
+        assert shared_triples_at_k([a, b, c], 3) == {row[:3] for row in FIXTURE_ROWS[6:8]}
 
     def test_counts_never_increase_with_k(self):
         rng = random.Random(99)

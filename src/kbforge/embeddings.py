@@ -6,9 +6,10 @@ embedder speaking the OpenAI embeddings wire format. A cache, in memory
 or backed by a newline-delimited JSON file, keeps repeat comparisons from
 re-embedding unchanged rows.
 
-Cosine similarity comes in two steps: ``unit_rows`` scales rows to unit
-length, and ``pairwise_cosine_similarity`` multiplies unit rows, so a
-caller comparing one table block by block normalises it once.
+Cosine similarity comes in two steps: ``normalise_rows`` scales rows to
+unit length in place (``unit_rows`` into a new array), and
+``pairwise_cosine_similarity`` multiplies unit rows, so a caller comparing
+one table block by block normalises it once.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ EMBED_DIM = 384
 
 # Texts per embeddings request.
 EMBED_BATCH = 256
+
+# Rows per norm: ``np.linalg.norm`` makes a temporary the size of its input.
+_NORM_ROWS = 256
 
 # Sentinels mark label boundaries so "abc" and "xabcx" share fewer grams.
 _START = "\x02"
@@ -103,10 +107,7 @@ class TrigramHashEmbedder:
         return out
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        out = self._counts(texts)
-        norms = np.linalg.norm(out, axis=1, keepdims=True)
-        np.divide(out, norms, out=out, where=norms > 0)
-        return out
+        return normalise_rows(self._counts(texts))
 
 
 class RemoteEmbedder:
@@ -140,6 +141,9 @@ class RemoteEmbedder:
             )
             try:
                 rows = sorted(resp.json()["data"], key=lambda item: item["index"])
+                indices = [row["index"] for row in rows]
+                if indices != list(range(len(batch))):
+                    raise ValueError(f"indices {indices} for {len(batch)} texts")
                 return [row["embedding"] for row in rows]
             except (ValueError, KeyError, TypeError) as exc:
                 raise TransportError(f"unexpected embeddings body: {exc!r}") from exc
@@ -181,33 +185,55 @@ class EmbeddingCache:
             )
 
 
+def _provided(provider: EmbeddingProvider, texts: Sequence[str], width: Optional[int]) -> np.ndarray:
+    """The provider's float64 rows for ``texts``: one per text, ``width`` wide if given."""
+    rows = np.asarray(provider.embed(texts), dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] != len(texts) or width not in (None, rows.shape[1]):
+        wanted = f"{len(texts)} rows" + ("" if width is None else f" of width {width}")
+        raise ValueError(
+            f"embedding provider {provider.provider_id!r} returned shape {rows.shape} for {wanted}"
+        )
+    return rows
+
+
 def embed_batch(
     texts: Sequence[str],
     provider: EmbeddingProvider,
     cache: Optional[EmbeddingCache] = None,
 ) -> np.ndarray:
-    """Embed texts through the cache; only misses reach the provider."""
+    """Embed texts through the cache; only misses reach the provider.
+
+    Without a cache, or when every text is a distinct miss (a table's
+    sorted union against a cold cache), the result is the provider's own
+    matrix, and the cache holds its rows as views. Otherwise it is a new
+    matrix stacked from the cache. Either way the caller only reads it.
+    A provider's rows must match the width of the texts' cached vectors.
+    """
     if not texts:
         dim = getattr(provider, "dim", EMBED_DIM)
         return np.zeros((0, dim), dtype=np.float64)
     if cache is None:
-        return provider.embed(texts)
+        return _provided(provider, texts, None)
 
+    provider_id = provider.provider_id
     misses: list[str] = []
     seen: set[str] = set()
+    width: Optional[int] = None
     for text in texts:
         if text in seen:
             continue
         seen.add(text)
-        if cache.get(provider.provider_id, text) is None:
+        vector = cache.get(provider_id, text)
+        if vector is None:
             misses.append(text)
+        elif width is None:
+            width = vector.shape[0]
     if misses:
-        fresh = provider.embed(misses)
-        cache.put_many(provider.provider_id, zip(misses, fresh))
-
-    rows = [cache.get(provider.provider_id, text) for text in texts]
-    assert all(row is not None for row in rows)
-    return np.vstack(rows)
+        fresh = _provided(provider, misses, width)
+        cache.put_many(provider_id, zip(misses, fresh))
+        if len(misses) == len(texts):
+            return fresh
+    return np.vstack([cache.get(provider_id, text) for text in texts])
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -220,16 +246,30 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return max(-1.0, min(1.0, value))
 
 
+def normalise_rows(rows: np.ndarray) -> np.ndarray:
+    """Scale each row of the float64 matrix ``rows`` to unit length in place.
+
+    Rows of norm zero become zero. Returns ``rows``. The norms are taken
+    ``_NORM_ROWS`` rows at a time; a row's norm does not depend on the
+    others, so the bits are those of one norm over the whole matrix.
+    """
+    for start in range(0, rows.shape[0], _NORM_ROWS):
+        block = rows[start : start + _NORM_ROWS]
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        np.divide(block, norms, out=block, where=norms > 0)
+        block[~(norms[:, 0] > 0)] = 0.0
+    return rows
+
+
 def unit_rows(rows: np.ndarray) -> np.ndarray:
     """A new array of ``rows`` each scaled to unit length; zero rows stay zero."""
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    return np.divide(rows, norms, out=np.zeros_like(rows, dtype=np.float64), where=norms > 0)
+    return normalise_rows(np.array(rows, dtype=np.float64))
 
 
 def pairwise_cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine similarity matrix of unit rows: out[i, j] = a[i] · b[j], clipped to [-1, 1].
 
-    The rows must already be unit length or zero, as ``unit_rows`` returns them.
+    The rows must already be unit length or zero, as ``normalise_rows`` leaves them.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("expected 2-D row matrices")

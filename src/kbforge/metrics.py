@@ -24,8 +24,8 @@ from .embeddings import (
     EmbeddingProvider,
     TrigramHashEmbedder,
     embed_batch,
+    normalise_rows,
     pairwise_cosine_similarity,
-    unit_rows,
 )
 from .model import RunRecord, StructuralCategory, derive_categories
 
@@ -90,48 +90,69 @@ def _as_rows(matrix: np.ndarray, name: str) -> np.ndarray:
 
 
 # Rows per similarity product, which holds at most this many rows times the
-# category's distinct rows, next to the table's one normalised copy.
+# category's distinct rows, next to the table's one normalised copy; and rows
+# per neighbour comparison in ``_distinct``.
 _BLOCK_ROWS = 256
 
 
-def _distinct(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The byte-distinct rows of ``vectors``, and each row's index among them."""
+def _distinct(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The byte-distinct rows of ``vectors``: ``(rows, first, inverse)``.
+
+    ``rows`` is ``vectors[first]``, a new array the caller owns, and
+    ``inverse`` maps each row of ``vectors`` to its index in ``rows``.
+    ``vectors`` is only read. All three equal what ``np.unique`` returns for
+    the rows' bytes as void keys with ``return_index`` and ``return_inverse``:
+    this is its algorithm, a stable sort and a comparison of sorted
+    neighbours, run on indices so that it copies no more of ``vectors`` than
+    ``rows`` and one block of neighbours. Bytes, not values, are compared,
+    so ``0.0`` and ``-0.0`` are distinct.
+    """
     vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     keys = vectors.view(np.dtype((np.void, 8 * vectors.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return vectors[first], inverse.ravel()
+    order = keys.argsort(kind="mergesort")
+    starts = np.empty(keys.shape[0], dtype=bool)
+    starts[:1] = True
+    for start in range(1, keys.shape[0], _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, keys.shape[0])
+        starts[start:stop] = keys[order[start:stop]] != keys[order[start - 1 : stop - 1]]
+    first = order[starts]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    return vectors[first], first, inverse
 
 
-def _best_into(rows: np.ndarray, sets: Sequence[np.ndarray]) -> np.ndarray:
+def _best_into(unit: np.ndarray, sets: Sequence[np.ndarray]) -> np.ndarray:
     """``best[s, r]``: distinct row ``r``'s best cosine similarity into set ``s``.
 
-    Each set lists its members as indices into ``rows``. A row scores exactly
-    1.0 in a set that holds it, so equal sets reach the ceiling regardless of
-    float noise. Rows held by every set go through no product; the others go
-    against all rows, ``_BLOCK_ROWS`` at a time, normalised once for the
-    table. Columns are grouped by membership pattern (which sets hold the
-    column's row): each pattern's maximum is taken once, over its columns,
-    and a set's value is the maximum over the patterns that include it.
-    Besides ``best``, this holds one normalised copy of the rows and one
-    block's product.
+    ``unit`` holds the distinct rows scaled to unit length, as
+    ``normalise_rows`` leaves them; it is only read. Each set lists its
+    members as indices into ``unit``. A row scores exactly 1.0 in a set that
+    holds it, so equal sets reach the ceiling regardless of float noise.
+    Rows held by every set go through no product; the others go against
+    all rows, ``_BLOCK_ROWS`` at a time. Columns are grouped by membership
+    pattern (which sets hold the column's row): each pattern's maximum is
+    taken once, over its columns, and a set's value is the maximum over the
+    patterns that include it. Besides the new ``best``, this holds one
+    block's product and one pattern's gather from it at a time.
 
     The columns keep their order: BLAS kernels compute a product's last few
     columns on a separate path, so moving a row there can change its
     similarities in the last bit.
     """
-    held = np.zeros((len(sets), rows.shape[0]), dtype=bool)
+    held = np.zeros((len(sets), unit.shape[0]), dtype=bool)
     for s, members in enumerate(sets):
         held[s, members] = True
     best = np.zeros(held.shape)
     patterns, pattern_of = np.unique(held.T, axis=0, return_inverse=True)
     order = np.argsort(pattern_of, kind="stable")
     columns = np.split(order, np.flatnonzero(np.diff(pattern_of[order])) + 1)
-    unit = unit_rows(rows)
     todo = np.flatnonzero(~held.all(axis=0))
     for start in range(0, todo.shape[0], _BLOCK_ROWS):
         block = todo[start : start + _BLOCK_ROWS]
         sim = pairwise_cosine_similarity(unit[block], unit)
         per_pattern = np.stack([sim[:, cols].max(axis=1) for cols in columns], axis=1)
+        # Freed here, or the next block's product would be allocated beside it.
+        del sim
         for s, holds in enumerate(patterns.T):
             if holds.any():
                 best[s, block] = per_pattern[:, holds].max(axis=1)
@@ -145,9 +166,9 @@ def _best_matches(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     b = _as_rows(b, "B")
     if a.shape[1] != b.shape[1]:
         raise ValueError("matrices must share one embedding dimension")
-    rows, inverse = _distinct(np.vstack([a, b]))
+    rows, _, inverse = _distinct(np.vstack([a, b]))
     members = [inverse[: a.shape[0]], inverse[a.shape[0] :]]
-    best = _best_into(rows, members)
+    best = _best_into(normalise_rows(rows), members)
     return best[1, members[0]], best[0, members[1]]
 
 
@@ -272,12 +293,16 @@ class _Table(NamedTuple):
 
 
 def _table(sets: list[set[str]], provider: EmbeddingProvider, cache) -> _Table:
-    """Embed every distinct label of the sets once and fill one best-match table."""
+    """Embed every distinct label of the sets once and fill one best-match table.
+
+    The provider's rows (which the cache may keep) are only read; the table
+    normalises its own copy of the distinct rows in place.
+    """
     union = sorted(set().union(*sets))
-    rows, inverse = _distinct(embed_batch(union, provider, cache))
+    rows, _, inverse = _distinct(embed_batch(union, provider, cache))
     row_of = dict(zip(union, inverse.tolist()))
     members = [np.array([row_of[label] for label in sorted(s)], dtype=np.intp) for s in sets]
-    return _Table(sets, members, _best_into(rows, members))
+    return _Table(sets, members, _best_into(normalise_rows(rows), members))
 
 
 def _cells(table: _Table, i: int, j: int, tau: float, flags: set[str]) -> dict[str, float]:

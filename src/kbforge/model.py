@@ -477,15 +477,20 @@ def load_triples(path: Path) -> list[Triple]:
     """The triples of a ``write_triples`` file, in file order.
 
     Equal labels within the file share one string (see ``LabelTable``).
+    A damaged line raises ``ValueError``, also where a field is missing or
+    a label is not hashable and so fails its lookup before ``Triple`` sees it.
     """
     kind, labels = TermKind.from_code, LabelTable()
-    return [
-        Triple(
-            labels[obj["s"]], labels[obj["p"]], labels[obj["o"]],
-            kind(obj["o_kind"]), obj["layer"],
-        )
-        for obj in read_ndjson(path)
-    ]
+    try:
+        return [
+            Triple(
+                labels[obj["s"]], labels[obj["p"]], labels[obj["o"]],
+                kind(obj["o_kind"]), obj["layer"],
+            )
+            for obj in read_ndjson(path)
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"damaged triple in {path}: {exc!r}") from exc
 
 
 def load_run(run_dir: Path) -> RunRecord:

@@ -4,8 +4,10 @@ Everything here is deliberately written in a different style from the
 production code (plain loops, no numpy, stack-based traversal) so that
 agreement between the two routes is meaningful. The two per-item loops
 ``trigram_embed`` and ``best_into_gathered`` keep numpy's arithmetic,
-because the package must match them bit for bit. The last function is
-the per-character loop that ``export._turtle_literal`` must equal exactly.
+because the package must match them bit for bit, and ``distinct_rows`` is
+the ``np.unique`` call that ``metrics._distinct`` must equal. The last
+function is the per-character loop that ``export._turtle_literal`` must
+equal exactly.
 """
 
 from __future__ import annotations
@@ -182,6 +184,19 @@ def best_into_gathered(rows, sets, block_rows):
                 best[s, block] = sim[:, members].max(axis=1)
     best[held] = 1.0
     return best
+
+
+def distinct_rows(vectors):
+    """``np.unique`` over each row's bytes, the reference for ``metrics._distinct``.
+
+    Returns the distinct rows, each one's first index and each row's index
+    among them.
+    """
+    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+    width = vectors.shape[1]
+    keys = vectors.view(np.dtype((np.void, 8 * width))).ravel()
+    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return unique.view(np.float64).reshape(-1, width), first, inverse.ravel()
 
 
 def turtle_literal_loop(value: str) -> str:

@@ -11,6 +11,7 @@ from kbforge.embeddings import (
     TrigramHashEmbedder,
     cosine_similarity,
     embed_batch,
+    normalise_rows,
     pairwise_cosine_similarity,
     unit_rows,
 )
@@ -109,6 +110,19 @@ class TestCosine:
         np.testing.assert_array_equal(rows, before)
         assert not np.shares_memory(unit, rows)
 
+    @pytest.mark.parametrize("norm_rows", [1, 2, 256])
+    def test_normalise_rows_in_place_equals_unit_rows(self, monkeypatch, norm_rows):
+        monkeypatch.setattr(embeddings, "_NORM_ROWS", norm_rows)
+        rows = np.random.default_rng(3).normal(size=(7, 5))
+        rows[2] = 0.0
+        rows[4] = -0.0
+        rows[5] = 1e-200  # its squares underflow: norm zero, so the row becomes zero
+        whole = np.linalg.norm(rows, axis=1, keepdims=True)
+        want = np.divide(rows, whole, out=np.zeros_like(rows), where=whole > 0)
+        assert unit_rows(rows).tobytes() == want.tobytes()
+        assert normalise_rows(rows) is rows
+        assert rows.tobytes() == want.tobytes()
+
     def test_pairwise_rejects_flat_input(self):
         with pytest.raises(ValueError):
             pairwise_cosine_similarity(np.ones(3), np.ones((2, 3)))
@@ -175,6 +189,47 @@ class TestEmbeddingCache:
         rows = embed_batch([], TrigramHashEmbedder(dim=8))
         assert rows.shape[0] == 0
 
+    def test_all_misses_return_the_providers_matrix(self):
+        provider = TrigramHashEmbedder(dim=8)
+        returned = []
+        embed = provider.embed
+        provider.embed = lambda texts: returned.append(embed(texts)) or returned[-1]
+        cache = EmbeddingCache()
+        rows = embed_batch(["a", "b", "c"], provider, cache)
+        assert rows is returned[0]
+        assert all(np.shares_memory(cache.get(provider.provider_id, t), rows) for t in "abc")
+        mixed = embed_batch(["c", "d"], provider, cache)
+        assert not np.shares_memory(mixed, rows)
+        assert mixed.tobytes() == np.vstack([rows[2], returned[1][0]]).tobytes()
+
+    class _ShortProvider:
+        provider_id = "short"
+
+        def __init__(self, rows):
+            self.rows = rows
+
+        def embed(self, texts):
+            return self.rows
+
+    @pytest.mark.parametrize(
+        "returned",
+        [np.ones((2, 4)), np.ones((4, 4)), np.ones(3), np.ones((3, 4, 1)), []],
+        ids=["short", "long", "flat", "3-d", "empty-list"],
+    )
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_wrong_row_count_names_the_provider(self, returned, cached):
+        cache = EmbeddingCache() if cached else None
+        with pytest.raises(ValueError, match="'short' returned shape .* for 3 rows"):
+            embed_batch(["a", "b", "c"], self._ShortProvider(returned), cache)
+        assert cache is None or cache.get("short", "a") is None
+
+    def test_rows_must_match_the_cached_width(self):
+        cache = EmbeddingCache()
+        cache.put_many("short", [("a", np.ones(4))])
+        with pytest.raises(ValueError, match=r"'short' returned shape \(2, 3\) for 2 rows of width 4"):
+            embed_batch(["a", "b", "c"], self._ShortProvider(np.ones((2, 3))), cache)
+        assert cache.get("short", "b") is None
+
 
 class TestRemoteEmbedder:
     def test_round_trip_preserves_order(self):
@@ -233,6 +288,43 @@ class TestRemoteEmbedder:
         for received in server.received:
             assert received.headers["Authorization"] == "Bearer env-key"
             assert received.headers["User-Agent"].startswith("kbforge/0.1 ")
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: data[:-1],
+            lambda data: [data[0], data[2]],
+            lambda data: data + [{"index": 3, "embedding": data[0]["embedding"]}],
+            lambda data: [data[0], data[1], data[1]],
+            lambda data: [data[0], data[0], data[2]],
+            lambda data: [{**row, "index": row["index"] + 1} for row in data],
+        ],
+        ids=["dropped-last", "dropped-middle", "extra", "duplicated", "duplicated-first", "shifted"],
+    )
+    @pytest.mark.parametrize("damaged_requests", [1, 3])
+    def test_indices_must_be_each_text_once(self, damage, damaged_requests):
+        serve = embeddings_responder(dim=6)
+        left = [damaged_requests]
+
+        def responder(*request):
+            status, body = serve(*request)
+            if left[0] > 0:
+                left[0] -= 1
+                body["data"] = damage(body["data"])
+            return status, body
+
+        slept = []
+        texts = ["one", "two", "three"]
+        with LocalServer(responder) as server:
+            embedder = RemoteEmbedder(server.url, api_key="k", max_retries=2, sleep=slept.append)
+            if damaged_requests > embedder.max_retries:
+                with pytest.raises(TransportError, match="unexpected embeddings body"):
+                    embedder.embed(texts)
+            else:
+                rows = embedder.embed(texts)
+                np.testing.assert_array_equal(rows, [fake_embedding(text) for text in texts])
+            assert len(server.requests) == min(damaged_requests + 1, 3)
+        assert len(slept) == len(server.requests) - 1
 
     def test_missing_api_key_is_fatal(self, monkeypatch):
         monkeypatch.delenv("KBFORGE_API_KEY", raising=False)

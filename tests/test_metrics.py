@@ -1,5 +1,6 @@
 import json
 import string
+import tracemalloc
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbforge import metrics
-from kbforge.embeddings import TrigramHashEmbedder
+from kbforge.embeddings import EMBED_DIM, EmbeddingCache, TrigramHashEmbedder, unit_rows
 from kbforge.metrics import (
     METRIC_HAUSDORFF,
     METRIC_LEXICAL,
@@ -16,6 +17,7 @@ from kbforge.metrics import (
     avg_jaccard,
     bucketed_report,
     build_stability_report,
+    category_elements,
     coefficient_of_variation,
     hausdorff_similarity,
     jaccard,
@@ -27,7 +29,7 @@ from kbforge.metrics import (
 from kbforge.model import KnowledgeBase, StructuralCategory, TermKind, make_triple
 
 import oracles
-from conftest import build_fixture_kb
+from conftest import build_fixture_kb, synthetic_kb
 
 
 def field_names(cls) -> set[str]:
@@ -293,7 +295,7 @@ class TestPatternKernel:
                 held[s, members] = True
             assert np.unique(held.T, axis=0).shape[0] > 7
             want = oracles.best_into_gathered(rows, sets, block_rows)
-            assert np.array_equal(metrics._best_into(rows, sets), want), (n, dim)
+            assert np.array_equal(metrics._best_into(unit_rows(rows), sets), want), (n, dim)
 
     @pytest.mark.parametrize("block_rows", [1, 3, 512])
     def test_all_held_and_empty_sets(self, monkeypatch, block_rows):
@@ -303,7 +305,84 @@ class TestPatternKernel:
         everything, nothing = np.arange(9), np.arange(0)
         for sets in ([everything, everything], [everything, np.arange(3, 9), nothing], [nothing, nothing]):
             want = oracles.best_into_gathered(rows, sets, block_rows)
-            assert np.array_equal(metrics._best_into(rows, sets), want)
+            assert np.array_equal(metrics._best_into(unit_rows(rows), sets), want)
+
+
+def _distinct_cases(rng):
+    """Row matrices for ``_distinct``, named for what they cover."""
+    pool = rng.normal(size=(40, 6))
+    signed_zero = np.zeros((5, 3))
+    signed_zero[1, 0] = signed_zero[3, 0] = -0.0
+    signed_zero[4, 2] = -0.0
+    return {
+        "duplicates": pool[rng.integers(0, 40, size=300)],
+        "no-rows": np.zeros((0, 6)),
+        "one-row": pool[:1],
+        "all-equal": np.repeat(pool[5:6], 9, axis=0),
+        "zero-vectors": np.zeros((4, 6)),
+        "signed-zeros": signed_zero,
+        "distinct": pool[::-1],
+        "wide": np.repeat(rng.normal(size=(70, 384)), 4, axis=0)[rng.permutation(280)],
+    }
+
+
+class TestDistinct:
+    @pytest.mark.parametrize("block_rows", [1, 3, 256])
+    @pytest.mark.parametrize("case", list(_distinct_cases(np.random.default_rng(0))))
+    def test_equals_np_unique_bit_for_bit(self, monkeypatch, block_rows, case):
+        monkeypatch.setattr(metrics, "_BLOCK_ROWS", block_rows)
+        vectors = _distinct_cases(np.random.default_rng(0))[case]
+        before = vectors.tobytes()
+        rows, first, inverse = metrics._distinct(vectors)
+        want_rows, want_first, want_inverse = oracles.distinct_rows(vectors)
+        assert rows.shape == want_rows.shape and rows.tobytes() == want_rows.tobytes()
+        assert first.dtype == want_first.dtype and np.array_equal(first, want_first)
+        assert inverse.dtype == want_inverse.dtype and np.array_equal(inverse, want_inverse)
+        assert vectors.tobytes() == before and not np.shares_memory(rows, vectors)
+
+
+class _RecordingProvider:
+    """A trigram embedder that keeps a copy of every row it hands out."""
+
+    def __init__(self):
+        self.inner = TrigramHashEmbedder()
+        self.provider_id = self.inner.provider_id
+        self.returned: dict[str, bytes] = {}
+
+    def embed(self, texts):
+        rows = self.inner.embed(texts)
+        self.returned.update(zip(texts, (row.tobytes() for row in rows)))
+        return rows
+
+
+class TestCompareMemory:
+    def _runs(self):
+        # Three runs of 1,000 random facts: about 3,000 distinct triple labels.
+        return [FakeRun(f"r{i}", synthetic_kb(1000, seed=5 + i)) for i in range(3)]
+
+    def test_triples_table_peaks_under_three_matrices_and_a_block(self):
+        runs = self._runs()
+        labels = set().union(*(category_elements(r, StructuralCategory.TRIPLES) for r in runs))
+        matrix = len(labels) * EMBED_DIM * 8
+        block = metrics._BLOCK_ROWS * len(labels) * 8
+        tracemalloc.start()
+        try:
+            pairwise_report(runs, StructuralCategory.TRIPLES, cache=EmbeddingCache())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The cache keeps the provider's rows; the table adds one normalised
+        # copy of them and one block's product.
+        assert len(labels) > 2900
+        assert peak < 3 * matrix + block, f"{peak / matrix:.2f} matrices"
+
+    def test_report_leaves_the_providers_rows_unwritten(self):
+        provider = _RecordingProvider()
+        cache = EmbeddingCache()
+        build_stability_report(self._runs(), list(StructuralCategory), provider=provider, cache=cache)
+        assert len(provider.returned) > 3000
+        for text, row in provider.returned.items():
+            assert cache.get(provider.provider_id, text).tobytes() == row, text
 
 
 class TestYieldCounts:

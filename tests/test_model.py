@@ -437,9 +437,15 @@ class TestTripleCodec:
             '{"s": "s", "p": "p", "o": "o", "o_kind": "ne", "layer": true}',
             '{"s": "s", "p": "p", "o": "o", "o_kind": "ne", "layer": "1"}',
             '{"s": "s", "p": "p", "o": "o", "o_kind": "ne", "layer": -1}',
+            '{"s": "s", "p": ["p"], "o": "o", "o_kind": "ne", "layer": 0}',
+            '{"s": "s", "p": "p", "o": {"o": 1}, "o_kind": "ne", "layer": 0}',
+            '{"s": "s", "p": "p", "o": "o", "o_kind": ["ne"], "layer": 0}',
+            '{"s": "s", "p": "p", "o_kind": "ne", "layer": 0}',
+            '["s", "p", "o", "ne", 0]',
         ],
         ids=["int-subject", "null-object", "null-kind", "float-layer", "bool-layer", "text-layer",
-             "negative-layer"],
+             "negative-layer", "array-predicate", "object-object", "array-kind", "missing-object",
+             "array-line"],
     )
     def test_damaged_line_is_rejected(self, tmp_path, line):
         path = tmp_path / "t.ndjson"

@@ -22,9 +22,9 @@ from .model import (
     StructuralCategory,
     load_run,
     load_triples,
-    run_failed,
     save_run,
     text_value,
+    write_atomic,
     write_triples,
 )
 
@@ -165,9 +165,15 @@ def cmd_suite(args) -> int:
 
 
 def _load_suite_runs(suite_dir: Path):
-    run_dirs = _read("suite manifest", suite_dir / crawler.SUITE_MANIFEST,
-                     lambda p: [suite_dir / run_id for run_id in _read_json(p)["run_ids"]])
-    return [_read("run", d, load_run) for d in run_dirs if run_failed(d) is None]
+    """The suite's runs, less those its manifest lists as failed."""
+
+    def run_dirs(path: Path) -> list[Path]:
+        manifest = _read_json(path)
+        failed = manifest["failed"]
+        return [suite_dir / run_id for run_id in manifest["run_ids"] if run_id not in failed]
+
+    dirs = _read("suite manifest", suite_dir / crawler.SUITE_MANIFEST, run_dirs)
+    return [_read("run", d, load_run) for d in dirs]
 
 
 def _embedding_provider(args):
@@ -216,7 +222,8 @@ def cmd_compare(args) -> int:
             token = token.strip().lower()
             if token not in CATEGORY_ALIASES:
                 raise CliError(f"unknown category {token!r}")
-            categories.append(CATEGORY_ALIASES[token])
+            if CATEGORY_ALIASES[token] not in categories:
+                categories.append(CATEGORY_ALIASES[token])
 
     provider = _embedding_provider(args)
     cache = _read("embedding cache", Path(args.cache), EmbeddingCache) if args.cache else None
@@ -280,9 +287,7 @@ def cmd_ensemble(args) -> int:
         "triple_count": len(kb),
         "curve": [list(point) for point in curve.points],
     }
-    (out_dir / "ensemble.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(out_dir / "ensemble.json", [json.dumps(summary, indent=2) + "\n"])
     print(f"k: {k}")
     print(f"triples: {len(kb)}")
     print(f"saved: {out_dir}")

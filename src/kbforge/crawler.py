@@ -27,7 +27,6 @@ from .gateway import (
     NerRequest,
 )
 from .model import (
-    Caps,
     DegeneracyEvent,
     KnowledgeBase,
     LabelTable,
@@ -210,8 +209,6 @@ def _crawl(
 
         timed_out = False
         pending: list[tuple[str, str, str]] = []
-        new_labels: list[str] = []
-        seen_now: set[str] = set()
         for subject, response in zip(frontier, responses):
             if response is None:
                 timed_out = True
@@ -225,9 +222,8 @@ def _crawl(
                 if not p2 or not o2:
                     continue
                 pending.append((subject, p2, o2))
-                if o2 not in kinds and o2 not in seen_now:
-                    seen_now.add(o2)
-                    new_labels.append(o2)
+        # The layer's unclassified object labels, each once, in first-seen order.
+        new_labels = list(dict.fromkeys(o for _, _, o in pending if o not in kinds))
 
         if new_labels:
             if clock() >= deadline:

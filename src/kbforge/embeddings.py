@@ -236,16 +236,6 @@ def embed_batch(
     return np.vstack([cache.get(provider_id, text) for text in texts])
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine of the angle between two vectors; zero vectors compare as 0.0."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    value = float(np.dot(u, v) / (nu * nv))
-    return max(-1.0, min(1.0, value))
-
-
 def normalise_rows(rows: np.ndarray) -> np.ndarray:
     """Scale each row of the float64 matrix ``rows`` to unit length in place.
 

@@ -8,7 +8,6 @@ line through the curve's endpoints.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import Counter
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .model import KnowledgeBase, RunRecord, TermKind, Triple
+from .model import KnowledgeBase, RunRecord, TermKind, Triple, csv_lines, write_atomic
 
 TripleKey = tuple[str, str, str]
 
@@ -51,12 +50,6 @@ def _check_k(records: Sequence[RunRecord], k: int) -> None:
         raise ValueError("no runs given")
     if not 1 <= k <= len(records):
         raise ValueError(f"k must lie in 1..{len(records)}, got {k}")
-
-
-def shared_triples_at_k(records: Sequence[RunRecord], k: int) -> set[TripleKey]:
-    """Keys of triples present in at least k distinct runs."""
-    _check_k(records, k)
-    return {key for key, count in _occurrences(records).items() if count >= k}
 
 
 def shared_triple_curve(records: Sequence[RunRecord]) -> SharedTripleCurve:
@@ -140,11 +133,7 @@ ELBOW_CSV = "elbow.csv"
 def write_elbow_csv(curve: SharedTripleCurve, path: Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "shared_count"])
-        for k, count in curve.points:
-            writer.writerow([k, count])
+    write_atomic(path, csv_lines([("k", "shared_count"), *curve.points]))
     return path
 
 
@@ -153,5 +142,5 @@ def write_curve_json(curve: SharedTripleCurve, path: Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"k": [k for k, _ in curve.points], "shared_count": [c for _, c in curve.points]}
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_atomic(path, [json.dumps(payload, indent=2) + "\n"])
     return path

@@ -404,15 +404,21 @@ NER_SCHEMA = {
 }
 
 
-def parse_elicitation_payload(text: str) -> list[tuple[str, str, str]]:
-    """Strictly parse a JSON elicitation payload into raw (s, p, o) tuples."""
+def _payload_field(text: str, key: str, what: str):
+    """Field ``key`` of the JSON object in ``text``; MalformedOutputError
+    when ``text`` is not JSON or not an object holding ``key`` (its ``what``)."""
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, TypeError) as exc:
         raise MalformedOutputError(f"response is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "triples" not in data:
-        raise MalformedOutputError("response lacks a 'triples' object")
-    items = data["triples"]
+    if not isinstance(data, dict) or key not in data:
+        raise MalformedOutputError(f"response lacks a {key!r} {what}")
+    return data[key]
+
+
+def parse_elicitation_payload(text: str) -> list[tuple[str, str, str]]:
+    """Strictly parse a JSON elicitation payload into raw (s, p, o) tuples."""
+    items = _payload_field(text, "triples", "object")
     if not isinstance(items, list):
         raise MalformedOutputError("'triples' is not an array")
     triples = []
@@ -431,13 +437,7 @@ def parse_elicitation_payload(text: str) -> list[tuple[str, str, str]]:
 
 def parse_ner_payload(text: str, expected: int) -> list[bool]:
     """Strictly parse a JSON NER payload; verdict count must match the batch."""
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise MalformedOutputError(f"response is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "verdicts" not in data:
-        raise MalformedOutputError("response lacks a 'verdicts' array")
-    verdicts = data["verdicts"]
+    verdicts = _payload_field(text, "verdicts", "array")
     if not isinstance(verdicts, list) or not all(isinstance(v, bool) for v in verdicts):
         raise MalformedOutputError("'verdicts' must be an array of booleans")
     if len(verdicts) != expected:

@@ -9,7 +9,6 @@ percentages. Reports aggregate pairwise values over the off-diagonal only.
 
 from __future__ import annotations
 
-import csv
 import json
 import statistics
 from dataclasses import asdict, dataclass, field
@@ -27,7 +26,7 @@ from .embeddings import (
     normalise_rows,
     pairwise_cosine_similarity,
 )
-from .model import RunRecord, StructuralCategory, derive_categories
+from .model import RunRecord, StructuralCategory, csv_lines, derive_categories, write_atomic
 
 DEFAULT_TAU = 0.95
 
@@ -50,36 +49,12 @@ def yield_counts(record) -> dict[StructuralCategory, int]:
     return {cat: len(members) for cat, members in derive_categories(kb).items()}
 
 
-def coefficient_of_variation(values: Sequence[float]) -> float:
-    """Population standard deviation over the mean."""
-    if not values:
-        raise ValueError("coefficient of variation needs at least one value")
-    mean = statistics.fmean(values)
-    if mean == 0:
-        raise ValueError("coefficient of variation undefined for zero mean")
-    return statistics.pstdev(values) / mean
-
-
 def jaccard(a: set, b: set) -> float:
     """Set overlap in [0, 1]; two empty sets count as identical."""
     if not a and not b:
         return 1.0
     union = a | b
     return len(a & b) / len(union)
-
-
-def avg_jaccard(sets: Sequence[set]) -> float:
-    """Mean Jaccard over all unordered pairs of the given sets."""
-    n = len(sets)
-    if n < 2:
-        raise ValueError("avg_jaccard needs at least two sets")
-    total = 0.0
-    pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += jaccard(sets[i], sets[j])
-            pairs += 1
-    return total / pairs
 
 
 def _as_rows(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -227,13 +202,6 @@ class PairwiseMatrix:
                 if self.values[i][j] != self.values[j][i]:
                     raise ValueError("pairwise matrix must be symmetric")
 
-    def off_diagonal_mean(self) -> float:
-        n = len(self.run_ids)
-        cells = [self.values[i][j] for i in range(n) for j in range(i + 1, n)]
-        if not cells:
-            raise ValueError("no off-diagonal cells to average")
-        return sum(cells) / len(cells)
-
 
 @dataclass
 class CategoryRow:
@@ -322,6 +290,11 @@ def _cells(table: _Table, i: int, j: int, tau: float, flags: set[str]) -> dict[s
     }
 
 
+def _means(cells: list[dict[str, float]]) -> dict[str, Optional[float]]:
+    """Each metric's mean over ``cells``, summed in list order; None without cells."""
+    return {m: sum(c[m] for c in cells) / len(cells) if cells else None for m in _DIAGONAL}
+
+
 def pairwise_report(
     records: Sequence[RunRecord],
     category: StructuralCategory,
@@ -346,12 +319,12 @@ def pairwise_report(
 
     flags: set[str] = set()
     n = len(records)
+    # Every pair once, in row-major order of the upper triangle.
+    cells = {(i, j): _cells(table, i, j, tau, flags) for i in range(n) for j in range(i + 1, n)}
     values = {metric_id: [[diagonal] * n for _ in range(n)] for metric_id, diagonal in _DIAGONAL.items()}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for metric_id, cell in _cells(table, i, j, tau, flags).items():
-                values[metric_id][i][j] = cell
-                values[metric_id][j][i] = cell
+    for (i, j), cell in cells.items():
+        for metric_id, value in cell.items():
+            values[metric_id][i][j] = values[metric_id][j][i] = value
     matrices: dict[str, PairwiseMatrix] = {}
     for metric_id, rows in values.items():
         matrix = PairwiseMatrix(run_ids, rows, metric_id, category)
@@ -367,6 +340,7 @@ def pairwise_report(
     else:
         yield_cv = yield_std / yield_mean
 
+    means = _means(list(cells.values()))
     row = CategoryRow(
         category=category,
         run_ids=run_ids,
@@ -374,9 +348,9 @@ def pairwise_report(
         yield_mean=yield_mean,
         yield_std=yield_std,
         yield_cv=yield_cv,
-        avg_jaccard=matrices[METRIC_LEXICAL].off_diagonal_mean(),
-        avg_hausdorff=matrices[METRIC_HAUSDORFF].off_diagonal_mean(),
-        avg_match_pct=matrices[METRIC_MATCH].off_diagonal_mean(),
+        avg_jaccard=means[METRIC_LEXICAL],
+        avg_hausdorff=means[METRIC_HAUSDORFF],
+        avg_match_pct=means[METRIC_MATCH],
         flags=sorted(flags),
     )
     return CategoryComparison(matrices=matrices, row=row)
@@ -441,7 +415,7 @@ def bucketed_report(
         cells = [_cells(table, k, j, tau, flags) for k, j in pairs]
         if not cells:
             flags.add("empty_for_all_runs")
-        means = {m: sum(c[m] for c in cells) / len(cells) if cells else None for m in _DIAGONAL}
+        means = _means(cells)
         rows.append(
             BucketRow(
                 bucket=name,
@@ -526,29 +500,30 @@ def _json_fields(fields: list[tuple[str, object]]) -> dict:
 
 
 def write_report(report: StabilityReport, out_dir: Path) -> tuple[Path, Path]:
-    """Emit report.json (full matrices) and report.csv (one row per scope)."""
+    """Emit report.json (full matrices) and report.csv (one row per scope).
+
+    Each file is replaced whole (see ``write_atomic``).
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / REPORT_JSON
     csv_path = out_dir / REPORT_CSV
-    json_path.write_text(
-        json.dumps(asdict(report, dict_factory=_json_fields), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
+    write_atomic(
+        json_path,
+        [json.dumps(asdict(report, dict_factory=_json_fields), indent=2, sort_keys=True, ensure_ascii=False) + "\n"],
     )
-    with csv_path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_CSV_COLUMNS)
-        scopes = [
-            ("category", row.category.value, len(row.run_ids), row.yield_mean, row.yield_std,
-             row.yield_cv, row.avg_jaccard, row.avg_hausdorff, row.avg_match_pct, row.flags)
-            for row in report.rows
-        ] + [
-            ("bucket", row.bucket, row.pair_count, None, None,
-             None, row.avg_jaccard, row.avg_hausdorff, row.avg_match_pct, row.flags)
-            for row in report.bucket_rows
-        ]
-        for scope, name, runs, *values, flags in scopes:
-            writer.writerow(
-                [scope, name, runs, *("" if v is None else repr(v) for v in values), ";".join(flags)]
-            )
+    scopes = [
+        ("category", row.category.value, len(row.run_ids), row.yield_mean, row.yield_std,
+         row.yield_cv, row.avg_jaccard, row.avg_hausdorff, row.avg_match_pct, row.flags)
+        for row in report.rows
+    ] + [
+        ("bucket", row.bucket, row.pair_count, None, None,
+         None, row.avg_jaccard, row.avg_hausdorff, row.avg_match_pct, row.flags)
+        for row in report.bucket_rows
+    ]
+    rows = (
+        [scope, name, runs, *("" if v is None else repr(v) for v in values), ";".join(flags)]
+        for scope, name, runs, *values, flags in scopes
+    )
+    write_atomic(csv_path, csv_lines([_CSV_COLUMNS, *rows]))
     return json_path, csv_path

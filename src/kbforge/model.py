@@ -10,12 +10,14 @@ every append-only store in the package.
 
 from __future__ import annotations
 
+import csv
 import datetime
+import io
 import json
 import os
 import re
 import threading
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, astuple, dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -158,12 +160,6 @@ class KnowledgeBase:
         except ValueError:  # not a valid fact, so not one the KB holds
             return False
         return probe in self._index
-
-    @property
-    def layer_count(self) -> int:
-        if not self.triples:
-            return 0
-        return max(t.layer for t in self.triples) + 1
 
     def add(self, triple: Triple) -> bool:
         """Insert a triple unless an identical (s, p, o) is already present.
@@ -410,18 +406,31 @@ def write_atomic(path: Path, chunks: Iterable[str]) -> None:
     """Write ``chunks`` as UTF-8 to a temporary sibling, then rename it to ``path``.
 
     A reader sees the old file or the whole new one, never part of one: a
-    write that raises removes the sibling and leaves ``path`` as it was.
-    Nothing is fsynced, so this survives a killed process, not a lost machine.
+    write that raises, also one raised while ``chunks`` are produced, removes
+    the sibling and leaves ``path`` as it was. Line ends are written as
+    given. Nothing is fsynced, so this survives a killed process, not a lost
+    machine.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def csv_lines(rows: Iterable[Iterable]) -> Iterator[str]:
+    """Each row as the line ``csv.writer`` writes for it, ready for ``write_atomic``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    for row in rows:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(row)
+        yield buffer.getvalue()
 
 
 def write_triples(path: Path, triples: Iterable[Triple]) -> None:
@@ -457,13 +466,8 @@ def save_run(record: RunRecord, run_dir: Path) -> None:
         "termination": record.termination.value,
         "wall_seconds": record.wall_seconds,
         "deepest_layer": record.deepest_layer,
-        "per_layer_counts": [
-            [s.layer, s.new_entities, s.new_triples] for s in record.per_layer_counts
-        ],
-        "degeneracy_events": [
-            {"kind": e.kind, "entity": e.entity, "layer": e.layer}
-            for e in record.degeneracy_events
-        ],
+        "per_layer_counts": [astuple(s) for s in record.per_layer_counts],
+        "degeneracy_events": [asdict(e) for e in record.degeneracy_events],
         "visited_subjects": len(record.kb.visited_subjects),
         "triple_count": len(record.kb),
         "started_at": record.started_at,
@@ -512,22 +516,8 @@ def load_run(run_dir: Path) -> RunRecord:
         termination=Termination(manifest["termination"]),
         wall_seconds=manifest["wall_seconds"],
         deepest_layer=manifest["deepest_layer"],
-        per_layer_counts=[
-            LayerStats(layer=c[0], new_entities=c[1], new_triples=c[2])
-            for c in manifest["per_layer_counts"]
-        ],
-        degeneracy_events=[
-            DegeneracyEvent(kind=e["kind"], entity=e["entity"], layer=e["layer"])
-            for e in manifest["degeneracy_events"]
-        ],
+        per_layer_counts=[LayerStats(*c) for c in manifest["per_layer_counts"]],
+        degeneracy_events=[DegeneracyEvent(**e) for e in manifest["degeneracy_events"]],
         started_at=manifest.get("started_at", ""),
         finished_at=manifest.get("finished_at", ""),
     )
-
-
-def run_failed(run_dir: Path) -> Optional[str]:
-    """Return the error message if the directory records a failed run."""
-    marker = Path(run_dir) / "FAILED"
-    if marker.exists():
-        return marker.read_text(encoding="utf-8").strip()
-    return None

@@ -45,6 +45,9 @@ NER_TEMPLATE_EN = (
     "verbose phrases...). Each phrase is given to you in a line."
 )
 
+# The English templates, keyed as a language's template file keys them.
+_TEMPLATES_EN = {"elicitation": ELICITATION_TEMPLATE_EN, "ner": NER_TEMPLATE_EN}
+
 
 class MissingTemplateError(FileNotFoundError):
     """No prompt template file exists for the requested language."""
@@ -59,27 +62,25 @@ def _load_language_templates(language: str) -> dict:
     if not path.exists():
         raise MissingTemplateError(f"no prompt template file for language {language!r}: {path}")
     data = json.loads(path.read_text(encoding="utf-8"))
-    for key in ("elicitation", "ner"):
+    for key in _TEMPLATES_EN:
         if key not in data:
             raise MissingTemplateError(f"template file {path} lacks {key!r} entry")
     return data
 
 
-def render_elicitation_prompt(topic: str, language: str = "en") -> str:
-    """Render the knowledge-elicitation instruction for a topic and language."""
+def _render(kind: str, topic: str, language: str) -> str:
+    """The ``kind`` template ("elicitation" or "ner") for a topic and language."""
     if not topic:
         raise ValueError("topic must be non-empty")
-    phrase = topic_phrase(topic)
-    if language == "en":
-        return ELICITATION_TEMPLATE_EN.format(topic=phrase)
-    return _load_language_templates(language)["elicitation"].format(topic=phrase)
+    templates = _TEMPLATES_EN if language == "en" else _load_language_templates(language)
+    return templates[kind].format(topic=topic_phrase(topic))
+
+
+def render_elicitation_prompt(topic: str, language: str = "en") -> str:
+    """Render the knowledge-elicitation instruction for a topic and language."""
+    return _render("elicitation", topic, language)
 
 
 def render_ner_prompt(topic: str, language: str = "en") -> str:
     """Render the NER classification instruction for a topic and language."""
-    if not topic:
-        raise ValueError("topic must be non-empty")
-    phrase = topic_phrase(topic)
-    if language == "en":
-        return NER_TEMPLATE_EN.format(topic=phrase)
-    return _load_language_templates(language)["ner"].format(topic=phrase)
+    return _render("ner", topic, language)

@@ -1,3 +1,4 @@
+import csv
 import random
 from pathlib import Path
 
@@ -100,6 +101,25 @@ def label_objects(kbs) -> dict[str, set[int]]:
             for label in t.key():
                 objects.setdefault(label, set()).add(id(label))
     return objects
+
+
+@pytest.fixture
+def failing_csv_writer(monkeypatch):
+    """Make every ``csv.writer`` raise OSError on its third row, after two rows."""
+    real_writer = csv.writer
+
+    class Writer:
+        def __init__(self, handle):
+            self.inner = real_writer(handle)
+            self.rows = 0
+
+        def writerow(self, row):
+            if self.rows == 2:
+                raise OSError("disk full")
+            self.rows += 1
+            return self.inner.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", Writer)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

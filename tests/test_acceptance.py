@@ -19,8 +19,6 @@ from kbforge.ensemble import build_ensemble_kb, elbow_k, shared_triple_curve
 from kbforge.export import IriPolicy, read_csv, to_csv, to_html, to_sql_dump, to_turtle
 from kbforge.metrics import (
     METRIC_LEXICAL,
-    avg_jaccard,
-    coefficient_of_variation,
     hausdorff_similarity,
     jaccard,
     pairwise_report,
@@ -58,9 +56,13 @@ def test_criterion_1_worked_example_metrics():
             {"Hammurabi", "Marduk Temple", "Nebuchadnezzar"},
             {"Hammurabi", "Temple of Marduk"},
         ]
-        assert avg_jaccard(sets) == 0.25
+        runs = [_Suite("a", KnowledgeBase()), _Suite("b", KnowledgeBase())]
+        row = pairwise_report(runs, StructuralCategory.NAMED_ENTITIES, element_sets=sets).row
+        assert row.avg_jaccard == 0.25
 
-        assert coefficient_of_variation([2, 3]) == 0.2
+        # Yields 3 and 2: population deviation 0.5 over mean 2.5.
+        assert row.yields == [3, 2]
+        assert row.yield_cv == 0.2
 
         # Three one-hot rows against two: 2/3 match one way, 2/2 the other.
         a = np.eye(3)

@@ -555,6 +555,18 @@ class TestCompareCommand:
         report = json.loads((tmp_path / "rep" / "report.json").read_text())
         assert {r["category"] for r in report["rows"]} == {"named_entities", "classes"}
 
+    def test_a_repeated_category_is_compared_once(self, suite_dir, tmp_path, capsys):
+        code, out, _ = _invoke(
+            capsys, "compare", str(suite_dir), "--categories", "ne,named_entities,ne", "--out", str(tmp_path / "rep")
+        )
+        assert code == 0
+        assert out.count("named_entities: ") == 1
+        report = json.loads((tmp_path / "rep" / "report.json").read_text(encoding="utf-8"))
+        assert [r["category"] for r in report["rows"]] == ["named_entities"]
+        assert len(report["matrices"]) == 3
+        rows = (tmp_path / "rep" / "report.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["category", "named_entities"]]
+
     def test_unknown_category(self, suite_dir, capsys):
         code, _, err = _invoke(capsys, "compare", str(suite_dir), "--categories", "vibes")
         assert code == 1
@@ -683,6 +695,40 @@ class TestCompareCommand:
         code, _, err = _invoke(capsys, "compare", str(suite_dir), "--offline")
         _assert_one_error_line(code, err, suite_dir / "run-001")
         assert not (suite_dir / "report").exists()
+
+
+def _mark_run_001_failed(suite_dir):
+    """List run-001 under the manifest's ``failed`` map, leaving its files whole."""
+    manifest = suite_dir / "suite.json"
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    payload["failed"] = {"run-001": "boom"}
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+
+
+class TestFailedRuns:
+    """``compare`` and ``ensemble`` read a suite's runs from its manifest."""
+
+    def test_compare_skips_the_runs_the_manifest_lists_as_failed(self, suite_dir, capsys):
+        _mark_run_001_failed(suite_dir)
+        code, _, err = _invoke(capsys, "compare", str(suite_dir), "--categories", "ne")
+        assert code == 0, err
+        report = json.loads((suite_dir / "report" / "report.json").read_text(encoding="utf-8"))
+        assert [row["run_ids"] for row in report["rows"]] == [["run-000", "run-002"]]
+
+    def test_ensemble_skips_the_runs_the_manifest_lists_as_failed(self, suite_dir, capsys):
+        _mark_run_001_failed(suite_dir)
+        code, _, err = _invoke(capsys, "ensemble", str(suite_dir), "--k", "2")
+        assert code == 0, err
+        assert json.loads((suite_dir / "ensemble" / "ensemble.json").read_text(encoding="utf-8"))["n_runs"] == 2
+
+    @pytest.mark.parametrize("command", [["compare"], ["ensemble", "--k", "1"]], ids=["compare", "ensemble"])
+    def test_manifest_without_failed_is_one_error_line(self, suite_dir, capsys, command):
+        manifest = suite_dir / "suite.json"
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        del payload["failed"]
+        manifest.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = _invoke(capsys, command[0], str(suite_dir), *command[1:])
+        _assert_one_error_line(code, err, manifest)
 
 
 class TestEnsembleCommand:

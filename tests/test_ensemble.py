@@ -9,7 +9,6 @@ from kbforge.ensemble import (
     build_ensemble_kb,
     elbow_k,
     shared_triple_curve,
-    shared_triples_at_k,
     write_curve_json,
     write_elbow_csv,
 )
@@ -54,23 +53,28 @@ def _three_overlapping_runs():
     return [a, b, c]
 
 
+def _shared_keys(runs, k):
+    """Keys of the triples held by at least ``k`` of ``runs``."""
+    return {t.key() for t in build_ensemble_kb(runs, k).triples}
+
+
 class TestSharedTriples:
     def test_k1_is_the_union(self):
         runs = _three_overlapping_runs()
         union = {t.key() for run in runs for t in run.kb.triples}
-        assert shared_triples_at_k(runs, 1) == union
+        assert _shared_keys(runs, 1) == union
 
     def test_kn_is_the_intersection(self):
         runs = _three_overlapping_runs()
-        assert shared_triples_at_k(runs, 3) == {("Hammurabi", "ruledOver", "Babylon")}
+        assert _shared_keys(runs, 3) == {("Hammurabi", "ruledOver", "Babylon")}
 
     def test_k_out_of_range(self):
         runs = _three_overlapping_runs()
         for bad in (0, 4, -1):
             with pytest.raises(ValueError):
-                shared_triples_at_k(runs, bad)
+                _shared_keys(runs, bad)
         with pytest.raises(ValueError):
-            shared_triples_at_k([], 1)
+            _shared_keys([], 1)
 
 
 class TestSharedTripleCurve:
@@ -87,7 +91,7 @@ class TestSharedTripleCurve:
         c = _run("c", relabelled[6:])
         assert len(b.kb) == 8
         assert shared_triple_curve([a, b, c]).points == [(1, 12), (2, 12), (3, 2)]
-        assert shared_triples_at_k([a, b, c], 3) == {row[:3] for row in FIXTURE_ROWS[6:8]}
+        assert _shared_keys([a, b, c], 3) == {row[:3] for row in FIXTURE_ROWS[6:8]}
 
     def test_counts_never_increase_with_k(self):
         rng = random.Random(99)
@@ -194,9 +198,16 @@ class TestCurveFiles:
     def test_elbow_csv_shape(self, tmp_path):
         curve = curve_from_counts([9, 4, 1])
         path = write_elbow_csv(curve, tmp_path / "elbow.csv")
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "k,shared_count"
-        assert lines[1:] == ["1,9", "2,4", "3,1"]
+        assert path.read_bytes() == b"k,shared_count\r\n1,9\r\n2,4\r\n3,1\r\n"
+
+    def test_a_failed_elbow_write_keeps_the_previous_file(self, tmp_path, request):
+        path = write_elbow_csv(curve_from_counts([9, 4, 1]), tmp_path / "elbow.csv")
+        before = path.read_bytes()
+        request.getfixturevalue("failing_csv_writer")
+        with pytest.raises(OSError, match="disk full"):
+            write_elbow_csv(curve_from_counts([8, 5, 2]), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["elbow.csv"]
 
     def test_curve_json_shape(self, tmp_path):
         curve = curve_from_counts([9, 4, 1])

@@ -14,11 +14,9 @@ from kbforge.metrics import (
     METRIC_HAUSDORFF,
     METRIC_LEXICAL,
     METRIC_MATCH,
-    avg_jaccard,
     bucketed_report,
     build_stability_report,
     category_elements,
-    coefficient_of_variation,
     hausdorff_similarity,
     jaccard,
     pairwise_report,
@@ -53,23 +51,34 @@ def _kb_from(rows):
     return kb
 
 
+def _row(sets, category=StructuralCategory.NAMED_ENTITIES):
+    """The report row of runs whose ``category`` elements are ``sets``."""
+    runs = [FakeRun(f"r{i}", KnowledgeBase()) for i in range(len(sets))]
+    return pairwise_report(runs, category, element_sets=sets).row
+
+
+def _sets_of_sizes(*sizes):
+    return [{f"e{j}" for j in range(size)} for size in sizes]
+
+
 class TestCoefficientOfVariation:
     def test_worked_example_is_exact(self):
-        assert coefficient_of_variation([2, 3]) == 0.2
+        assert _row(_sets_of_sizes(2, 3)).yield_cv == 0.2
 
     def test_constant_series(self):
-        assert coefficient_of_variation([5, 5, 5]) == 0.0
+        assert _row(_sets_of_sizes(5, 5, 5)).yield_cv == 0.0
 
     def test_known_value(self):
-        assert coefficient_of_variation([1, 2, 3, 4]) == pytest.approx(
+        assert _row(_sets_of_sizes(1, 2, 3, 4)).yield_cv == pytest.approx(
             0.4472135954999579, abs=1e-15
         )
 
     def test_rejects_empty_and_zero_mean(self):
         with pytest.raises(ValueError):
-            coefficient_of_variation([])
-        with pytest.raises(ValueError):
-            coefficient_of_variation([1, -1])
+            _row([])
+        row = _row(_sets_of_sizes(0, 0))
+        assert row.yield_cv is None
+        assert "zero_mean_yield" in row.flags
 
 
 class TestJaccard:
@@ -77,7 +86,7 @@ class TestJaccard:
         a = {"Hammurabi", "Marduk Temple", "Nebuchadnezzar"}
         b = {"Hammurabi", "Temple of Marduk"}
         assert jaccard(a, b) == 0.25
-        assert avg_jaccard([a, b]) == 0.25
+        assert _row([a, b]).avg_jaccard == 0.25
 
     def test_identity_and_disjoint(self):
         assert jaccard({"x", "y"}, {"x", "y"}) == 1.0
@@ -88,11 +97,11 @@ class TestJaccard:
         assert jaccard({"x"}, set()) == 0.0
 
     def test_average_over_three_sets(self):
-        assert avg_jaccard([{"a"}, {"b"}, {"a", "b"}]) == pytest.approx(1 / 3)
+        assert _row([{"a"}, {"b"}, {"a", "b"}]).avg_jaccard == pytest.approx(1 / 3)
 
     def test_needs_two_sets(self):
         with pytest.raises(ValueError):
-            avg_jaccard([{"a"}])
+            _row([{"a"}])
 
     @given(
         st.sets(st.text(string.ascii_lowercase, min_size=1, max_size=4), max_size=8),
@@ -582,6 +591,21 @@ class TestTableAgainstOracle:
                     got = [matrix[i][j] for matrix in matrices]
                     assert got == pytest.approx(want, rel=0, abs=1e-12), (i, j)
 
+    @pytest.mark.parametrize("seed", [11, 13])
+    def test_row_averages_are_the_row_major_upper_triangle_mean(self, seed):
+        n = 4
+        comparison = pairwise_report(
+            _runs_from_sets(self._entity_sets(n, seed)), StructuralCategory.NAMED_ENTITIES,
+            provider=_TableProvider(self.POOL),
+        )
+        row = comparison.row
+        for metric_id, average in (
+            (METRIC_LEXICAL, row.avg_jaccard), (METRIC_HAUSDORFF, row.avg_hausdorff), (METRIC_MATCH, row.avg_match_pct)
+        ):
+            values = comparison.matrices[metric_id].values
+            cells = [values[i][j] for i in range(n) for j in range(i + 1, n)]
+            assert average.hex() == (sum(cells) / len(cells)).hex(), metric_id
+
     def test_identical_runs_need_no_product(self, monkeypatch):
         calls = []
         monkeypatch.setattr(metrics, "pairwise_cosine_similarity", lambda a, b: calls.append((a, b)))
@@ -743,6 +767,19 @@ class TestReportSerialization:
             b"bucket,Q4,2,,,,0.3333333333333333,0.8333333333333334,83.33333333333334,\r\n"
             b"bucket,Q1,0,,,,,,,empty_bucket_skipped:a;empty_bucket_skipped:b;empty_for_all_runs\r\n"
         )
+
+    def test_a_failed_csv_write_keeps_the_previous_report(self, tmp_path, request):
+        report = build_stability_report(
+            [_fixture_run(f"r{i}") for i in range(2)],
+            [StructuralCategory.NAMED_ENTITIES, StructuralCategory.CLASSES, StructuralCategory.LITERALS],
+        )
+        _, csv_path = write_report(report, tmp_path)
+        before = csv_path.read_bytes()
+        request.getfixturevalue("failing_csv_writer")
+        with pytest.raises(OSError, match="disk full"):
+            write_report(report, tmp_path)
+        assert csv_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json"]
 
     def test_json_keys_are_the_dataclass_fields(self, tmp_path):
         runs = [

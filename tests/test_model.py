@@ -23,7 +23,6 @@ from kbforge.model import (
     make_triple,
     normalize_label,
     read_ndjson,
-    run_failed,
     save_run,
     write_atomic,
     write_triples,
@@ -134,11 +133,6 @@ class TestKnowledgeBase:
         assert ("Hammurabi", "instanceOf", "Queen") not in kb
         assert ("", "instanceOf", "King") not in kb
         assert "Tiamat" in kb.subjects()
-
-    def test_layer_count(self):
-        kb = build_fixture_kb()
-        assert kb.layer_count == 4
-        assert KnowledgeBase().layer_count == 0
 
 
 class TestDeriveCategories:
@@ -317,11 +311,6 @@ class TestPersistence:
             tracemalloc.stop()
         assert len(loaded.kb) == size
         assert used / len(loaded.kb) < budget
-
-    def test_run_failed_marker(self, tmp_path):
-        assert run_failed(tmp_path) is None
-        (tmp_path / "FAILED").write_text("boom\n", encoding="utf-8")
-        assert run_failed(tmp_path) == "boom"
 
 
 class TestNdjsonStore:

@@ -18,6 +18,7 @@ from .embeddings import EmbeddingCache, RemoteEmbedder, TrigramHashEmbedder
 from .gateway import BackendDescriptor, GatewayError, MockWorldGateway, RemoteChatGateway
 from .model import (
     KnowledgeBase,
+    LabelTable,
     RunConfig,
     StructuralCategory,
     load_run,
@@ -165,7 +166,10 @@ def cmd_suite(args) -> int:
 
 
 def _load_suite_runs(suite_dir: Path):
-    """The suite's runs, less those its manifest lists as failed."""
+    """The suite's runs, less those its manifest lists as failed.
+
+    The runs share one label table, so a label the suite holds is one string.
+    """
 
     def run_dirs(path: Path) -> list[Path]:
         manifest = _read_json(path)
@@ -173,7 +177,8 @@ def _load_suite_runs(suite_dir: Path):
         return [suite_dir / run_id for run_id in manifest["run_ids"] if run_id not in failed]
 
     dirs = _read("suite manifest", suite_dir / crawler.SUITE_MANIFEST, run_dirs)
-    return [_read("run", d, load_run) for d in dirs]
+    labels = LabelTable()
+    return [_read("run", d, lambda run_dir: load_run(run_dir, labels)) for d in dirs]
 
 
 def _embedding_provider(args):
@@ -302,8 +307,7 @@ def cmd_export(args) -> int:
     for fmt in formats:
         if fmt not in export.EXPORTERS:
             raise CliError(f"unknown export format {fmt!r} (choose from {', '.join(export.EXPORTERS)})")
-    kb = KnowledgeBase()
-    kb.add_all(_read("triples file", kb_dir / "triples.ndjson", load_triples))
+    kb = KnowledgeBase(_read("triples file", kb_dir / "triples.ndjson", load_triples))
     out_dir = Path(args.out) if args.out else kb_dir.parent / (kb_dir.name + "-export")
     policy = export.IriPolicy(args.namespace) if args.namespace else export.IriPolicy()
     try:

@@ -156,7 +156,10 @@ def _crawl(
     start = clock()
     deadline = start + config.caps.max_wall_seconds
 
-    kb = KnowledgeBase()
+    # The crawl's facts in the order found, each once: a fact a response
+    # repeats keeps its first copy. The returned KB holds only their list.
+    facts: dict[Triple, None] = {}
+    visited: set[str] = set()
     kinds: dict[str, TermKind] = {}
     events: list[DegeneracyEvent] = []
     per_layer: list[LayerStats] = []
@@ -197,7 +200,7 @@ def _crawl(
         if clock() >= deadline:
             termination = Termination.CAPPED_TIME
             break
-        if len(kb) >= config.caps.max_triples:
+        if len(facts) >= config.caps.max_triples:
             termination = Termination.CAPPED_TRIPLES
             break
         if layer >= config.caps.max_layers:
@@ -213,7 +216,7 @@ def _crawl(
             if response is None:
                 timed_out = True
                 continue
-            kb.visited_subjects.add(subject)
+            visited.add(subject)
             # The BFS graph stays well-formed only if every returned fact hangs
             # off the requested subject: divergent subjects are overwritten,
             # not dropped.
@@ -236,13 +239,16 @@ def _crawl(
                     for label, verdict in zip(batch, classify(batch)):
                         kinds[label] = TermKind.NAMED_ENTITY if verdict else TermKind.LITERAL
 
-        added = kb.add_all(Triple(s, p, o, kinds[o], layer) for s, p, o in pending)
+        before = len(facts)
+        for s, p, o in pending:
+            facts[Triple(s, p, o, kinds[o], layer)] = None
+        added = len(facts) - before
 
         next_subjects: list[str] = []
         for label in new_labels:
             if kinds[label] is not TermKind.NAMED_ENTITY:
                 continue
-            if label in kb.visited_subjects:
+            if label in visited:
                 continue
             kind = classify_degeneracy(label)
             if kind is not None:
@@ -261,6 +267,12 @@ def _crawl(
 
     if termination is None:
         termination = Termination.ORGANIC
+    # The dict is dropped before the KB's own dedupe pass, so that two
+    # dicts of the whole crawl are never held at once.
+    triples = list(facts)
+    facts.clear()
+    kb = KnowledgeBase(triples)
+    kb.visited_subjects = visited
 
     return RunRecord(
         run_id=run_id,

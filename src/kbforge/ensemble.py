@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .model import KnowledgeBase, RunRecord, TermKind, Triple, csv_lines, write_atomic
 
@@ -119,12 +119,13 @@ def build_ensemble_kb(records: Sequence[RunRecord], k: int) -> KnowledgeBase:
                 if triple.layer < entry[2]:
                     entry[2] = triple.layer
 
-    kb = KnowledgeBase()
-    for key in sorted(key for key, entry in tally.items() if entry[0] >= k):
-        count, ne_votes, layer = tally[key]
-        kind = TermKind.NAMED_ENTITY if 2 * ne_votes >= count else TermKind.LITERAL
-        kb.add(Triple(*key, kind, layer))
-    return kb
+    def shared() -> Iterator[Triple]:
+        for key in sorted(key for key, entry in tally.items() if entry[0] >= k):
+            count, ne_votes, layer = tally[key]
+            kind = TermKind.NAMED_ENTITY if 2 * ne_votes >= count else TermKind.LITERAL
+            yield Triple(*key, kind, layer)
+
+    return KnowledgeBase(shared())
 
 
 ELBOW_CSV = "elbow.csv"

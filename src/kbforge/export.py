@@ -13,7 +13,7 @@ import html
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 from urllib.parse import quote
 
 from .model import (
@@ -72,27 +72,27 @@ def read_csv(path: Path) -> KnowledgeBase:
     Public so that a CSV export can be checked by reading it back: the
     round trip is how exports are verified to keep every fact.
     """
-    kb = KnowledgeBase()
     labels = LabelTable()
+
+    def triples(reader) -> Iterator[Triple]:
+        for row in reader:
+            if len(row) != 5:
+                raise ValueError(f"malformed CSV row {row!r}")
+            s, p, o, kind, layer = row
+            yield Triple(
+                subject=labels[s],
+                predicate=labels[p],
+                object=labels[o],
+                object_kind=TermKind.from_code(kind),
+                layer=int(layer),
+            )
+
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header!r}")
-        for row in reader:
-            if len(row) != 5:
-                raise ValueError(f"malformed CSV row {row!r}")
-            s, p, o, kind, layer = row
-            kb.add(
-                Triple(
-                    subject=labels[s],
-                    predicate=labels[p],
-                    object=labels[o],
-                    object_kind=TermKind.from_code(kind),
-                    layer=int(layer),
-                )
-            )
-    return kb
+        return KnowledgeBase(triples(reader))
 
 
 def _sql_quote(value: str) -> str:

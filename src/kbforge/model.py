@@ -120,10 +120,10 @@ class LabelTable(dict):
 
     Where triples are built from outside text (a response, a file), every
     label is a fresh string; looking labels up here makes equal ones share
-    one object. A table lives for one crawl or one file read and its strings
-    are freed with the triples that hold them. ``sys.intern`` would share
-    across runs too, but CPython 3.12 keeps interned strings until the
-    process exits.
+    one object. A table lives for one crawl, one file read or one suite the
+    CLI loads, and its strings are freed with the triples that hold them.
+    ``sys.intern`` would share across suites too, but CPython 3.12 keeps
+    interned strings until the process exits.
     """
 
     def __missing__(self, label: str) -> str:
@@ -132,57 +132,25 @@ class LabelTable(dict):
 
 
 class KnowledgeBase:
-    """A run's accumulated facts, deduplicated on normalized (s, p, o).
+    """A run's facts, deduplicated on normalized (s, p, o).
 
-    ``triples`` lists each fact once, in the order it was first added; a
-    later duplicate is dropped, so the first copy keeps its kind and layer.
-    The deduplication index holds the same ``Triple`` objects as keys (a
-    triple's equality is its (s, p, o)), not a second copy of each key.
+    A KB is built whole: the constructor deduplicates its input in one pass
+    and keeps only ``triples``, each fact once in the order it was first
+    given. A later duplicate is dropped, so the first copy keeps its kind
+    and layer. The crawl deduplicates as it goes and builds its KB at the end.
 
-    Mutation is single-writer: the crawl that owns the KB commits one layer
-    at a time from the thread that runs it, never from its request workers.
-    Reads and category derivation are safe once a layer has been committed.
+    ``visited_subjects`` are the subjects a crawl elicited; a KB read from
+    disk leaves it empty (see ``RunRecord.visited_count``).
     """
 
-    def __init__(self) -> None:
-        self.triples: list[Triple] = []
+    def __init__(self, triples: Iterable[Triple] = ()) -> None:
+        # Storing an equal key keeps the first one, so each fact keeps the
+        # kind and layer of its first copy.
+        self.triples: list[Triple] = list(dict.fromkeys(triples))
         self.visited_subjects: set[str] = set()
-        # A dict, not a set: its compact entry array costs less per triple
-        # than a set's table, which grows 4x at a time.
-        self._index: dict[Triple, None] = {}
 
     def __len__(self) -> int:
         return len(self.triples)
-
-    def __contains__(self, key: tuple[str, str, str]) -> bool:
-        try:
-            probe = Triple(*key, TermKind.LITERAL, 0)
-        except ValueError:  # not a valid fact, so not one the KB holds
-            return False
-        return probe in self._index
-
-    def add(self, triple: Triple) -> bool:
-        """Insert a triple unless an identical (s, p, o) is already present.
-
-        Returns True when the triple was actually added.
-        """
-        return self.add_all((triple,)) == 1
-
-    def add_all(self, triples: Iterable[Triple]) -> int:
-        """Insert, in order, each triple whose (s, p, o) is not yet present.
-
-        Returns how many were added.
-        """
-        # One hash per triple: storing an equal key keeps the first one, so
-        # the index grows only when the fact is new.
-        index, append = self._index, self.triples.append
-        before = size = len(index)
-        for t in triples:
-            index[t] = None
-            if len(index) > size:
-                size += 1
-                append(t)
-        return size - before
 
     def subjects(self) -> set[str]:
         return {t.subject for t in self.triples}
@@ -334,7 +302,14 @@ class LayerStats:
 
 @dataclass
 class RunRecord:
-    """Outcome of one crawl: configuration, KB, and termination telemetry."""
+    """Outcome of one crawl: configuration, KB, and termination telemetry.
+
+    The manifest's ``visited_subjects`` counts the subjects the crawl
+    elicited, including those that yielded no triples. ``save_run`` writes
+    ``visited_count`` when it is set (``load_run`` sets it from the
+    manifest, whose KB holds no subjects) and otherwise the size of the
+    KB's ``visited_subjects`` (a crawl fills that set).
+    """
 
     run_id: str
     config: RunConfig
@@ -346,6 +321,7 @@ class RunRecord:
     degeneracy_events: list[DegeneracyEvent] = field(default_factory=list)
     started_at: str = ""
     finished_at: str = ""
+    visited_count: int = 0
 
 
 MANIFEST_NAME = "manifest.json"
@@ -468,7 +444,7 @@ def save_run(record: RunRecord, run_dir: Path) -> None:
         "deepest_layer": record.deepest_layer,
         "per_layer_counts": [astuple(s) for s in record.per_layer_counts],
         "degeneracy_events": [asdict(e) for e in record.degeneracy_events],
-        "visited_subjects": len(record.kb.visited_subjects),
+        "visited_subjects": record.visited_count or len(record.kb.visited_subjects),
         "triple_count": len(record.kb),
         "started_at": record.started_at,
         "finished_at": record.finished_at,
@@ -477,14 +453,17 @@ def save_run(record: RunRecord, run_dir: Path) -> None:
     write_atomic(run_dir / MANIFEST_NAME, [json.dumps(manifest, indent=2, ensure_ascii=False) + "\n"])
 
 
-def load_triples(path: Path) -> list[Triple]:
+def load_triples(path: Path, labels: Optional[LabelTable] = None) -> list[Triple]:
     """The triples of a ``write_triples`` file, in file order.
 
-    Equal labels within the file share one string (see ``LabelTable``).
+    Equal labels share one string (see ``LabelTable``): within the file, and
+    across every file read with the same ``labels``.
     A damaged line raises ``ValueError``, also where a field is missing or
     a label is not hashable and so fails its lookup before ``Triple`` sees it.
     """
-    kind, labels = TermKind.from_code, LabelTable()
+    kind = TermKind.from_code
+    if labels is None:
+        labels = LabelTable()
     try:
         return [
             Triple(
@@ -497,22 +476,19 @@ def load_triples(path: Path) -> list[Triple]:
         raise ValueError(f"damaged triple in {path}: {exc!r}") from exc
 
 
-def load_run(run_dir: Path) -> RunRecord:
+def load_run(run_dir: Path, labels: Optional[LabelTable] = None) -> RunRecord:
     """Rebuild a RunRecord from a persisted run directory.
 
-    The visited-subject set is not persisted per entity; for loaded runs it
-    is approximated by the subjects that produced triples, which is all the
-    downstream metrics need.
+    The visited subjects are not persisted one by one: the loaded KB leaves
+    ``visited_subjects`` empty and ``visited_count`` keeps their count.
+    ``labels`` is passed to ``load_triples``.
     """
     run_dir = Path(run_dir)
     manifest = json.loads((run_dir / MANIFEST_NAME).read_text(encoding="utf-8"))
-    kb = KnowledgeBase()
-    kb.add_all(load_triples(run_dir / TRIPLES_NAME))
-    kb.visited_subjects = kb.subjects()
     return RunRecord(
         run_id=manifest["run_id"],
         config=RunConfig.from_dict(manifest["config"]),
-        kb=kb,
+        kb=KnowledgeBase(load_triples(run_dir / TRIPLES_NAME, labels)),
         termination=Termination(manifest["termination"]),
         wall_seconds=manifest["wall_seconds"],
         deepest_layer=manifest["deepest_layer"],
@@ -520,4 +496,5 @@ def load_run(run_dir: Path) -> RunRecord:
         degeneracy_events=[DegeneracyEvent(**e) for e in manifest["degeneracy_events"]],
         started_at=manifest.get("started_at", ""),
         finished_at=manifest.get("finished_at", ""),
+        visited_count=manifest.get("visited_subjects", 0),
     )

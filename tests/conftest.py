@@ -1,5 +1,7 @@
 import csv
+import gc
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -62,9 +64,10 @@ FIXTURE_ROWS = [
 
 
 def build_fixture_kb() -> KnowledgeBase:
-    kb = KnowledgeBase()
-    for s, p, o, kind, layer in FIXTURE_ROWS:
-        kb.add(Triple(subject=s, predicate=p, object=o, object_kind=kind, layer=layer))
+    kb = KnowledgeBase(
+        Triple(subject=s, predicate=p, object=o, object_kind=kind, layer=layer)
+        for s, p, o, kind, layer in FIXTURE_ROWS
+    )
     kb.visited_subjects = kb.subjects()
     return kb
 
@@ -81,15 +84,29 @@ def synthetic_kb(size: int, seed: int = 5) -> KnowledgeBase:
     entities = [f"Entity {rng.randrange(10**6)} of Babylon" for _ in range(600)]
     predicates = [f"predicate{i}" for i in range(30)]
     literals = [f"literal value {i}" for i in range(1500)]
-    kb = KnowledgeBase()
-    while len(kb) < size:
+    facts: dict[Triple, None] = {}
+    while len(facts) < size:
         named = rng.random() < 0.5
-        kb.add(Triple(
+        facts[Triple(
             rng.choice(entities), rng.choice(predicates),
             rng.choice(entities if named else literals),
             TermKind.NAMED_ENTITY if named else TermKind.LITERAL, rng.randrange(5),
-        ))
-    return kb
+        )] = None
+    return KnowledgeBase(facts)
+
+
+def held_bytes(call):
+    """``call()``'s result and the bytes it left allocated, as ``tracemalloc``
+    counts them after a garbage collection."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def label_objects(kbs) -> dict[str, set[int]]:

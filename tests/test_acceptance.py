@@ -185,22 +185,19 @@ def _noisy_runs(n_runs=6, core_size=12, noise_size=6):
     runs = []
     for i in range(n_runs):
         rng = random.Random(1000 + i)
-        kb = KnowledgeBase()
-        for j in range(core_size):
-            kb.add(
-                make_triple(
-                    f"Core-{j}", "relatesTo", f"Target-{j}", TermKind.NAMED_ENTITY, 1
-                )
-            )
+        triples = [
+            make_triple(f"Core-{j}", "relatesTo", f"Target-{j}", TermKind.NAMED_ENTITY, 1)
+            for j in range(core_size)
+        ]
         for j in range(noise_size):
             noise = "".join(rng.choice("qxzvwkjf") for _ in range(10))
-            kb.add(
+            triples.append(
                 make_triple(
                     f"{noise}-{i}-{j}", "relatesTo", f"{noise[::-1]}{i}{j}",
                     TermKind.NAMED_ENTITY, 2,
                 )
             )
-        runs.append(_Suite(f"r{i}", kb))
+        runs.append(_Suite(f"r{i}", KnowledgeBase(triples)))
     return runs
 
 
@@ -219,10 +216,8 @@ def test_criterion_6_ensemble_monotone_and_directional():
         for _ in range(20):
             runs = []
             for j in range(rng.randint(3, 6)):
-                kb = KnowledgeBase()
-                for row in rng.sample(facts, rng.randint(1, len(facts))):
-                    kb.add(make_triple(*row))
-                runs.append(_Suite(f"r{j}", kb))
+                rows = rng.sample(facts, rng.randint(1, len(facts)))
+                runs.append(_Suite(f"r{j}", KnowledgeBase(make_triple(*row) for row in rows)))
             counts = [c for _, c in shared_triple_curve(runs).points]
             assert all(x >= y for x, y in zip(counts, counts[1:]))
 

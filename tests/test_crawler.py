@@ -1,9 +1,7 @@
-import gc
 import json
 import signal
 import threading
 import time
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -35,11 +33,12 @@ from kbforge.model import (
     Termination,
     TermKind,
     derive_categories,
+    load_run,
     load_triples,
     save_run,
 )
 
-from conftest import label_objects, synthetic_kb
+from conftest import held_bytes, label_objects, synthetic_kb
 from fixture_server import LocalServer, chat_ok, scripted_chat_responder
 from oracles import world_closure
 
@@ -152,10 +151,10 @@ class TestFixtureCrawl:
         assert {label: len(ids) for label, ids in objects.items() if len(ids) > 1} == {}
 
     # The budgets of the loaded-run test in test_model.py. Set on CPython
-    # 3.11, where a crawled KB measures 138 B per triple at 5.5k triples and
-    # 119 B at 20k; with an (s, p, o) tuple kept per triple it measured 271
-    # and 258 B.
-    @pytest.mark.parametrize("size, budget", [(5500, 200), (20_000, 160)])
+    # 3.11, where a crawled KB measures 110 B per triple at 5.5k triples and
+    # 89 B at 20k; with a dedupe index kept in the KB it measured 138 and
+    # 119 B, and with an (s, p, o) tuple kept per triple 271 and 258 B.
+    @pytest.mark.parametrize("size, budget", [(5500, 130), (20_000, 105)])
     def test_crawled_kb_fits_its_byte_budget(self, tmp_path, size, budget):
         facts, entities = {}, set()
         for t in synthetic_kb(size).triples:
@@ -167,17 +166,26 @@ class TestFixtureCrawl:
         world.write_text(json.dumps({"facts": facts, "entities": sorted(entities)}), encoding="utf-8")
         gateway = MockWorldGateway(world)
         config = RunConfig(topic="babylon", seed_entity=next(iter(facts)))
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            record = crawl(config, gateway)
-            gc.collect()
-            used = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        record, used = held_bytes(lambda: crawl(config, gateway))
         assert len(record.kb) > 0.9 * size
         assert used / len(record.kb) < budget
+
+    def test_a_repeated_fact_keeps_its_first_copy(self, tmp_path):
+        # Each subject is elicited once and every fact hangs off the subject
+        # asked for, so a fact can only come back twice within one response.
+        world = tmp_path / "world.json"
+        facts = {
+            "Hammurabi": [["ruled", "Babylon"], ["born", "1810 BC"], ["ruled ", " Babylon"], ["ruled", "Babylon"]],
+            "Babylon": [["on", "Euphrates"], ["on", "Euphrates"]],
+        }
+        world.write_text(json.dumps({"facts": facts, "entities": ["Hammurabi", "Babylon"]}), encoding="utf-8")
+        record = crawl(RunConfig(topic="babylon", seed_entity="Hammurabi"), MockWorldGateway(world))
+        assert [(t.key(), t.layer) for t in record.kb.triples] == [
+            (("Hammurabi", "ruled", "Babylon"), 0),
+            (("Hammurabi", "born", "1810 BC"), 0),
+            (("Babylon", "on", "Euphrates"), 1),
+        ]
+        assert [s.new_triples for s in record.per_layer_counts] == [2, 1]
 
     def test_rerun_is_deterministic(self, babylon_config, babylon_gateway, tmp_path):
         first = crawl(babylon_config, babylon_gateway, run_id="r")
@@ -371,6 +379,15 @@ class TestLoopWorld:
         assert "Q768509" in objects
         assert not (flagged & record.kb.visited_subjects)
         assert not any(t.subject in flagged for t in record.kb.triples)
+
+    def test_resaved_run_keeps_its_bytes(self, loop_config, loop_world_path, tmp_path):
+        # Some visited subjects of this world yield no triples.
+        record = crawl(loop_config, MockWorldGateway(loop_world_path))
+        assert record.kb.visited_subjects > record.kb.subjects()
+        save_run(record, tmp_path / "a")
+        save_run(load_run(tmp_path / "a"), tmp_path / "b")
+        for name in ("manifest.json", "triples.ndjson"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
 class TestRunSuite:

@@ -32,10 +32,7 @@ class FakeRun:
 
 
 def _run(run_id, rows):
-    kb = KnowledgeBase()
-    for s, p, o, kind, layer in rows:
-        kb.add(make_triple(s, p, o, kind, layer))
-    return FakeRun(run_id, kb)
+    return FakeRun(run_id, KnowledgeBase(make_triple(*row) for row in rows))
 
 
 NE = TermKind.NAMED_ENTITY

@@ -24,24 +24,20 @@ LIT = TermKind.LITERAL
 
 
 def _kb(rows):
-    kb = KnowledgeBase()
-    for s, p, o, kind, layer in rows:
-        kb.add(make_triple(s, p, o, kind, layer))
-    return kb
+    return KnowledgeBase(make_triple(*row) for row in rows)
 
 
 def _tricky_kb():
-    kb = _kb(
-        [
-            ("Kudur-Mabuk's Stele", "foundIn", "Ur, \"the old\" city", LIT, 1),
-            ("Esagila", "dedicatedTo", "Marduk", NE, 2),
-            ("Marduk", "instanceOf", "Deity", NE, 3),
-        ]
-    )
+    rows = [
+        ("Kudur-Mabuk's Stele", "foundIn", "Ur, \"the old\" city", LIT, 1),
+        ("Esagila", "dedicatedTo", "Marduk", NE, 2),
+        ("Marduk", "instanceOf", "Deity", NE, 3),
+    ]
     # Crawled labels are whitespace-normalized, but the exporters must
     # survive raw control characters arriving through other paths.
-    kb.add(Triple("Esagila", "note", "line one\nline two", LIT, 2))
-    return kb
+    return KnowledgeBase(
+        [*(make_triple(*row) for row in rows), Triple("Esagila", "note", "line one\nline two", LIT, 2)]
+    )
 
 
 class TestCsv:

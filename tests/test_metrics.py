@@ -45,10 +45,7 @@ def _fixture_run(run_id="r0"):
 
 
 def _kb_from(rows):
-    kb = KnowledgeBase()
-    for s, p, o, kind, layer in rows:
-        kb.add(make_triple(s, p, o, kind, layer))
-    return kb
+    return KnowledgeBase(make_triple(*row) for row in rows)
 
 
 def _row(sets, category=StructuralCategory.NAMED_ENTITIES):
@@ -664,9 +661,7 @@ class TestOneEmbeddingPerLabel:
         ]
         runs = []
         for i, rows in enumerate(extra):
-            kb = build_fixture_kb()
-            for s, p, o, kind, layer in rows:
-                kb.add(make_triple(s, p, o, kind, layer))
+            kb = KnowledgeBase([*build_fixture_kb().triples, *(make_triple(*row) for row in rows)])
             runs.append(FakeRun(f"r{i}", kb))
         return runs
 

@@ -11,53 +11,34 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 from . import crawler, ensemble, export, metrics, popularity
 from .embeddings import EmbeddingCache, RemoteEmbedder, TrigramHashEmbedder
 from .gateway import BackendDescriptor, GatewayError, MockWorldGateway, RemoteChatGateway
 from .model import (
+    InputError as CliError,
     KnowledgeBase,
-    LabelTable,
     RunConfig,
     StructuralCategory,
     load_run,
+    load_suite,
     load_triples,
+    read_input,
+    read_json,
     save_run,
     text_value,
     write_atomic,
-    write_triples,
 )
 
 ALL_CATEGORIES = list(StructuralCategory)
 
 CATEGORY_ALIASES = {"ne": StructuralCategory.NAMED_ENTITIES, **{c.value: c for c in ALL_CATEGORIES}}
 
-T = TypeVar("T")
-
-
-class CliError(Exception):
-    """Fatal configuration or IO problem; maps to exit code 1."""
-
-
-def _read(what: str, path: Path, load: Callable[[Path], T]) -> T:
-    """``load(path)``, with a missing or damaged file as a CliError naming it."""
-    try:
-        return load(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"{what} not found: {exc.filename or path}") from exc
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{what} {path} is damaged: {exc!r}") from exc
-
-
-def _read_json(path: Path):
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def _load_config_file(path: Optional[str]) -> dict:
     if not path:
         return {}
-    data = _read("config file", Path(path), _read_json)
+    data = read_input("config file", Path(path), read_json)
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     return data
@@ -93,7 +74,7 @@ def _gateway(args, config: dict, workspace: Path):
     endpoint = _pick(getattr(args, "endpoint", None), config, "endpoint", None)
     audit = _pick(getattr(args, "audit", None), config, "audit", None)
     if world:
-        return _read("world file", Path(world), MockWorldGateway)
+        return read_input("world file", Path(world), MockWorldGateway)
     if endpoint:
         # Each crawl sends the model and temperature of its own run config.
         descriptor = BackendDescriptor(kind="remote", endpoint_url=endpoint)
@@ -165,22 +146,6 @@ def cmd_suite(args) -> int:
     return 0
 
 
-def _load_suite_runs(suite_dir: Path):
-    """The suite's runs, less those its manifest lists as failed.
-
-    The runs share one label table, so a label the suite holds is one string.
-    """
-
-    def run_dirs(path: Path) -> list[Path]:
-        manifest = _read_json(path)
-        failed = manifest["failed"]
-        return [suite_dir / run_id for run_id in manifest["run_ids"] if run_id not in failed]
-
-    dirs = _read("suite manifest", suite_dir / crawler.SUITE_MANIFEST, run_dirs)
-    labels = LabelTable()
-    return [_read("run", d, lambda run_dir: load_run(run_dir, labels)) for d in dirs]
-
-
 def _embedding_provider(args):
     name = args.provider or "trigram"
     if name == "trigram":
@@ -201,8 +166,8 @@ def _bucketize(args, cache: Optional[str], workspace: Path, label_lists) -> list
 
     ``cache`` is the popularity store's path; it defaults to the workspace's.
     """
-    store = _read("popularity cache", Path(cache) if cache else workspace / popularity.CACHE_NAME,
-                  popularity.PopularityStore)
+    store = read_input("popularity cache", Path(cache) if cache else workspace / popularity.CACHE_NAME,
+                       popularity.PopularityStore)
     client = None if args.offline else popularity.WikidataClient(endpoint_url=args.wikidata_endpoint)
     return [
         popularity.bucketize(popularity.resolve_many(labels, client, store, offline=args.offline))
@@ -215,7 +180,7 @@ def cmd_compare(args) -> int:
     suite_dir = Path(args.suite_dir)
     if not 0.0 < args.tau <= 1.0:
         raise CliError(f"--tau must lie in (0, 1], not {args.tau}")
-    records = _load_suite_runs(suite_dir)
+    records = load_suite(suite_dir)
     if len(records) < 2:
         raise CliError("comparison needs at least two successful runs")
 
@@ -231,7 +196,7 @@ def cmd_compare(args) -> int:
                 categories.append(CATEGORY_ALIASES[token])
 
     provider = _embedding_provider(args)
-    cache = _read("embedding cache", Path(args.cache), EmbeddingCache) if args.cache else None
+    cache = read_input("embedding cache", Path(args.cache), EmbeddingCache) if args.cache else None
 
     assignments = None
     if args.buckets:
@@ -262,7 +227,7 @@ def cmd_compare(args) -> int:
 
 def cmd_ensemble(args) -> int:
     suite_dir = Path(args.suite_dir)
-    records = _load_suite_runs(suite_dir)
+    records = load_suite(suite_dir)
     if len(records) < 2:
         raise CliError("ensembling needs at least two successful runs")
     if args.k is None and not args.auto:
@@ -281,18 +246,7 @@ def cmd_ensemble(args) -> int:
 
     kb = ensemble.build_ensemble_kb(records, k)
     out_dir = Path(args.out) if args.out else suite_dir / "ensemble"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ensemble.write_elbow_csv(curve, out_dir / ensemble.ELBOW_CSV)
-    ensemble.write_curve_json(curve, out_dir / "curve.json")
-    write_triples(out_dir / "triples.ndjson", kb.triples)
-    summary = {
-        "k": k,
-        "auto": bool(args.auto),
-        "n_runs": len(records),
-        "triple_count": len(kb),
-        "curve": [list(point) for point in curve.points],
-    }
-    write_atomic(out_dir / "ensemble.json", [json.dumps(summary, indent=2) + "\n"])
+    ensemble.save_ensemble(out_dir, curve, k, args.auto, len(records), kb)
     print(f"k: {k}")
     print(f"triples: {len(kb)}")
     print(f"saved: {out_dir}")
@@ -307,7 +261,7 @@ def cmd_export(args) -> int:
     for fmt in formats:
         if fmt not in export.EXPORTERS:
             raise CliError(f"unknown export format {fmt!r} (choose from {', '.join(export.EXPORTERS)})")
-    kb = KnowledgeBase(_read("triples file", kb_dir / "triples.ndjson", load_triples))
+    kb = KnowledgeBase(read_input("triples file", kb_dir / "triples.ndjson", load_triples))
     out_dir = Path(args.out) if args.out else kb_dir.parent / (kb_dir.name + "-export")
     policy = export.IriPolicy(args.namespace) if args.namespace else export.IriPolicy()
     try:
@@ -323,10 +277,10 @@ def cmd_export(args) -> int:
 def cmd_popularity(args) -> int:
     workspace = Path(args.workspace)
     if args.labels:
-        text = _read("labels file", Path(args.labels), lambda p: p.read_text(encoding="utf-8"))
+        text = read_input("labels file", Path(args.labels), lambda p: p.read_text(encoding="utf-8"))
         labels = [line.strip() for line in text.splitlines() if line.strip()]
     elif args.run_dir:
-        labels = _entity_labels(_read("run", Path(args.run_dir), load_run))
+        labels = _entity_labels(read_input("run", Path(args.run_dir), load_run))
     else:
         raise CliError("give a run directory or --labels FILE")
     if not labels:
@@ -340,8 +294,7 @@ def cmd_popularity(args) -> int:
             name: sorted(members) for name, members in assignment.buckets.items()
         }
         out_path = Path(args.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+        write_atomic(out_path, [json.dumps(payload, indent=2, ensure_ascii=False) + "\n"])
         print(f"saved: {out_path}")
     return 0
 

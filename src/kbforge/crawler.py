@@ -10,7 +10,6 @@ organically when the frontier empties, or with the first cap that fires.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import re
 import threading
@@ -27,6 +26,7 @@ from .gateway import (
     NerRequest,
 )
 from .model import (
+    FAILED_NAME,
     DegeneracyEvent,
     KnowledgeBase,
     LabelTable,
@@ -38,6 +38,7 @@ from .model import (
     Triple,
     normalize_label,
     save_run,
+    save_suite,
     utcnow,
     write_atomic,
 )
@@ -248,8 +249,6 @@ def _crawl(
         for label in new_labels:
             if kinds[label] is not TermKind.NAMED_ENTITY:
                 continue
-            if label in visited:
-                continue
             kind = classify_degeneracy(label)
             if kind is not None:
                 events.append(DegeneracyEvent(kind=kind, entity=label, layer=layer + 1))
@@ -288,9 +287,6 @@ def _crawl(
     )
 
 
-SUITE_MANIFEST = "suite.json"
-
-
 def run_suite(
     configs: Sequence[RunConfig],
     gateway,
@@ -319,7 +315,6 @@ def run_suite(
     if dimension not in SUITE_DIMENSIONS:
         raise ValueError(f"unknown suite dimension {dimension!r}")
     suite_dir = Path(suite_dir)
-    suite_dir.mkdir(parents=True, exist_ok=True)
     started_at = utcnow()
     run_ids = [f"run-{index:03d}" for index in range(len(configs))]
     interrupted = threading.Event()
@@ -339,8 +334,7 @@ def run_suite(
             return record, ""
         except Exception as exc:  # noqa: BLE001 - a bad run must not kill the suite
             logger.error("run %s failed: %s", run_id, exc)
-            run_dir.mkdir(parents=True, exist_ok=True)
-            (run_dir / "FAILED").write_text(f"{exc}\n", encoding="utf-8")
+            write_atomic(run_dir / FAILED_NAME, [f"{exc}\n"])
             return None, str(exc)
 
     if hasattr(gateway, "for_run"):
@@ -354,16 +348,6 @@ def run_suite(
     else:
         outcomes = list(map(run, configs, run_ids))
 
-    manifest = {
-        "dimension": dimension,
-        "run_ids": run_ids,
-        "failed": {
-            run_id: error
-            for run_id, (record, error) in zip(run_ids, outcomes)
-            if record is None
-        },
-        "started_at": started_at,
-        "finished_at": utcnow(),
-    }
-    write_atomic(suite_dir / SUITE_MANIFEST, [json.dumps(manifest, indent=2) + "\n"])
+    failed = {run_id: error for run_id, (record, error) in zip(run_ids, outcomes) if record is None}
+    save_suite(suite_dir, dimension, run_ids, failed, started_at)
     return [record for record, _ in outcomes]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .model import KnowledgeBase, RunRecord, TermKind, Triple, csv_lines, write_atomic
+from .model import KnowledgeBase, RunRecord, TermKind, Triple, csv_lines, write_atomic, write_triples
 
 TripleKey = tuple[str, str, str]
 
@@ -128,20 +128,22 @@ def build_ensemble_kb(records: Sequence[RunRecord], k: int) -> KnowledgeBase:
     return KnowledgeBase(shared())
 
 
-ELBOW_CSV = "elbow.csv"
-
-
-def write_elbow_csv(curve: SharedTripleCurve, path: Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, csv_lines([("k", "shared_count"), *curve.points]))
-    return path
-
-
-def write_curve_json(curve: SharedTripleCurve, path: Path) -> Path:
-    """Plot-friendly dump of the curve for external tooling."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"k": [k for k, _ in curve.points], "shared_count": [c for _, c in curve.points]}
-    write_atomic(path, [json.dumps(payload, indent=2) + "\n"])
-    return path
+def save_ensemble(
+    out_dir: Path, curve: SharedTripleCurve, k: int, auto: bool, n_runs: int, kb: KnowledgeBase
+) -> None:
+    """Write an ensemble directory: the curve as ``elbow.csv`` and, for
+    plotting, ``curve.json``; the ensemble KB's ``triples.ndjson``; and
+    ``ensemble.json``, which sums them up and is written last."""
+    out_dir = Path(out_dir)
+    write_atomic(out_dir / "elbow.csv", csv_lines([("k", "shared_count"), *curve.points]))
+    plot = {"k": [k for k, _ in curve.points], "shared_count": [c for _, c in curve.points]}
+    write_atomic(out_dir / "curve.json", [json.dumps(plot, indent=2) + "\n"])
+    write_triples(out_dir / "triples.ndjson", kb.triples)
+    summary = {
+        "k": k,
+        "auto": auto,
+        "n_runs": n_runs,
+        "triple_count": len(kb),
+        "curve": [list(point) for point in curve.points],
+    }
+    write_atomic(out_dir / "ensemble.json", [json.dumps(summary, indent=2) + "\n"])

@@ -2,7 +2,9 @@
 
 Four formats: RFC-4180 CSV, a portable SQL dump, Turtle with minted IRIs,
 and a directory of interlinked HTML pages. All output is sorted, so equal
-KBs always serialize to identical bytes.
+KBs always serialize to identical bytes. The CSV, SQL and Turtle files are
+each replaced whole (see ``write_atomic``); the HTML pages are written one
+by one.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import hashlib
 import html
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import quote
@@ -23,7 +26,9 @@ from .model import (
     StructuralCategory,
     TermKind,
     Triple,
+    csv_lines,
     derive_categories,
+    write_atomic,
 )
 
 CSV_HEADER = ["subject", "predicate", "object", "object_kind", "layer"]
@@ -56,14 +61,9 @@ def _sorted_triples(kb: KnowledgeBase) -> list[Triple]:
 
 
 def to_csv(kb: KnowledgeBase, path: Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
-        for t in _sorted_triples(kb):
-            writer.writerow([t.subject, t.predicate, t.object, t.object_kind.value, t.layer])
-    return path
+    rows = ((t.subject, t.predicate, t.object, t.object_kind.value, t.layer) for t in _sorted_triples(kb))
+    write_atomic(path, csv_lines(chain([CSV_HEADER], rows)))
+    return Path(path)
 
 
 def read_csv(path: Path) -> KnowledgeBase:
@@ -108,28 +108,28 @@ def to_sql_dump(kb: KnowledgeBase, path: Path) -> Path:
     categories = derive_categories(kb)
     entity_labels = categories[StructuralCategory.NAMED_ENTITIES]
     literal_labels = categories[StructuralCategory.LITERALS] - entity_labels
-
-    lines = [
-        "BEGIN TRANSACTION;",
-        "CREATE TABLE entities (label TEXT PRIMARY KEY, kind TEXT NOT NULL);",
-        "CREATE TABLE triples (subject TEXT NOT NULL, predicate TEXT NOT NULL, "
-        "object TEXT NOT NULL, object_kind TEXT NOT NULL, layer INTEGER NOT NULL);",
-    ]
     labeled = [(label, "ne") for label in entity_labels]
     labeled += [(label, "lit") for label in literal_labels]
-    for label, kind in sorted(labeled):
-        lines.append(f"INSERT INTO entities VALUES ({_sql_quote(label)}, '{kind}');")
-    for t in _sorted_triples(kb):
-        lines.append(
-            "INSERT INTO triples VALUES ("
-            f"{_sql_quote(t.subject)}, {_sql_quote(t.predicate)}, {_sql_quote(t.object)}, "
-            f"'{t.object_kind.value}', {t.layer});"
+
+    def lines() -> Iterator[str]:
+        yield "BEGIN TRANSACTION;\n"
+        yield "CREATE TABLE entities (label TEXT PRIMARY KEY, kind TEXT NOT NULL);\n"
+        yield (
+            "CREATE TABLE triples (subject TEXT NOT NULL, predicate TEXT NOT NULL, "
+            "object TEXT NOT NULL, object_kind TEXT NOT NULL, layer INTEGER NOT NULL);\n"
         )
-    lines.append("COMMIT;")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+        for label, kind in sorted(labeled):
+            yield f"INSERT INTO entities VALUES ({_sql_quote(label)}, '{kind}');\n"
+        for t in _sorted_triples(kb):
+            yield (
+                "INSERT INTO triples VALUES ("
+                f"{_sql_quote(t.subject)}, {_sql_quote(t.predicate)}, {_sql_quote(t.object)}, "
+                f"'{t.object_kind.value}', {t.layer});\n"
+            )
+        yield "COMMIT;\n"
+
+    write_atomic(path, lines())
+    return Path(path)
 
 
 # Turtle string escapes: the short forms where Turtle has one, \uXXXX for
@@ -147,23 +147,18 @@ def _turtle_literal(value: str) -> str:
 def to_turtle(kb: KnowledgeBase, policy: IriPolicy, path: Path) -> Path:
     """One statement per line, full IRIs, instanceOf rendered as `a`."""
     policy.validate()
-    lines = []
-    for t in _sorted_triples(kb):
-        subject = f"<{policy.mint(t.subject)}>"
-        if t.predicate == INSTANCE_OF:
-            predicate = "a"
-        else:
-            predicate = f"<{policy.mint(t.predicate)}>"
-        if t.object_kind is TermKind.NAMED_ENTITY:
-            obj = f"<{policy.mint(t.object)}>"
-        else:
-            obj = _turtle_literal(t.object)
-        lines.append(f"{subject} {predicate} {obj} .")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = "\n".join(lines)
-    path.write_text(text + "\n" if text else "", encoding="utf-8")
-    return path
+
+    def lines() -> Iterator[str]:
+        for t in _sorted_triples(kb):
+            predicate = "a" if t.predicate == INSTANCE_OF else f"<{policy.mint(t.predicate)}>"
+            if t.object_kind is TermKind.NAMED_ENTITY:
+                obj = f"<{policy.mint(t.object)}>"
+            else:
+                obj = _turtle_literal(t.object)
+            yield f"<{policy.mint(t.subject)}> {predicate} {obj} .\n"
+
+    write_atomic(path, lines())
+    return Path(path)
 
 
 _SLUG_KEEP = re.compile(r"[^A-Za-z0-9._-]")
@@ -266,7 +261,6 @@ def export_kb(
     """Emit the selected formats into out_dir; returns the paths written."""
     policy = policy or IriPolicy()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for fmt in formats:
         if fmt == "csv":

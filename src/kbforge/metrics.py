@@ -27,6 +27,7 @@ from .embeddings import (
     pairwise_cosine_similarity,
 )
 from .model import RunRecord, StructuralCategory, csv_lines, derive_categories, write_atomic
+from .popularity import BucketAssignment
 
 DEFAULT_TAU = 0.95
 
@@ -43,10 +44,9 @@ _DIAGONAL = {METRIC_LEXICAL: 1.0, METRIC_HAUSDORFF: 1.0, METRIC_MATCH: 100.0}
 _ONE_EMPTY = {METRIC_LEXICAL: 0.0, METRIC_HAUSDORFF: 0.0, METRIC_MATCH: 0.0}
 
 
-def yield_counts(record) -> dict[StructuralCategory, int]:
+def yield_counts(record: RunRecord) -> dict[StructuralCategory, int]:
     """Element count per structural category for one run."""
-    kb = getattr(record, "kb", record)
-    return {cat: len(members) for cat, members in derive_categories(kb).items()}
+    return {cat: len(members) for cat, members in derive_categories(record.kb).items()}
 
 
 def jaccard(a: set, b: set) -> float:
@@ -247,9 +247,8 @@ class StabilityReport:
     bucket_rows: list[BucketRow] = field(default_factory=list)
 
 
-def category_elements(record, category: StructuralCategory) -> set[str]:
-    kb = getattr(record, "kb", record)
-    return derive_categories(kb)[category]
+def category_elements(record: RunRecord, category: StructuralCategory) -> set[str]:
+    return derive_categories(record.kb)[category]
 
 
 class _Table(NamedTuple):
@@ -358,7 +357,7 @@ def pairwise_report(
 
 def bucketed_report(
     records: Sequence[RunRecord],
-    assignments: Sequence,
+    assignments: Sequence[BucketAssignment],
     tau: float = DEFAULT_TAU,
     provider: Optional[EmbeddingProvider] = None,
     cache: Optional[EmbeddingCache] = None,
@@ -382,7 +381,7 @@ def bucketed_report(
     if element_sets is None:
         element_sets = [category_elements(r, StructuralCategory.NAMED_ENTITIES) for r in records]
     sets = list(element_sets)
-    buckets_per_run = [getattr(a, "buckets", a) for a in assignments]
+    buckets_per_run = [a.buckets for a in assignments]
     bucket_names: list[str] = []
     for per_run in buckets_per_run:
         for name in per_run:
@@ -436,7 +435,7 @@ def build_stability_report(
     provider: Optional[EmbeddingProvider] = None,
     cache: Optional[EmbeddingCache] = None,
     suite_id: str = "",
-    assignments: Optional[Sequence] = None,
+    assignments: Optional[Sequence[BucketAssignment]] = None,
 ) -> StabilityReport:
     """Compare every category, and the popularity buckets if given.
 
@@ -453,7 +452,7 @@ def build_stability_report(
         kept.add(StructuralCategory.NAMED_ENTITIES)
     derived = []
     for record in records:
-        sets = derive_categories(getattr(record, "kb", record))
+        sets = derive_categories(record.kb)
         derived.append({category: sets[category] for category in kept})
     rows: list[CategoryRow] = []
     matrices: list[PairwiseMatrix] = []
@@ -505,7 +504,6 @@ def write_report(report: StabilityReport, out_dir: Path) -> tuple[Path, Path]:
     Each file is replaced whole (see ``write_atomic``).
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / REPORT_JSON
     csv_path = out_dir / REPORT_CSV
     write_atomic(

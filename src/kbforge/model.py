@@ -5,7 +5,8 @@ predicate, object) facts. Every other module works against the types
 defined here; category derivation is pure and shared by the metrics and
 export layers. The on-disk line format (NDJSON: one JSON object per line,
 non-ASCII text unescaped) is also defined here, for run triples and for
-every append-only store in the package.
+every append-only store in the package, and so are the run and suite
+directories and ``write_atomic``, which every whole file goes through.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import asdict, astuple, dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 # Separator used when a whole triple is flattened to a single set element.
 # U+241F (symbol for unit separator) never occurs in natural labels, so the
@@ -120,8 +121,8 @@ class LabelTable(dict):
 
     Where triples are built from outside text (a response, a file), every
     label is a fresh string; looking labels up here makes equal ones share
-    one object. A table lives for one crawl, one file read or one suite the
-    CLI loads, and its strings are freed with the triples that hold them.
+    one object. A table lives for one crawl, one file read or one
+    ``load_suite``, and its strings are freed with the triples that hold them.
     ``sys.intern`` would share across suites too, but CPython 3.12 keeps
     interned strings until the process exits.
     """
@@ -381,13 +382,15 @@ class NdjsonStore:
 def write_atomic(path: Path, chunks: Iterable[str]) -> None:
     """Write ``chunks`` as UTF-8 to a temporary sibling, then rename it to ``path``.
 
-    A reader sees the old file or the whole new one, never part of one: a
-    write that raises, also one raised while ``chunks`` are produced, removes
-    the sibling and leaves ``path`` as it was. Line ends are written as
-    given. Nothing is fsynced, so this survives a killed process, not a lost
-    machine.
+    This is how kbforge writes every whole file but an HTML page. The parent
+    directory is created first. A reader sees the old file or the whole new
+    one, never part of one: a write that raises, also one raised while
+    ``chunks`` are produced, removes the sibling and leaves ``path`` as it
+    was. Line ends are written as given. Nothing is fsynced, so this
+    survives a killed process, not a lost machine.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("w", encoding="utf-8", newline="") as fh:
@@ -426,6 +429,28 @@ def write_triples(path: Path, triples: Iterable[Triple]) -> None:
     )
 
 
+T = TypeVar("T")
+
+
+class InputError(Exception):
+    """A missing or damaged input, or a setting that cannot be used. The
+    message names it; the CLI prints it as its one error line."""
+
+
+def read_input(what: str, path: Path, load: Callable[[Path], T]) -> T:
+    """``load(path)``, with a missing or damaged file as an InputError naming it."""
+    try:
+        return load(path)
+    except FileNotFoundError as exc:
+        raise InputError(f"{what} not found: {exc.filename or path}") from exc
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{what} {path} is damaged: {exc!r}") from exc
+
+
+def read_json(path: Path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
 def save_run(record: RunRecord, run_dir: Path) -> None:
     """Persist a run as manifest.json plus one JSON object per triple.
 
@@ -435,7 +460,6 @@ def save_run(record: RunRecord, run_dir: Path) -> None:
     triples file.
     """
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "run_id": record.run_id,
         "config": record.config.to_dict(),
@@ -484,7 +508,7 @@ def load_run(run_dir: Path, labels: Optional[LabelTable] = None) -> RunRecord:
     ``labels`` is passed to ``load_triples``.
     """
     run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / MANIFEST_NAME).read_text(encoding="utf-8"))
+    manifest = read_json(run_dir / MANIFEST_NAME)
     return RunRecord(
         run_id=manifest["run_id"],
         config=RunConfig.from_dict(manifest["config"]),
@@ -498,3 +522,43 @@ def load_run(run_dir: Path, labels: Optional[LabelTable] = None) -> RunRecord:
         finished_at=manifest.get("finished_at", ""),
         visited_count=manifest.get("visited_subjects", 0),
     )
+
+
+SUITE_NAME = "suite.json"
+# A run of a suite that raised leaves this file, holding the error, in its directory.
+FAILED_NAME = "FAILED"
+
+
+def save_suite(
+    suite_dir: Path, dimension: str, run_ids: list[str], failed: dict[str, str], started_at: str
+) -> None:
+    """Write the suite manifest: every run id in order, and the error of each
+    failed run. ``load_suite`` reads it."""
+    manifest = {
+        "dimension": dimension,
+        "run_ids": run_ids,
+        "failed": failed,
+        "started_at": started_at,
+        "finished_at": utcnow(),
+    }
+    write_atomic(Path(suite_dir) / SUITE_NAME, [json.dumps(manifest, indent=2) + "\n"])
+
+
+def load_suite(suite_dir: Path) -> list[RunRecord]:
+    """The runs of a suite directory in manifest order, less those it lists as failed.
+
+    The runs share one ``LabelTable``, so a label the suite holds is one
+    string. A missing or damaged manifest or run raises InputError naming it.
+    """
+    suite_dir = Path(suite_dir)
+
+    def run_dirs(path: Path) -> list[Path]:
+        manifest = read_json(path)
+        failed = manifest["failed"]
+        return [suite_dir / run_id for run_id in manifest["run_ids"] if run_id not in failed]
+
+    labels = LabelTable()
+    return [
+        read_input("run", run_dir, lambda d: load_run(d, labels))
+        for run_dir in read_input("suite manifest", suite_dir / SUITE_NAME, run_dirs)
+    ]

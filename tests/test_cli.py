@@ -19,6 +19,7 @@ from kbforge.model import (
     Termination,
     derive_categories,
     load_run,
+    load_suite,
     save_run,
 )
 
@@ -742,7 +743,8 @@ class TestFailedRuns:
 
 
 class TestSuiteLoading:
-    """``compare`` and ``ensemble`` load a suite's runs through one label table."""
+    """``load_suite``, which ``compare`` and ``ensemble`` use, loads a suite's
+    runs through one label table."""
 
     @staticmethod
     def _overlapping_suite(suite_dir, size, n_runs=4):
@@ -759,7 +761,7 @@ class TestSuiteLoading:
 
     def test_runs_share_one_string_per_label(self, tmp_path):
         self._overlapping_suite(tmp_path, size=500)
-        objects = label_objects(run.kb for run in cli._load_suite_runs(tmp_path))
+        objects = label_objects(run.kb for run in load_suite(tmp_path))
         assert {label: len(ids) for label, ids in objects.items() if len(ids) > 1} == {}
 
     # Set on CPython 3.11, where this suite (19.1k triples) measures 87 B per
@@ -767,7 +769,7 @@ class TestSuiteLoading:
     # measured 145 B.
     def test_loaded_suite_fits_its_byte_budget(self, tmp_path):
         self._overlapping_suite(tmp_path, size=6000)
-        runs, used = held_bytes(lambda: cli._load_suite_runs(tmp_path))
+        runs, used = held_bytes(lambda: load_suite(tmp_path))
         assert used / sum(len(run.kb) for run in runs) < 105
 
 
@@ -950,6 +952,42 @@ class TestPopularityCommand:
             capsys, "--workspace", str(tmp_path), "popularity", "--labels", str(labels), "--offline", "--out", str(tmp_path)
         )
         _assert_one_error_line(code, err, tmp_path)
+
+    def test_a_failed_out_write_keeps_the_previous_file(self, tmp_path, capsys, monkeypatch):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("Hammurabi\n", encoding="utf-8")
+        out_path = tmp_path / "buckets.json"
+        args = ("--workspace", str(tmp_path), "popularity", "--labels", str(labels), "--offline", "--out", str(out_path))
+        assert _invoke(capsys, *args)[0] == 0
+        before = out_path.read_bytes()
+        labels.write_text("Babylon\n", encoding="utf-8")
+        # A disk that fills up: a file opened for writing takes no text.
+        real_open = Path.open
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                raise OSError("disk full")
+
+            writelines = write
+
+        def open_(path, mode="r", *args, **kwargs):
+            handle = real_open(path, mode, *args, **kwargs)
+            return FullDisk(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(Path, "open", open_)
+        code, _, err = _invoke(capsys, *args)
+        assert code == 1 and err == "error: disk full\n"
+        assert out_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["buckets.json", "labels.txt"]
 
     def test_requires_some_input(self, tmp_path, capsys):
         code, _, err = _invoke(capsys, "--workspace", str(tmp_path), "popularity")

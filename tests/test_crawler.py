@@ -19,9 +19,11 @@ from kbforge.crawler import (
 from kbforge.gateway import (
     BackendDescriptor,
     ElicitationRequest,
+    ElicitationResponse,
     MalformedOutputError,
     MockWorldGateway,
     NerRequest,
+    NerResponse,
     RemoteChatGateway,
     parse_elicitation_payload,
     replay_audit,
@@ -335,6 +337,55 @@ class _BrokenSubjectGateway:
 
     def classify_ner(self, req):
         return self.inner.classify_ner(req)
+
+
+class _CountingGateway:
+    """Passes every call to ``inner`` and records each elicited subject."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.subjects = []
+
+    def elicit(self, req):
+        self.subjects.append(req.subject)
+        return self.inner.elicit(req)
+
+    def classify_ner(self, req):
+        return self.inner.classify_ner(req)
+
+
+class _BlankLabelGateway:
+    """Answers each subject with one fact whose predicate is blank and one
+    whose object is; records every NER batch."""
+
+    def __init__(self):
+        self.batches = []
+
+    def elicit(self, req):
+        return ElicitationResponse([(req.subject, "  ", "Ur"), (req.subject, "rules", "\n")])
+
+    def classify_ner(self, req):
+        self.batches.append(list(req.phrases))
+        return NerResponse([True] * len(req.phrases))
+
+
+class TestElicitedLabels:
+    @pytest.mark.parametrize("world", ["babylon", "loop"])
+    def test_each_subject_is_elicited_once(self, request, world):
+        config = request.getfixturevalue(f"{world}_config")
+        gateway = _CountingGateway(MockWorldGateway(request.getfixturevalue(f"{world}_world_path")))
+        record = crawl(config, gateway)
+        assert len(gateway.subjects) > 10
+        assert sorted(gateway.subjects) == sorted(record.kb.visited_subjects)
+
+    def test_a_blank_predicate_or_object_is_dropped(self, babylon_config):
+        gateway = _BlankLabelGateway()
+        record = crawl(babylon_config, gateway)
+        assert record.kb.triples == []
+        assert record.kb.visited_subjects == {"Hammurabi"}
+        assert record.termination is Termination.ORGANIC
+        # Neither "" nor the object of the blank predicate reaches NER.
+        assert gateway.batches == []
 
 
 class TestDegradedSubjects:

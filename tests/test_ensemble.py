@@ -8,9 +8,8 @@ from kbforge.ensemble import (
     SharedTripleCurve,
     build_ensemble_kb,
     elbow_k,
+    save_ensemble,
     shared_triple_curve,
-    write_curve_json,
-    write_elbow_csv,
 )
 from kbforge.model import KnowledgeBase, TermKind, make_triple
 
@@ -191,23 +190,29 @@ class TestBuildEnsemble:
             assert t.layer == original.layer
 
 
+def _save_curve(out_dir, counts):
+    """``save_ensemble`` of a curve with ``counts``, its k = 1 and an empty KB."""
+    save_ensemble(out_dir, curve_from_counts(counts), 1, False, len(counts), KnowledgeBase())
+
+
 class TestCurveFiles:
     def test_elbow_csv_shape(self, tmp_path):
-        curve = curve_from_counts([9, 4, 1])
-        path = write_elbow_csv(curve, tmp_path / "elbow.csv")
-        assert path.read_bytes() == b"k,shared_count\r\n1,9\r\n2,4\r\n3,1\r\n"
+        _save_curve(tmp_path, [9, 4, 1])
+        assert (tmp_path / "elbow.csv").read_bytes() == b"k,shared_count\r\n1,9\r\n2,4\r\n3,1\r\n"
 
     def test_a_failed_elbow_write_keeps_the_previous_file(self, tmp_path, request):
-        path = write_elbow_csv(curve_from_counts([9, 4, 1]), tmp_path / "elbow.csv")
+        _save_curve(tmp_path, [9, 4, 1])
+        path = tmp_path / "elbow.csv"
         before = path.read_bytes()
         request.getfixturevalue("failing_csv_writer")
         with pytest.raises(OSError, match="disk full"):
-            write_elbow_csv(curve_from_counts([8, 5, 2]), path)
+            _save_curve(tmp_path, [8, 5, 2])
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["elbow.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "curve.json", "elbow.csv", "ensemble.json", "triples.ndjson"
+        ]
 
     def test_curve_json_shape(self, tmp_path):
-        curve = curve_from_counts([9, 4, 1])
-        path = write_curve_json(curve, tmp_path / "curve.json")
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        _save_curve(tmp_path, [9, 4, 1])
+        payload = json.loads((tmp_path / "curve.json").read_text(encoding="utf-8"))
         assert payload == {"k": [1, 2, 3], "shared_count": [9, 4, 1]}

@@ -3,6 +3,7 @@ from html.parser import HTMLParser
 
 import pytest
 
+from kbforge import export
 from kbforge.export import (
     EXPORTERS,
     IriPolicy,
@@ -263,3 +264,46 @@ class TestExportKb:
             assert (tmp_path / "one" / name).read_bytes() == (
                 tmp_path / "two" / name
             ).read_bytes()
+
+
+class TestFailedWrites:
+    """A write that fails partway leaves the previous file whole and no ``.tmp``."""
+
+    @staticmethod
+    def _previous(kb, tmp_path, fmt):
+        (path,) = export_kb(kb, tmp_path, [fmt])
+        return path, path.read_bytes()
+
+    @staticmethod
+    def _assert_kept(tmp_path, path, before):
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_csv(self, fixture_kb, tmp_path, request):
+        path, before = self._previous(fixture_kb, tmp_path, "csv")
+        request.getfixturevalue("failing_csv_writer")
+        with pytest.raises(OSError, match="disk full"):
+            to_csv(fixture_kb, path)
+        self._assert_kept(tmp_path, path, before)
+
+    # The formatter fails on its third call, after some lines are written:
+    # it raises, or returns a lone surrogate, which UTF-8 cannot encode.
+    @pytest.mark.parametrize("failure", ["raises", "unencodable"])
+    @pytest.mark.parametrize("fmt, formatter", [("sql", "_sql_quote"), ("ttl", "_turtle_literal")])
+    def test_sql_and_turtle(self, fixture_kb, tmp_path, monkeypatch, fmt, formatter, failure):
+        path, before = self._previous(fixture_kb, tmp_path, fmt)
+        real = getattr(export, formatter)
+        calls = []
+
+        def failing(value):
+            calls.append(value)
+            if len(calls) < 3:
+                return real(value)
+            if failure == "raises":
+                raise OSError("disk full")
+            return "\udc80"
+
+        monkeypatch.setattr(export, formatter, failing)
+        with pytest.raises((OSError, UnicodeEncodeError)):
+            export_kb(fixture_kb, tmp_path, [fmt])
+        self._assert_kept(tmp_path, path, before)

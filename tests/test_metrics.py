@@ -25,6 +25,7 @@ from kbforge.metrics import (
     yield_counts,
 )
 from kbforge.model import KnowledgeBase, StructuralCategory, TermKind, make_triple
+from kbforge.popularity import BucketAssignment
 
 import oracles
 from conftest import build_fixture_kb, synthetic_kb
@@ -42,6 +43,11 @@ class FakeRun:
 
 def _fixture_run(run_id="r0"):
     return FakeRun(run_id, build_fixture_kb())
+
+
+def _assignments(*buckets_per_run):
+    """One ``BucketAssignment`` per run, from each run's bucket -> labels map."""
+    return [BucketAssignment(buckets=buckets) for buckets in buckets_per_run]
 
 
 def _kb_from(rows):
@@ -481,7 +487,7 @@ def _two_identical_runs():
 class TestBucketedReport:
     def test_bucket_versus_full_uses_ordered_pairs(self):
         runs = _two_identical_runs()
-        assignments = [{"Q4": {"A"}}, {"Q4": {"A"}}]
+        assignments = _assignments({"Q4": {"A"}}, {"Q4": {"A"}})
         rows = bucketed_report(runs, assignments)
         assert len(rows) == 1
         row = rows[0]
@@ -495,7 +501,7 @@ class TestBucketedReport:
 
     def test_empty_bucket_on_one_run_is_skipped(self):
         runs = _two_identical_runs()
-        assignments = [{"Q4": {"A"}}, {"Q4": set()}]
+        assignments = _assignments({"Q4": {"A"}}, {"Q4": set()})
         rows = bucketed_report(runs, assignments)
         row = rows[0]
         assert row.pair_count == 1
@@ -503,7 +509,7 @@ class TestBucketedReport:
 
     def test_bucket_empty_everywhere_gets_null_row(self):
         runs = _two_identical_runs()
-        assignments = [{"Q1": set()}, {"Q1": set()}]
+        assignments = _assignments({"Q1": set()}, {"Q1": set()})
         rows = bucketed_report(runs, assignments)
         row = rows[0]
         assert row.pair_count == 0
@@ -514,14 +520,14 @@ class TestBucketedReport:
 
     def test_foreign_labels_rejected(self):
         runs = _two_identical_runs()
-        assignments = [{"Q4": {"Zeus"}}, {"Q4": {"A"}}]
+        assignments = _assignments({"Q4": {"Zeus"}}, {"Q4": {"A"}})
         with pytest.raises(ValueError):
             bucketed_report(runs, assignments)
 
     def test_assignment_count_must_match(self):
         runs = _two_identical_runs()
         with pytest.raises(ValueError):
-            bucketed_report(runs, [{}])
+            bucketed_report(runs, _assignments({}))
 
 
 class _TableProvider:
@@ -621,7 +627,7 @@ class TestTableAgainstOracle:
             {"Q1": set(ordered[2][1:4]), "Q4": set(ordered[2][:1])},
         ]
         tables = _count_tables(monkeypatch)
-        rows = bucketed_report(_runs_from_sets(entity_sets), assignments, provider=provider)
+        rows = bucketed_report(_runs_from_sets(entity_sets), _assignments(*assignments), provider=provider)
         assert tables == [3 + 5]
         for row in rows:
             cells = [
@@ -677,7 +683,7 @@ class TestOneEmbeddingPerLabel:
         runs = self._runs()
         provider = _CountingProvider()
         categories = list(StructuralCategory)
-        assignments = [{"Q4": {"Hammurabi", "Babylon"}, "Q1": {"Marduk"}} for _ in runs]
+        assignments = _assignments(*({"Q4": {"Hammurabi", "Babylon"}, "Q1": {"Marduk"}} for _ in runs))
         report = build_stability_report(runs, categories, provider=provider, assignments=assignments)
 
         assert len(derive_calls) == len(runs)
@@ -715,7 +721,7 @@ class TestReportSerialization:
             runs,
             [StructuralCategory.NAMED_ENTITIES, StructuralCategory.CLASSES],
             suite_id="demo",
-            assignments=[{"Q4": {"Hammurabi"}}, {"Q4": {"Hammurabi"}}],
+            assignments=_assignments({"Q4": {"Hammurabi"}}, {"Q4": {"Hammurabi"}}),
         )
         json_path, csv_path = write_report(report, tmp_path)
 
@@ -752,7 +758,7 @@ class TestReportSerialization:
             [StructuralCategory.NAMED_ENTITIES, StructuralCategory.CLASSES],
             tau=0.7,
             provider=FixedVectors(),
-            assignments=[{"Q4": {"X"}, "Q1": set()}, {"Q4": {"X", "Z"}, "Q1": set()}],
+            assignments=_assignments({"Q4": {"X"}, "Q1": set()}, {"Q4": {"X", "Z"}, "Q1": set()}),
         )
         _, csv_path = write_report(report, tmp_path)
         assert csv_path.read_bytes() == (
@@ -784,7 +790,7 @@ class TestReportSerialization:
         report = build_stability_report(
             runs,
             [StructuralCategory.NAMED_ENTITIES, StructuralCategory.LITERALS],
-            assignments=[{"Q4": {"X"}, "Q1": set()}, {"Q4": set(), "Q1": set()}],
+            assignments=_assignments({"Q4": {"X"}, "Q1": set()}, {"Q4": set(), "Q1": set()}),
         )
         json_path, _ = write_report(report, tmp_path)
         payload = json.loads(json_path.read_text(encoding="utf-8"))

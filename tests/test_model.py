@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -9,6 +10,7 @@ from kbforge import model
 from kbforge.model import (
     TRIPLE_SEP,
     Caps,
+    InputError,
     KnowledgeBase,
     NdjsonStore,
     RunConfig,
@@ -17,11 +19,13 @@ from kbforge.model import (
     Triple,
     derive_categories,
     load_run,
+    load_suite,
     load_triples,
     make_triple,
     normalize_label,
     read_ndjson,
     save_run,
+    save_suite,
     write_atomic,
     write_triples,
 )
@@ -248,6 +252,34 @@ class TestPersistence:
             write_atomic(path, chunks())
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_text(encoding="utf-8") == "old\n"
+
+    def test_write_atomic_creates_the_parent_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.txt"
+        write_atomic(path, ["x\n"])
+        assert path.read_text(encoding="utf-8") == "x\n"
+
+    def test_load_suite_reads_the_runs_save_suite_lists_as_done(self, tmp_path, fixture_kb):
+        run_ids = ["run-000", "run-001", "run-002"]
+        for run_id in run_ids:
+            save_run(dataclasses.replace(self._record(fixture_kb), run_id=run_id), tmp_path / run_id)
+        save_suite(tmp_path, "seed", run_ids[::-1], {"run-001": "boom"}, "2024-01-01T00:00:00+00:00")
+        manifest = json.loads((tmp_path / "suite.json").read_text(encoding="utf-8"))
+        assert list(manifest) == ["dimension", "run_ids", "failed", "started_at", "finished_at"]
+        runs = load_suite(tmp_path)
+        assert [run.run_id for run in runs] == ["run-002", "run-000"]
+        assert [t.key() for t in runs[0].kb.triples] == [t.key() for t in fixture_kb.triples]
+
+    @pytest.mark.parametrize("damaged, named", [
+        ("suite.json", "suite manifest {}/suite.json is damaged: "),
+        ("run-000/manifest.json", "run {}/run-000 is damaged: "),
+    ])
+    def test_load_suite_names_a_damaged_file(self, tmp_path, fixture_kb, damaged, named):
+        save_run(self._record(fixture_kb), tmp_path / "run-000")
+        save_suite(tmp_path, "base", ["run-000"], {}, "")
+        (tmp_path / damaged).write_text("{", encoding="utf-8")
+        with pytest.raises(InputError) as caught:
+            load_suite(tmp_path)
+        assert str(caught.value).startswith(named.format(tmp_path))
 
     def test_save_that_fails_midway_keeps_the_previous_run(self, tmp_path, fixture_kb, monkeypatch):
         record = self._record(fixture_kb)

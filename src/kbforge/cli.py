@@ -77,7 +77,7 @@ def _gateway(args, config: dict, workspace: Path):
         return read_input("world file", Path(world), MockWorldGateway)
     if endpoint:
         # Each crawl sends the model and temperature of its own run config.
-        descriptor = BackendDescriptor(kind="remote", endpoint_url=endpoint)
+        descriptor = BackendDescriptor(endpoint_url=endpoint)
         audit_path = Path(audit) if audit else workspace / "audit.ndjson"
         return RemoteChatGateway(descriptor, audit_path=audit_path)
     raise CliError("select a backend with --world (fixture) or --endpoint (remote)")
@@ -263,9 +263,8 @@ def cmd_export(args) -> int:
             raise CliError(f"unknown export format {fmt!r} (choose from {', '.join(export.EXPORTERS)})")
     kb = KnowledgeBase(read_input("triples file", kb_dir / "triples.ndjson", load_triples))
     out_dir = Path(args.out) if args.out else kb_dir.parent / (kb_dir.name + "-export")
-    policy = export.IriPolicy(args.namespace) if args.namespace else export.IriPolicy()
     try:
-        policy.validate()
+        policy = export.IriPolicy(args.namespace) if args.namespace else export.IriPolicy()
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     written = export.export_kb(kb, out_dir, formats, policy=policy)

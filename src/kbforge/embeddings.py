@@ -7,9 +7,8 @@ or backed by a newline-delimited JSON file, keeps repeat comparisons from
 re-embedding unchanged rows.
 
 Cosine similarity comes in two steps: ``normalise_rows`` scales rows to
-unit length in place (``unit_rows`` into a new array), and
-``pairwise_cosine_similarity`` multiplies unit rows, so a caller comparing
-one table block by block normalises it once.
+unit length in place, and ``pairwise_cosine_similarity`` multiplies unit
+rows, so a caller comparing one table block by block normalises it once.
 """
 
 from __future__ import annotations
@@ -249,11 +248,6 @@ def normalise_rows(rows: np.ndarray) -> np.ndarray:
         np.divide(block, norms, out=block, where=norms > 0)
         block[~(norms[:, 0] > 0)] = 0.0
     return rows
-
-
-def unit_rows(rows: np.ndarray) -> np.ndarray:
-    """A new array of ``rows`` each scaled to unit length; zero rows stay zero."""
-    return normalise_rows(np.array(rows, dtype=np.float64))
 
 
 def pairwise_cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:

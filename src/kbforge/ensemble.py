@@ -45,13 +45,6 @@ def _occurrences(records: Sequence[RunRecord]) -> Counter:
     return counts
 
 
-def _check_k(records: Sequence[RunRecord], k: int) -> None:
-    if not records:
-        raise ValueError("no runs given")
-    if not 1 <= k <= len(records):
-        raise ValueError(f"k must lie in 1..{len(records)}, got {k}")
-
-
 def shared_triple_curve(records: Sequence[RunRecord]) -> SharedTripleCurve:
     if not records:
         raise ValueError("no runs given")
@@ -68,9 +61,7 @@ def shared_triple_curve(records: Sequence[RunRecord]) -> SharedTripleCurve:
         running += per_k[k]
         points.append((k, running))
     points.reverse()
-    curve = SharedTripleCurve(points=points)
-    curve.validate()
-    return curve
+    return SharedTripleCurve(points=points)
 
 
 def elbow_k(curve: SharedTripleCurve) -> int:
@@ -103,7 +94,10 @@ def build_ensemble_kb(records: Sequence[RunRecord], k: int) -> KnowledgeBase:
     object_kind takes the majority vote across contributing runs (ties go
     to NamedEntity); layer takes the minimum across contributing runs.
     """
-    _check_k(records, k)
+    if not records:
+        raise ValueError("no runs given")
+    if not 1 <= k <= len(records):
+        raise ValueError(f"k must lie in 1..{len(records)}, got {k}")
     # key -> [runs holding it, NamedEntity votes among them, minimum layer]
     tally: dict[TripleKey, list[int]] = {}
     for record in records:

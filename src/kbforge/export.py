@@ -46,7 +46,7 @@ class IriPolicy:
 
     base_namespace: str = "https://kbforge.invalid/resource/"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not _SCHEME.match(self.base_namespace):
             raise ValueError("base_namespace must be an absolute IRI")
         if not self.base_namespace.endswith(("/", "#")):
@@ -146,7 +146,6 @@ def _turtle_literal(value: str) -> str:
 
 def to_turtle(kb: KnowledgeBase, policy: IriPolicy, path: Path) -> Path:
     """One statement per line, full IRIs, instanceOf rendered as `a`."""
-    policy.validate()
 
     def lines() -> Iterator[str]:
         for t in _sorted_triples(kb):

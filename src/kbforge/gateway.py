@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, TypeVar
 
-from .model import NdjsonStore, read_ndjson, utcnow
+from .model import NdjsonStore, is_unicode, read_ndjson, utcnow
 from .prompts import render_elicitation_prompt, render_ner_prompt
 
 logger = logging.getLogger(__name__)
@@ -360,9 +360,9 @@ class NerResponse:
 
 @dataclass
 class BackendDescriptor:
-    """Connection parameters for a chat backend."""
+    """Connection parameters for a remote chat backend; ``kind`` is always "remote"."""
 
-    kind: str = "mock"  # "remote" or "mock"
+    kind: str = "remote"
     endpoint_url: str = ""
     model_id: str = "gpt-4.1-mini"
     temperature: float = 0.0
@@ -371,7 +371,7 @@ class BackendDescriptor:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.kind not in ("remote", "mock"):
+        if self.kind != "remote":
             raise ValueError(f"unknown backend kind: {self.kind!r}")
 
 
@@ -417,7 +417,8 @@ def _payload_field(text: str, key: str, what: str):
 
 
 def parse_elicitation_payload(text: str) -> list[tuple[str, str, str]]:
-    """Strictly parse a JSON elicitation payload into raw (s, p, o) tuples."""
+    """Strictly parse a JSON elicitation payload into raw (s, p, o) tuples; a
+    label holding a lone surrogate (see ``is_unicode``) is malformed output."""
     items = _payload_field(text, "triples", "object")
     if not isinstance(items, list):
         raise MalformedOutputError("'triples' is not an array")
@@ -431,6 +432,8 @@ def parse_elicitation_payload(text: str) -> list[tuple[str, str, str]]:
             raise MalformedOutputError(f"triple entry missing key {exc}") from exc
         if not all(isinstance(x, str) for x in (s, p, o)):
             raise MalformedOutputError("triple fields must all be strings")
+        if not (is_unicode(s) and is_unicode(p) and is_unicode(o)):
+            raise MalformedOutputError("triple fields must be Unicode text, without lone surrogates")
         triples.append((s, p, o))
     return triples
 
@@ -472,8 +475,6 @@ class RemoteChatGateway:
         sleep: Callable[[float], None] = time.sleep,
         backoff_base: float = BACKOFF_BASE_S,
     ) -> None:
-        if descriptor.kind != "remote":
-            raise ValueError("RemoteChatGateway requires a 'remote' descriptor")
         if not descriptor.endpoint_url:
             raise ValueError("remote backend needs an endpoint_url")
         self.descriptor = descriptor
@@ -611,9 +612,13 @@ class MockWorldGateway:
 
     def __init__(self, world_path: Path) -> None:
         self.world_path = Path(world_path)
-        world = json.loads(self.world_path.read_text(encoding="utf-8"))
+        text = self.world_path.read_text(encoding="utf-8")
+        world = json.loads(text)
         if not isinstance(world, dict):
             raise ValueError(f"world {self.world_path} must hold a JSON object")
+        # In a UTF-8 file only a \u escape can spell a lone surrogate (see ``is_unicode``).
+        if "\\u" in text and not is_unicode(json.dumps(world, ensure_ascii=False)):
+            raise ValueError(f"world {self.world_path} holds text that is not Unicode")
         self.facts: dict[str, list[tuple[str, str]]] = {
             subject: [(p, o) for p, o in pairs] for subject, pairs in world.get("facts", {}).items()
         }

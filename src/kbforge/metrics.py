@@ -193,15 +193,6 @@ class PairwiseMatrix:
     metric_id: str
     category: StructuralCategory
 
-    def validate(self) -> None:
-        n = len(self.run_ids)
-        if len(self.values) != n or any(len(row) != n for row in self.values):
-            raise ValueError("matrix dimensions must match run_ids")
-        for i in range(n):
-            for j in range(n):
-                if self.values[i][j] != self.values[j][i]:
-                    raise ValueError("pairwise matrix must be symmetric")
-
 
 @dataclass
 class CategoryRow:
@@ -324,11 +315,7 @@ def pairwise_report(
     for (i, j), cell in cells.items():
         for metric_id, value in cell.items():
             values[metric_id][i][j] = values[metric_id][j][i] = value
-    matrices: dict[str, PairwiseMatrix] = {}
-    for metric_id, rows in values.items():
-        matrix = PairwiseMatrix(run_ids, rows, metric_id, category)
-        matrix.validate()
-        matrices[metric_id] = matrix
+    matrices = {m: PairwiseMatrix(run_ids, rows, m, category) for m, rows in values.items()}
 
     yields = [len(s) for s in element_sets]
     yield_mean = statistics.fmean(yields)

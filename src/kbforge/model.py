@@ -20,6 +20,7 @@ import re
 import threading
 from dataclasses import asdict, astuple, dataclass, field
 from enum import Enum
+from itertools import islice
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
@@ -32,6 +33,13 @@ TRIPLE_SEP = "␟"
 INSTANCE_OF = "instanceOf"
 
 _WS_RUN = re.compile(r"\s+")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def is_unicode(text: str) -> bool:
+    """False when ``text`` holds a lone surrogate, as a JSON escape such as
+    "\\udc80" decodes to: it is not Unicode text, and no file can hold it."""
+    return text.isascii() or _SURROGATE.search(text) is None
 
 
 def normalize_label(raw: str) -> str:
@@ -152,9 +160,6 @@ class KnowledgeBase:
 
     def __len__(self) -> int:
         return len(self.triples)
-
-    def subjects(self) -> set[str]:
-        return {t.subject for t in self.triples}
 
 
 def derive_categories(kb: KnowledgeBase) -> dict[StructuralCategory, set[str]]:
@@ -482,14 +487,16 @@ def load_triples(path: Path, labels: Optional[LabelTable] = None) -> list[Triple
 
     Equal labels share one string (see ``LabelTable``): within the file, and
     across every file read with the same ``labels``.
-    A damaged line raises ``ValueError``, also where a field is missing or
-    a label is not hashable and so fails its lookup before ``Triple`` sees it.
+    A damaged line raises ``ValueError``, also where a field is missing, a
+    label is not hashable and so fails its lookup before ``Triple`` sees it, or
+    a label is not Unicode text (see ``is_unicode``).
     """
     kind = TermKind.from_code
     if labels is None:
         labels = LabelTable()
+    known = len(labels)
     try:
-        return [
+        triples = [
             Triple(
                 labels[obj["s"]], labels[obj["p"]], labels[obj["o"]],
                 kind(obj["o_kind"]), obj["layer"],
@@ -498,6 +505,11 @@ def load_triples(path: Path, labels: Optional[LabelTable] = None) -> list[Triple
         ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"damaged triple in {path}: {exc!r}") from exc
+    # Only labels new to the table are checked; joined, all-ASCII text is one test.
+    if not is_unicode("".join(islice(labels, known, None))):
+        bad = next(label for label in islice(labels, known, None) if not is_unicode(label))
+        raise ValueError(f"damaged triple in {path}: label {bad!r} is not Unicode text")
+    return triples
 
 
 def load_run(run_dir: Path, labels: Optional[LabelTable] = None) -> RunRecord:

@@ -57,18 +57,6 @@ class PopularityRecord:
 class BucketAssignment:
     buckets: dict[str, set[str]] = field(default_factory=dict)
 
-    def validate(self, universe: set[str]) -> None:
-        seen: set[str] = set()
-        for name, members in self.buckets.items():
-            if name not in BUCKET_NAMES:
-                raise ValueError(f"unknown bucket {name!r}")
-            overlap = seen & members
-            if overlap:
-                raise ValueError(f"buckets overlap on {sorted(overlap)[:3]}")
-            seen |= members
-        if seen != universe:
-            raise ValueError("buckets must partition the entity set exactly")
-
 
 class RateLimiter:
     """Blocks callers so requests stay under MAX_REQUESTS_PER_SECOND."""
@@ -179,37 +167,15 @@ class PopularityStore:
         return len(self._records)
 
 
-def resolve_popularity(
-    entity: str,
-    client: WikidataClient,
-    store: Optional[PopularityStore] = None,
-) -> PopularityRecord:
-    """Resolve one label, consulting and feeding the cache when given."""
-    if not entity:
-        raise ValueError("entity label must be non-empty")
-    if store is not None:
-        cached = store.get(entity)
-        if cached is not None:
-            return cached
-    qid = client.search_qid(entity)
-    if qid is None:
-        record = PopularityRecord(entity, None, None, utcnow())
-    else:
-        record = PopularityRecord(entity, qid, client.statement_count(qid), utcnow())
-    if store is not None:
-        store.put(record)
-    return record
-
-
 def resolve_many(
     entities: Iterable[str],
     client: Optional[WikidataClient],
     store: Optional[PopularityStore] = None,
     offline: bool = False,
 ) -> list[PopularityRecord]:
-    """Resolve a batch of labels. Offline mode never touches the network:
-    uncached labels come back NotFound (and are not written to the cache),
-    reported in one warning per call."""
+    """Resolve a batch of labels, consulting and feeding the cache when given.
+    Offline mode never touches the network: uncached labels come back NotFound
+    (and are not written to the cache), reported in one warning per call."""
     records: list[PopularityRecord] = []
     misses: list[str] = []
     for entity in entities:
@@ -223,7 +189,14 @@ def resolve_many(
             continue
         if client is None:
             raise ValueError("online resolution requires a client")
-        records.append(resolve_popularity(entity, client, store))
+        if not entity:
+            raise ValueError("entity label must be non-empty")
+        qid = client.search_qid(entity)
+        statements = None if qid is None else client.statement_count(qid)
+        record = PopularityRecord(entity, qid, statements, utcnow())
+        if store is not None:
+            store.put(record)
+        records.append(record)
     if misses:
         logger.warning(
             "offline: %d labels not in cache, treating as NotFound (first: %s)",
@@ -257,6 +230,4 @@ def bucketize(records: Sequence[PopularityRecord]) -> BucketAssignment:
             buckets[name].add(record.entity)
         cursor += size
 
-    assignment = BucketAssignment(buckets=buckets)
-    assignment.validate({r.entity for r in records})
-    return assignment
+    return BucketAssignment(buckets=buckets)

@@ -68,7 +68,7 @@ def build_fixture_kb() -> KnowledgeBase:
         Triple(subject=s, predicate=p, object=o, object_kind=kind, layer=layer)
         for s, p, o, kind, layer in FIXTURE_ROWS
     )
-    kb.visited_subjects = kb.subjects()
+    kb.visited_subjects = {t.subject for t in kb.triples}
     return kb
 
 

@@ -52,6 +52,17 @@ def _assert_one_error_line(code, err, path):
     assert str(path) in err and "Traceback" not in err
 
 
+def _add_lone_surrogate(run_dir):
+    """Give the last triple of a run a subject holding a lone surrogate, which
+    ``json.dumps`` writes as the escape "\\udc80"; return the triples file."""
+    triples = run_dir / "triples.ndjson"
+    lines = triples.read_text(encoding="utf-8").splitlines(keepends=True)
+    damaged = json.loads(lines[-1])
+    damaged["s"] += "\udc80"
+    triples.write_text("".join(lines[:-1]) + json.dumps(damaged) + "\n", encoding="utf-8")
+    return triples
+
+
 def _crawl_args(workspace, world, *extra):
     return (
         "--workspace",
@@ -259,6 +270,15 @@ class TestCrawlCommand:
         world.write_text("[1, 2]\n", encoding="utf-8")
         code, _, err = _invoke(capsys, *_crawl_args(tmp_path, world))
         _assert_one_error_line(code, err, world)
+
+    def test_world_file_that_is_not_unicode_is_one_error_line(self, tmp_path, babylon_world_path, capsys):
+        world = json.loads(babylon_world_path.read_text(encoding="utf-8"))
+        world["facts"]["Hammurabi"].append(["epithet", "Ur\udc80"])
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(world), encoding="utf-8")
+        code, _, err = _invoke(capsys, *_crawl_args(tmp_path, path))
+        _assert_one_error_line(code, err, path)
+        assert not (tmp_path / "runs").exists()
 
     def test_flag_overrides_config_file(self, tmp_path, babylon_world_path, capsys):
         config_path = tmp_path / "c.json"
@@ -708,6 +728,14 @@ class TestCompareCommand:
         assert not (suite_dir / "report").exists()
 
 
+    @pytest.mark.parametrize("command", [("compare", "--offline"), ("ensemble", "--k", "1")])
+    def test_label_that_is_not_unicode_is_one_error_line(self, suite_dir, capsys, command):
+        triples = _add_lone_surrogate(suite_dir / "run-001")
+        code, _, err = _invoke(capsys, command[0], str(suite_dir), *command[1:])
+        _assert_one_error_line(code, err, triples)
+        assert not (suite_dir / "report").exists() and not (suite_dir / "ensemble").exists()
+
+
 def _mark_run_001_failed(suite_dir):
     """List run-001 under the manifest's ``failed`` map, leaving its files whole."""
     manifest = suite_dir / "suite.json"
@@ -858,6 +886,15 @@ class TestExportCommand:
         triples.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2], encoding="utf-8")
         code, _, err = _invoke(capsys, "export", str(suite_dir / "run-000"))
         _assert_one_error_line(code, err, triples)
+
+    def test_label_that_is_not_unicode_is_one_error_line(self, suite_dir, tmp_path, capsys):
+        run_dir, out_dir = suite_dir / "run-000", tmp_path / "exported"
+        assert _invoke(capsys, "export", str(run_dir), "--formats", "csv", "--out", str(out_dir))[0] == 0
+        before = (out_dir / "kb.csv").read_bytes()
+        triples = _add_lone_surrogate(run_dir)
+        code, out, err = _invoke(capsys, "export", str(run_dir), "--formats", "csv", "--out", str(out_dir))
+        _assert_one_error_line(code, err, triples)
+        assert out == "" and (out_dir / "kb.csv").read_bytes() == before
 
     def test_no_format_is_one_error_line(self, suite_dir, tmp_path, capsys):
         out_dir = tmp_path / "exported"

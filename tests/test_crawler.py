@@ -37,6 +37,7 @@ from kbforge.model import (
     derive_categories,
     load_run,
     load_triples,
+    read_ndjson,
     save_run,
 )
 
@@ -434,7 +435,7 @@ class TestLoopWorld:
     def test_resaved_run_keeps_its_bytes(self, loop_config, loop_world_path, tmp_path):
         # Some visited subjects of this world yield no triples.
         record = crawl(loop_config, MockWorldGateway(loop_world_path))
-        assert record.kb.visited_subjects > record.kb.subjects()
+        assert record.kb.visited_subjects > {t.subject for t in record.kb.triples}
         save_run(record, tmp_path / "a")
         save_run(load_run(tmp_path / "a"), tmp_path / "b")
         for name in ("manifest.json", "triples.ndjson"):
@@ -591,6 +592,32 @@ class TestRemoteSuite:
             assert (tmp_path / "suite" / run_id / "triples.ndjson").exists()
         for run_id in ("run-001", "run-003"):
             assert (tmp_path / "suite" / run_id / "FAILED").exists()
+
+    def test_an_answer_that_is_not_unicode_skips_its_subject(self, babylon_config, babylon_gateway, tmp_path):
+        serve = _world_responder(babylon_gateway)
+        asked = []
+
+        def responder(method, path, query, body):
+            subject = json.loads(body)["messages"][1]["content"]
+            if subject != "Marduk":
+                return serve(method, path, query, body)
+            asked.append(subject)
+            # The model's JSON holds the escape "\\udc80", which decodes to a lone surrogate.
+            return chat_ok(json.dumps({"triples": [{"subject": "Marduk", "predicate": "p", "object": "\udc80"}]}))
+
+        audit_path = tmp_path / "audit.ndjson"
+        with LocalServer(responder) as server:
+            descriptor = BackendDescriptor(endpoint_url=server.url, max_retries=2)
+            gateway = RemoteChatGateway(descriptor, api_key="test-key", audit_path=audit_path)
+            (record,) = run_suite([babylon_config], gateway, tmp_path / "suite")
+        assert record is not None and asked == ["Marduk"] * 3
+        loaded = load_run(tmp_path / "suite" / "run-000")
+        assert "Marduk" in {t.object for t in loaded.kb.triples}
+        assert not any(t.subject == "Marduk" for t in loaded.kb.triples)
+        failures = [e for e in read_ndjson(audit_path) if e["status"] != "ok"]
+        assert [(e["run"], e["kind"], e["subject"], e["status"]) for e in failures] == [
+            ("run-000", "elicit", "Marduk", "MalformedOutputError")
+        ]
 
     def test_audit_lines_name_their_run(self, babylon_gateway, tmp_path):
         audit_path = tmp_path / "audit.ndjson"

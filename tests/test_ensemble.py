@@ -97,6 +97,7 @@ class TestSharedTripleCurve:
             for j in range(5)
         ]
         curve = shared_triple_curve(runs)
+        assert [k for k, _ in curve.points] == [1, 2, 3, 4, 5]
         counts = [c for _, c in curve.points]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 

@@ -111,6 +111,24 @@ class TestPayloadParsers:
         with pytest.raises(MalformedOutputError):
             parse_elicitation_payload(payload)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # A \u escape in the answer's JSON, and a lone surrogate in the answer itself.
+            '{"triples": [{"subject": "Ur", "predicate": "p", "object": "x\\udc80"}]}',
+            '{"triples": [{"subject": "Ur\udc80", "predicate": "p", "object": "x"}]}',
+            '{"triples": [{"subject": "Ur", "predicate": "\\ud83d", "object": "x"}]}',
+        ],
+        ids=["escaped", "raw", "high-half"],
+    )
+    def test_elicitation_that_is_not_unicode_rejected(self, payload):
+        with pytest.raises(MalformedOutputError, match="Unicode"):
+            parse_elicitation_payload(payload)
+
+    def test_escaped_elicitation_that_is_unicode_accepted(self):
+        payload = '{"triples": [{"subject": "\\u00c9a", "predicate": "p", "object": "\\ud83d\\ude00"}]}'
+        assert parse_elicitation_payload(payload) == [("\u00c9a", "p", "\U0001F600")]
+
     def test_valid_ner(self):
         assert parse_ner_payload('{"verdicts": [true, false]}', 2) == [True, False]
 
@@ -124,6 +142,11 @@ class TestPayloadParsers:
 
 
 class TestRemoteGateway:
+    def test_descriptor_kind_is_remote_only(self):
+        assert BackendDescriptor().kind == BackendDescriptor(kind="remote").kind == "remote"
+        with pytest.raises(ValueError, match="unknown backend kind"):
+            BackendDescriptor(kind="mock")
+
     def test_missing_api_key_is_fatal(self, monkeypatch):
         monkeypatch.delenv("KBFORGE_API_KEY", raising=False)
         descriptor = BackendDescriptor(kind="remote", endpoint_url="http://localhost:1")
@@ -393,6 +416,17 @@ class TestAuditLog:
 
 
 class TestMockWorld:
+    def test_world_text_must_be_unicode(self, babylon_world_path, tmp_path):
+        world = json.loads(babylon_world_path.read_text(encoding="utf-8"))
+        world["entities"].append("\u00c9tana")
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(world), encoding="utf-8")  # spells the accent as an escape
+        assert MockWorldGateway(path).classify_ner(NerRequest(["\u00c9tana"], "babylon")).verdicts == [True]
+        world["entities"].append("Ur\udc80")
+        path.write_text(json.dumps(world), encoding="utf-8")
+        with pytest.raises(ValueError, match="not Unicode"):
+            MockWorldGateway(path)
+
     def test_serves_fixture_facts(self, babylon_gateway):
         response = babylon_gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
         assert ("Hammurabi", "instanceOf", "King") in response.triples

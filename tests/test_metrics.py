@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbforge import metrics
-from kbforge.embeddings import EMBED_DIM, EmbeddingCache, TrigramHashEmbedder, unit_rows
+from kbforge.embeddings import EMBED_DIM, EmbeddingCache, TrigramHashEmbedder, normalise_rows
 from kbforge.metrics import (
     METRIC_HAUSDORFF,
     METRIC_LEXICAL,
@@ -307,7 +307,7 @@ class TestPatternKernel:
                 held[s, members] = True
             assert np.unique(held.T, axis=0).shape[0] > 7
             want = oracles.best_into_gathered(rows, sets, block_rows)
-            assert np.array_equal(metrics._best_into(unit_rows(rows), sets), want), (n, dim)
+            assert np.array_equal(metrics._best_into(normalise_rows(rows.copy()), sets), want), (n, dim)
 
     @pytest.mark.parametrize("block_rows", [1, 3, 512])
     def test_all_held_and_empty_sets(self, monkeypatch, block_rows):
@@ -317,7 +317,7 @@ class TestPatternKernel:
         everything, nothing = np.arange(9), np.arange(0)
         for sets in ([everything, everything], [everything, np.arange(3, 9), nothing], [nothing, nothing]):
             want = oracles.best_into_gathered(rows, sets, block_rows)
-            assert np.array_equal(metrics._best_into(unit_rows(rows), sets), want)
+            assert np.array_equal(metrics._best_into(normalise_rows(rows.copy()), sets), want)
 
 
 def _distinct_cases(rng):
@@ -408,6 +408,32 @@ class TestYieldCounts:
 
 
 class TestPairwiseReport:
+    @given(
+        st.lists(
+            st.sets(st.sampled_from(["Ur", "Uruk", "Ur III", "Babylon", "Kish", "Nippur", "Eridu"]), max_size=5),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matrices_are_symmetric_with_the_diagonal_convention(self, sets):
+        runs = [FakeRun(f"r{i}", KnowledgeBase()) for i in range(len(sets))]
+        comparison = pairwise_report(runs, StructuralCategory.LITERALS, element_sets=sets)
+        diagonal = {METRIC_LEXICAL: 1.0, METRIC_HAUSDORFF: 1.0, METRIC_MATCH: 100.0}
+        assert sorted(comparison.matrices) == sorted(diagonal)
+        n = len(sets)
+        for metric_id, matrix in comparison.matrices.items():
+            assert (matrix.metric_id, matrix.category) == (metric_id, StructuralCategory.LITERALS)
+            assert matrix.run_ids == [r.run_id for r in runs]
+            assert [len(row) for row in matrix.values] == [n] * n
+            assert matrix.values == [list(column) for column in zip(*matrix.values)]
+            assert all(matrix.values[i][i] == diagonal[metric_id] for i in range(n))
+        lexical = comparison.matrices[METRIC_LEXICAL].values
+        for i in range(n):
+            for j in range(i + 1, n):
+                union = sets[i] | sets[j]
+                assert lexical[i][j] == (len(sets[i] & sets[j]) / len(union) if union else 1.0)
+
     def test_identical_runs_hit_ceilings(self):
         runs = [_fixture_run(f"r{i}") for i in range(3)]
         comparison = pairwise_report(runs, StructuralCategory.NAMED_ENTITIES)
@@ -420,7 +446,7 @@ class TestPairwiseReport:
         assert row.flags == []
 
         for matrix in comparison.matrices.values():
-            matrix.validate()
+            assert matrix.values == [list(column) for column in zip(*matrix.values)]
         assert comparison.matrices[METRIC_LEXICAL].values[0][0] == 1.0
         assert comparison.matrices[METRIC_HAUSDORFF].values[1][1] == 1.0
         assert comparison.matrices[METRIC_MATCH].values[2][2] == 100.0

@@ -143,7 +143,7 @@ class TestKnowledgeBase:
         keys = {t.key() for t in kb.triples}
         assert ("Hammurabi", "instanceOf", "King") in keys
         assert ("Hammurabi", "instanceOf", "Queen") not in keys
-        assert "Tiamat" in kb.subjects()
+        assert "Tiamat" in {t.subject for t in kb.triples}
 
 
 class TestDeriveCategories:
@@ -468,6 +468,39 @@ class TestTripleCodec:
         path.write_text(good + line + "\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_triples(path)
+
+    @pytest.mark.parametrize("field", ["s", "p", "o"])
+    def test_label_that_is_not_unicode_is_rejected_naming_the_file(self, tmp_path, field):
+        # json.dumps writes the lone surrogate as the escape "\\udc80".
+        line = {"s": "Ur", "p": "p", "o": "o", "o_kind": "ne", "layer": 0}
+        line[field] += "\udc80"
+        path = tmp_path / "t.ndjson"
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="not Unicode") as err:
+            load_triples(path)
+        assert str(path) in str(err.value)
+
+    def test_label_that_is_not_unicode_is_rejected_in_a_shared_table(self, tmp_path):
+        good, bad = tmp_path / "good.ndjson", tmp_path / "bad.ndjson"
+        good.write_text('{"s": "Ur", "p": "p", "o": "o", "o_kind": "ne", "layer": 0}\n', encoding="utf-8")
+        bad.write_text('{"s": "Ur", "p": "p", "o": "\\udc80x", "o_kind": "lit", "layer": 0}\n', encoding="utf-8")
+        labels = model.LabelTable()
+        load_triples(good, labels)
+        with pytest.raises(ValueError, match="bad.ndjson"):
+            load_triples(bad, labels)
+
+    def test_escaped_text_that_is_unicode_loads(self, tmp_path):
+        path = tmp_path / "t.ndjson"
+        # A surrogate pair, a control character and non-ASCII text, all escaped.
+        path.write_text(
+            '{"s": "\\ud83d\\ude00", "p": "p\\u0001", "o": "\\u00e9", "o_kind": "lit", "layer": 0}\n',
+            encoding="utf-8",
+        )
+        assert [t.key() for t in load_triples(path)] == [("\U0001F600", "p\x01", "\u00e9")]
+
+    def test_is_unicode(self):
+        assert model.is_unicode("Babylon") and model.is_unicode("Vavilon \u0412\U0001F600")
+        assert not model.is_unicode("Ur\udc80") and not model.is_unicode("\ud83d")
 
     def test_validation_still_runs(self, tmp_path):
         path = tmp_path / "t.ndjson"

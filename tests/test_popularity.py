@@ -1,18 +1,20 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbforge.gateway import Session, TransportError
 from kbforge.popularity import (
+    BUCKET_NAMES,
     BUCKET_NOT_FOUND,
-    BucketAssignment,
+    QUARTILE_BUCKETS,
     PopularityRecord,
     PopularityStore,
     RateLimiter,
     WikidataClient,
     bucketize,
     resolve_many,
-    resolve_popularity,
 )
 
 from fixture_server import LocalServer, wikidata_responder
@@ -45,6 +47,20 @@ class TestPopularityRecord:
 
 
 class TestBucketize:
+    @given(st.dictionaries(st.text(min_size=1, max_size=4), st.none() | st.integers(0, 20), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_buckets_partition_the_labels_into_ascending_quartiles(self, counts):
+        buckets = bucketize([_record(label, count) for label, count in counts.items()]).buckets
+        assert list(buckets) == list(BUCKET_NAMES)
+        members = [label for name in BUCKET_NAMES for label in buckets[name]]
+        assert sorted(members) == sorted(counts)
+        assert buckets[BUCKET_NOT_FOUND] == {label for label, count in counts.items() if count is None}
+        sizes = [len(buckets[name]) for name in QUARTILE_BUCKETS]
+        # Sizes differ by at most one, and the larger ones are the lower quartiles.
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+        ranked = [sorted((counts[label], label) for label in buckets[name]) for name in QUARTILE_BUCKETS]
+        assert sum(ranked, []) == sorted(sum(ranked, []))
+
     def test_even_split(self):
         records = [_record(f"e{i}", i * 10) for i in range(1, 9)]
         assignment = bucketize(records)
@@ -81,19 +97,6 @@ class TestBucketize:
         assert assignment.buckets["Q2"] == {"b"}
         assert assignment.buckets["Q3"] == {"c"}
         assert assignment.buckets["Q4"] == {"d"}
-
-    def test_validate_rejects_overlap(self):
-        assignment = BucketAssignment(
-            buckets={
-                BUCKET_NOT_FOUND: set(),
-                "Q1": {"x"},
-                "Q2": {"x"},
-                "Q3": set(),
-                "Q4": set(),
-            }
-        )
-        with pytest.raises(ValueError):
-            assignment.validate({"x"})
 
 
 class TestRateLimiter:
@@ -182,11 +185,11 @@ class TestResolveAndCache:
         store = PopularityStore(tmp_path / "popularity.ndjson")
         with LocalServer(wikidata_responder(CATALOG)) as server:
             client = _client(server.url)
-            record = resolve_popularity("Hammurabi", client, store)
+            (record,) = resolve_many(["Hammurabi"], client, store)
             assert record.qid == "Q36359"
             assert record.statement_count == 37
             before = len(server.requests)
-            again = resolve_popularity("Hammurabi", client, store)
+            (again,) = resolve_many(["Hammurabi"], client, store)
             assert len(server.requests) == before
         assert again.qid == "Q36359"
         assert len(store) == 1
@@ -203,7 +206,7 @@ class TestResolveAndCache:
         store = PopularityStore(tmp_path / "popularity.ndjson")
         with LocalServer(wikidata_responder(CATALOG)) as server:
             client = _client(server.url)
-            record = resolve_popularity("Zzyzx Nonsense", client, store)
+            (record,) = resolve_many(["Zzyzx Nonsense"], client, store)
         assert not record.found
         assert store.get("Zzyzx Nonsense") is not None
 

@@ -16,6 +16,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -121,38 +122,47 @@ def crawl(
 
     Caps are checked at every layer boundary; the wall clock is additionally
     checked before each request, so a timed-out run loses at most the
-    remainder of its current layer. A subject whose elicitation output stays
-    malformed after retries contributes zero triples but counts as visited,
-    and a NER batch whose output stays malformed makes its labels literals.
-    Degenerate entity names keep their triples but never enter the frontier.
+    remainder of its current layer and the next-layer responses it fetched
+    ahead. A subject whose elicitation output stays malformed after retries
+    contributes zero triples but counts as visited, and a NER batch whose
+    output stays malformed makes its labels literals. Degenerate entity
+    names keep their triples but never enter the frontier.
 
-    A gateway that waits on a network (one with ``for_run``) gets one pool
-    of ``config.parallelism`` threads for the whole run, so that many
-    requests are in flight at once. An in-process gateway never waits, and
-    its crawl runs on the calling thread.
+    A layer has no barrier: each NER batch goes out as soon as the
+    responses read so far, in frontier order, fill it, and the subjects it
+    admits are elicited at once. A gateway that waits on a network (one
+    with ``for_run``) elicits on one pool of ``config.parallelism`` threads
+    for the whole run while the run's own thread sends the NER batches, so
+    a run has up to ``parallelism`` + 1 requests, and connections, in
+    flight. A run that stops early cancels the elicitations still queued.
+    An in-process gateway never waits, and its crawl runs on the calling
+    thread, each elicitation when its response is read.
     """
     config.validate()
     run_id = run_id or default_run_id(config)
     if not hasattr(gateway, "for_run"):
-        return _crawl(config, gateway, map, run_id, clock)
+        return _crawl(config, gateway, partial, run_id, clock)
     # A remote gateway sends this run's model and temperature, not its own,
     # over a connection pool that lives as long as the run, as do the threads.
-    with (
-        closing(gateway.for_run(config, run_id)) as bound,
-        ThreadPoolExecutor(max_workers=config.parallelism) as pool,
-    ):
-        return _crawl(config, bound, pool.map, run_id, clock)
+    with closing(gateway.for_run(config, run_id)) as bound:
+        pool = ThreadPoolExecutor(max_workers=config.parallelism)
+        try:
+            return _crawl(config, bound, lambda fetch, subject: pool.submit(fetch, subject).result, run_id, clock)
+        finally:
+            # Subjects fetched ahead for a layer the run never reaches are dropped.
+            pool.shutdown(cancel_futures=True)
 
 
 def _crawl(
     config: RunConfig,
     gateway,
-    map_: Callable,
+    submit: Callable,
     run_id: str,
     clock: Callable[[], float],
 ) -> RunRecord:
-    """The BFS of ``crawl``. ``map_(fetch, frontier)`` elicits one layer's
-    subjects, on the calling thread or on the run's pool, in frontier order."""
+    """The BFS of ``crawl``. ``submit(fetch, subject)`` starts one subject's
+    elicitation, on the run's pool or deferred to the calling thread, and
+    returns the call that reads its response."""
     started_at = utcnow()
     start = clock()
     deadline = start + config.caps.max_wall_seconds
@@ -170,9 +180,7 @@ def _crawl(
     labels = LabelTable()
     seed = labels[normalize_label(config.seed_entity)]
     kinds[seed] = TermKind.NAMED_ENTITY
-    # The not-yet-expanded subjects of the current layer, in discovery order.
     layer = 0
-    frontier = [seed]
     termination: Optional[Termination] = None
     deepest_layer = 0
 
@@ -187,16 +195,36 @@ def _crawl(
             logger.warning("subject %r failed elicitation: %s", subject, exc)
             return ElicitationResponse([])
 
-    def classify(batch: list[str]) -> list[bool]:
+    def admit(batch: list[str], next_frontier: list) -> bool:
+        """Classify one batch of the layer's new labels and start fetching
+        the named entities it admits to ``next_frontier``. False, leaving
+        the labels literals, when the deadline has passed."""
+        if clock() >= deadline:
+            return False
         request = NerRequest(batch, config.topic, config.prompt_language)
         try:
-            return gateway.classify_ner(request).verdicts
+            verdicts = gateway.classify_ner(request).verdicts
         except MalformedOutputError as exc:
             # Conservative fallback: an unparseable batch stops expansion
             # instead of admitting unvetted phrases to the frontier.
             logger.warning("NER batch of %d defaulted to non-entity: %s", len(batch), exc)
-            return [False] * len(batch)
+            return True
+        # No request goes out for a layer past the layer cap.
+        ahead = layer + 1 < config.caps.max_layers
+        for label, verdict in zip(batch, verdicts):
+            if not verdict:
+                continue
+            kinds[label] = TermKind.NAMED_ENTITY
+            kind = classify_degeneracy(label)
+            if kind is not None:
+                events.append(DegeneracyEvent(kind=kind, entity=label, layer=layer + 1))
+            else:
+                next_frontier.append((label, submit(fetch, label) if ahead else None))
+        return True
 
+    # The current layer's subjects in discovery order, each with the call
+    # that reads its response.
+    frontier = [(seed, submit(fetch, seed))]
     while frontier:
         if clock() >= deadline:
             termination = Termination.CAPPED_TIME
@@ -209,11 +237,13 @@ def _crawl(
             break
 
         deepest_layer = layer
-        responses = list(map_(fetch, frontier))
-
         timed_out = False
         pending: list[tuple[str, str, str]] = []
-        for subject, response in zip(frontier, responses):
+        # The layer's new object labels whose NER batch has not gone yet.
+        unsent: list[str] = []
+        next_frontier: list[tuple[str, Optional[Callable]]] = []
+        for subject, read in frontier:
+            response = read()
             if response is None:
                 timed_out = True
                 continue
@@ -226,43 +256,29 @@ def _crawl(
                 if not p2 or not o2:
                     continue
                 pending.append((subject, p2, o2))
-        # The layer's unclassified object labels, each once, in first-seen order.
-        new_labels = list(dict.fromkeys(o for _, _, o in pending if o not in kinds))
-
-        if new_labels:
-            if clock() >= deadline:
-                timed_out = True
-                for label in new_labels:
-                    kinds[label] = TermKind.LITERAL
-            else:
-                for first in range(0, len(new_labels), NER_BATCH):
-                    batch = new_labels[first : first + NER_BATCH]
-                    for label, verdict in zip(batch, classify(batch)):
-                        kinds[label] = TermKind.NAMED_ENTITY if verdict else TermKind.LITERAL
+                if o2 not in kinds:
+                    # A literal unless its NER batch says otherwise.
+                    kinds[o2] = TermKind.LITERAL
+                    unsent.append(o2)
+            while len(unsent) >= NER_BATCH:
+                timed_out |= not admit(unsent[:NER_BATCH], next_frontier)
+                del unsent[:NER_BATCH]
+        if unsent:
+            timed_out |= not admit(unsent, next_frontier)
 
         before = len(facts)
         for s, p, o in pending:
             facts[Triple(s, p, o, kinds[o], layer)] = None
         added = len(facts) - before
 
-        next_subjects: list[str] = []
-        for label in new_labels:
-            if kinds[label] is not TermKind.NAMED_ENTITY:
-                continue
-            kind = classify_degeneracy(label)
-            if kind is not None:
-                events.append(DegeneracyEvent(kind=kind, entity=label, layer=layer + 1))
-                continue
-            next_subjects.append(label)
-
         per_layer.append(
-            LayerStats(layer=layer, new_entities=len(next_subjects), new_triples=added)
+            LayerStats(layer=layer, new_entities=len(next_frontier), new_triples=added)
         )
         if timed_out:
             termination = Termination.CAPPED_TIME
             break
         layer += 1
-        frontier = next_subjects
+        frontier = next_frontier
 
     if termination is None:
         termination = Termination.ORGANIC
@@ -298,11 +314,11 @@ def run_suite(
 
     Runs share nothing but the gateway. A gateway that waits on a network
     (one with ``for_run``) crawls all runs at the same time, one thread per
-    run, each with its own ``parallelism`` workers, so up to the sum of the
-    runs' ``parallelism`` requests are in flight. An in-process gateway never
-    waits, so its runs go one after another on the calling thread, where
-    extra threads would only add memory. Each run's wall-clock cap counts
-    time shared with its siblings.
+    run, each with its own ``parallelism`` workers and a NER batch of its
+    own, so up to the sum of the runs' ``parallelism`` + 1 requests are in
+    flight. An in-process gateway never waits, so its runs go one after
+    another on the calling thread, where extra threads would only add
+    memory. Each run's wall-clock cap counts time shared with its siblings.
 
     A run that raises is recorded as failed in the suite manifest (and with
     a FAILED marker in its directory) without aborting its siblings. The

@@ -176,7 +176,8 @@ class Session:
     Idle connections wait on a LIFO list per origin. A request takes the most
     recently used one that the server has not closed, or opens a new one, and
     reads the response in full before it puts the connection back, so a
-    session holds at most as many connections as it has requests in flight.
+    session holds at most as many connections as it has requests in flight:
+    for a crawl run, ``parallelism`` elicitations and one NER batch.
     A request that reached the server is never sent again here; retrying is
     ``with_retries``' decision. Every request carries ``USER_AGENT``.
 
@@ -492,9 +493,9 @@ class RemoteChatGateway:
 
         The copy shares the audit log with this gateway and tags its lines
         with ``run_id``. Its own session keeps one connection per request
-        the run has in flight, at most ``config.parallelism``, so runs
-        crawled at the same time never share a connection. Close the copy
-        when the run ends.
+        the run has in flight, at most ``config.parallelism`` elicitations
+        and one NER batch, so runs crawled at the same time never share a
+        connection. Close the copy when the run ends.
         """
         bound = copy.copy(self)
         bound.descriptor = replace(

@@ -167,9 +167,13 @@ class MatchPct(NamedTuple):
     average: float
 
 
-def _match_pct(best_ab: np.ndarray, best_ba: np.ndarray, tau: float) -> MatchPct:
+def _check_tau(tau: float) -> None:
+    """Refuse a match threshold outside (0, 1], where it enters a comparison."""
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
+
+
+def _match_pct(best_ab: np.ndarray, best_ba: np.ndarray, tau: float) -> MatchPct:
     pct_ab = 100.0 * float((best_ab >= tau).sum()) / best_ab.shape[0]
     pct_ba = 100.0 * float((best_ba >= tau).sum()) / best_ba.shape[0]
     return MatchPct(pct_ab, pct_ba, (pct_ab + pct_ba) / 2.0)
@@ -181,6 +185,7 @@ def semantic_match_pct(a: np.ndarray, b: np.ndarray, tau: float = DEFAULT_TAU) -
     Returned per direction plus the bidirectional average. Verbatim row
     matches count at similarity exactly 1.0, so they pass any tau <= 1.
     """
+    _check_tau(tau)
     return _match_pct(*_best_matches(a, b), tau)
 
 
@@ -301,6 +306,7 @@ def pairwise_report(
     """
     if len(records) < 2:
         raise ValueError("pairwise comparison needs at least two runs")
+    _check_tau(tau)
     provider = provider or TrigramHashEmbedder()
     run_ids = [r.run_id for r in records]
     if element_sets is None:
@@ -363,6 +369,7 @@ def bucketed_report(
         raise ValueError("one bucket assignment per run is required")
     if len(records) < 2:
         raise ValueError("bucketed comparison needs at least two runs")
+    _check_tau(tau)
     provider = provider or TrigramHashEmbedder()
 
     if element_sets is None:

@@ -323,6 +323,29 @@ class TestCaps:
         assert "Samsu-iluna" not in record.kb.visited_subjects
         assert record.deepest_layer == 1
 
+    def test_time_cap_between_ner_batches(self, tmp_path):
+        # Layer 0 finds 250 new labels, three NER batches; the clock runs
+        # out once the first has returned.
+        labels = [f"value {i:03d}" for i in range(250)]
+        labels[10], labels[150] = "Early", "Late"
+        world = tmp_path / "world.json"
+        facts = {"Root": [["has", v] for v in labels], "Early": [["is", "early"]], "Late": [["is", "late"]]}
+        world.write_text(json.dumps({"entities": ["Root", "Early", "Late"], "facts": facts}), encoding="utf-8")
+        clock = _Clock()
+        spy = _NerSpy(world)
+        gateway = _ExpiringGateway(spy, clock, detonate_after=1, kind="classify_ner")
+        config = RunConfig(topic="babylon", seed_entity="Root", caps=Caps(max_wall_seconds=100), parallelism=1)
+        record = crawl(config, gateway, clock=clock)
+        assert record.termination is Termination.CAPPED_TIME
+        assert spy.batches == [labels[:100]]
+        # The sent batch keeps its verdict; the labels of the unsent ones are literals.
+        kinds = {t.object: t.object_kind for t in record.kb.triples}
+        assert kinds.pop("Early") is TermKind.NAMED_ENTITY
+        assert set(kinds.values()) == {TermKind.LITERAL} and "Late" in kinds
+        assert [(s.layer, s.new_entities, s.new_triples) for s in record.per_layer_counts] == [(0, 1, 250)]
+        assert record.kb.visited_subjects == {"Root"}
+        assert record.deepest_layer == 0
+
 
 class _BrokenSubjectGateway:
     """Serves the fixture world except one subject, which stays malformed."""
@@ -593,6 +616,35 @@ class TestRemoteSuite:
         for run_id in ("run-001", "run-003"):
             assert (tmp_path / "suite" / run_id / "FAILED").exists()
 
+    def test_a_failed_subject_cancels_the_requests_fetched_ahead(self, tmp_path):
+        # Layer 1 admits 12 layer-2 subjects at once; the first gets HTTP 401.
+        people = [f"Person {i}" for i in range(4)]
+        children = [f"Child {i}-{k}" for i in range(4) for k in range(3)]
+        facts = {"Root": [["knows", p] for p in people]}
+        facts.update({p: [["parentOf", c] for c in children[3 * i : 3 * i + 3]] for i, p in enumerate(people)})
+        facts.update({c: [["age", "1"]] for c in children})
+        world = tmp_path / "world.json"
+        world.write_text(json.dumps({"entities": ["Root", *people, *children], "facts": facts}), encoding="utf-8")
+        serve = _world_responder(MockWorldGateway(world), delay_s=0.05)
+        failing = children[0]
+
+        def responder(method, path, query, body):
+            if json.loads(body)["messages"][1]["content"] == failing:
+                return 401, {"error": "bad key"}
+            return serve(method, path, query, body)
+
+        config = RunConfig(topic="babylon", seed_entity="Root", parallelism=2)
+        with LocalServer(responder) as server:
+            records = run_suite([config], _remote_gateway(server.url), tmp_path / "suite")
+        assert records == [None]
+        manifest = json.loads((tmp_path / "suite" / "suite.json").read_text())
+        assert "HTTP 401" in manifest["failed"]["run-000"]
+        assert (tmp_path / "suite" / "run-000" / "FAILED").exists()
+        asked = [json.loads(body)["messages"][1]["content"] for _, _, _, body in server.requests]
+        after = asked[asked.index(failing) + 1 :]
+        assert len(after) <= config.parallelism
+        assert set(after) <= set(children)
+
     def test_an_answer_that_is_not_unicode_skips_its_subject(self, babylon_config, babylon_gateway, tmp_path):
         serve = _world_responder(babylon_gateway)
         asked = []
@@ -816,6 +868,73 @@ class TestNerBatches:
         assert kinds == {TermKind.LITERAL}
         failed = [e for e in map(json.loads, audit_path.read_text(encoding="utf-8").splitlines()) if e["status"] != "ok"]
         assert [(e["kind"], e["phrases"], e["status"]) for e in failed] == [("ner", layer_1, "MalformedOutputError")]
+
+
+def _streamed_world(path, width=24):
+    """Root knows ``width`` people, each with six literal facts and two
+    children: layer 1's new labels fill a NER batch before its last
+    response, and the children it admits are elicited while it runs."""
+    people = [f"Person {i:02d}" for i in range(width)]
+    facts = {"Root": [["knows", p] for p in people]}
+    entities = ["Root", *people]
+    for i, person in enumerate(people):
+        children = [f"Child {i:02d}-{k}" for k in range(2)]
+        facts[person] = [[f"fact {k}", f"value {i:02d}-{k}"] for k in range(6)]
+        facts[person] += [["parentOf", c] for c in children]
+        facts.update({c: [["age", str(i)]] for c in children})
+        entities += children
+    path.write_text(json.dumps({"entities": entities, "facts": facts}), encoding="utf-8")
+    return path
+
+
+class TestStreamedLayers:
+    @pytest.mark.parametrize("parallelism", [1, 2, 4])
+    def test_schedule_bounds_requests_and_keeps_the_mock_crawl(self, tmp_path, parallelism):
+        world = _streamed_world(tmp_path / "world.json")
+        config = RunConfig(topic="babylon", seed_entity="Root", parallelism=parallelism)
+        spy = _NerSpy(world)
+        save_run(crawl(config, spy, run_id="r"), tmp_path / "mock")
+
+        serve = _world_responder(MockWorldGateway(world), delay_s=0.005)
+        lock = threading.Lock()
+        in_flight = {"elicit": 0, "ner": 0}
+        peak = dict(in_flight)
+        overlaps = []
+
+        def responder(method, path, query, body):
+            kind = "elicit" if _is_elicitation(json.loads(body)) else "ner"
+            with lock:
+                in_flight[kind] += 1
+                peak[kind] = max(peak[kind], in_flight[kind])
+                overlaps.append(in_flight["elicit"] > 0 and in_flight["ner"] > 0)
+            try:
+                return serve(method, path, query, body)
+            finally:
+                with lock:
+                    in_flight[kind] -= 1
+
+        with LocalServer(responder) as server:
+            record = crawl(config, _remote_gateway(server.url), run_id="r")
+        save_run(record, tmp_path / "remote")
+        assert record.termination is Termination.ORGANIC
+        assert peak["elicit"] <= parallelism and peak["ner"] == 1
+        # No layer barrier: a NER batch went out while elicitations ran.
+        assert any(overlaps)
+        assert len(spy.batches) == 4 and len(spy.batches[1]) == NER_BATCH
+        assert _ner_batches(server) == spy.batches
+        triples = [(tmp_path / side / "triples.ndjson").read_bytes() for side in ("mock", "remote")]
+        assert triples[0] == triples[1]
+
+    def test_nothing_is_fetched_past_the_layer_cap(self, tmp_path):
+        # Layer 1's first NER batch admits children while the layer still runs.
+        world = _streamed_world(tmp_path / "world.json")
+        config = RunConfig(topic="babylon", seed_entity="Root", caps=Caps(max_layers=2), parallelism=2)
+        with LocalServer(_world_responder(MockWorldGateway(world), delay_s=0.005)) as server:
+            record = crawl(config, _remote_gateway(server.url))
+        requests = [json.loads(body) for _, _, _, body in server.requests]
+        elicited = [r["messages"][1]["content"] for r in requests if _is_elicitation(r)]
+        assert record.termination is Termination.CAPPED_LAYERS
+        assert sorted(elicited) == sorted(record.kb.visited_subjects)
 
 
 class TestDivergentSubjects:

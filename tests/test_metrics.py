@@ -501,6 +501,14 @@ class TestPairwiseReport:
         with pytest.raises(ValueError):
             pairwise_report([_fixture_run()], StructuralCategory.NAMED_ENTITIES)
 
+    @pytest.mark.parametrize("tau", [7.0, 0.0, -0.5])
+    def test_tau_is_refused_even_when_every_cell_is_empty(self, tau):
+        # No cell reaches a match %: both runs' classes are empty.
+        rows = [("X", "knows", "Y", TermKind.NAMED_ENTITY, 0)]
+        runs = [FakeRun("a", _kb_from(rows)), FakeRun("b", _kb_from(rows))]
+        with pytest.raises(ValueError, match="tau"):
+            pairwise_report(runs, StructuralCategory.CLASSES, tau=tau)
+
 
 def _two_identical_runs():
     rows = [
@@ -554,6 +562,11 @@ class TestBucketedReport:
         runs = _two_identical_runs()
         with pytest.raises(ValueError):
             bucketed_report(runs, _assignments({}))
+
+    @pytest.mark.parametrize("buckets", [({"Q1": set()}, {"Q1": set()}), ({"Q4": {"A"}}, {"Q4": {"A"}})])
+    def test_tau_is_refused_with_or_without_cells(self, buckets):
+        with pytest.raises(ValueError, match="tau"):
+            bucketed_report(_two_identical_runs(), _assignments(*buckets), tau=1.5)
 
 
 class _TableProvider:

@@ -383,6 +383,41 @@ class TestNdjsonStore:
         seen = {(e["thread"], e["i"]) for e in map(json.loads, lines)}
         assert seen == {(t, i) for t in range(8) for i in range(50)}
 
+    @staticmethod
+    def _spy_writes(monkeypatch, short=False):
+        """Record the size of each store write; with ``short``, let each
+        write take half of what it is given, as a pipe or a full disk may."""
+        write = model.os.write
+        sizes = []
+
+        def spy(fd, data):
+            if b'"i"' in bytes(data):
+                sizes.append(len(data))
+                if short:
+                    data = data[: max(1, len(data) // 2)]
+            return write(fd, data)
+
+        monkeypatch.setattr(model.os, "write", spy)
+        return sizes
+
+    def test_an_append_writes_once_per_256_lines(self, tmp_path, monkeypatch):
+        store = NdjsonStore(tmp_path / "s.ndjson")
+        sizes = self._spy_writes(monkeypatch)
+        store.append([{"i": -1}])
+        assert len(sizes) == 1
+        store.append({"i": i} for i in range(600))
+        assert len(sizes) == 4
+        monkeypatch.undo()
+        assert [e["i"] for e in store.entries()] == list(range(-1, 600))
+
+    def test_short_writes_are_finished(self, tmp_path, monkeypatch):
+        store = NdjsonStore(tmp_path / "s.ndjson")
+        sizes = self._spy_writes(monkeypatch, short=True)
+        store.append({"i": i, "text": "Nabû"} for i in range(300))
+        monkeypatch.undo()
+        assert len(sizes) > 2
+        assert [e["i"] for e in store.entries()] == list(range(300))
+
 
 # Characters JSON must escape, characters it leaves raw that other line
 # splitters treat as line ends, and non-ASCII text of several widths.

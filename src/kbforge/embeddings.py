@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .gateway import REQUEST_TIMEOUT_S, Session, TransportError, auth_headers, send, with_retries
+from .gateway import REQUEST_TIMEOUT_S, Session, TransportError, auth_headers, with_retries
 from .model import NdjsonStore
 
 EMBED_DIM = 384
@@ -30,6 +30,10 @@ EMBED_BATCH = 256
 
 # Rows per norm: ``np.linalg.norm`` makes a temporary the size of its input.
 _NORM_ROWS = 256
+
+# Texts per trigram count: a chunk's int64 temporaries are several times the
+# float64 rows it fills.
+_COUNT_ROWS = 256
 
 # Sentinels mark label boundaries so "abc" and "xabcx" share fewer grams.
 _START = "\x02"
@@ -70,39 +74,44 @@ class TrigramHashEmbedder:
             raise ValueError("dim must be positive")
         self.dim = dim
         self.provider_id = f"trigram-{dim}"
-        self._buckets: dict[str, int] = {}
+        # Each gram's bucket by its key, which costs less to look up than the
+        # gram: a gram recurs in many chunks.
+        self._buckets: dict[int, int] = {}
 
-    def _bucket(self, gram: str) -> int:
-        bucket = self._buckets.get(gram)
+    def _bucket(self, key: int) -> int:
+        bucket = self._buckets.get(key)
         if bucket is None:
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            bucket = self._buckets[gram] = int.from_bytes(digest, "big") % self.dim
+            digest = hashlib.blake2b(_gram(key).encode("utf-8"), digest_size=8).digest()
+            bucket = self._buckets[key] = int.from_bytes(digest, "big") % self.dim
         return bucket
 
     def _counts(self, texts: Sequence[str]) -> np.ndarray:
         """Each text's padded trigrams counted per hash bucket.
 
-        All texts are encoded at once and each distinct gram is hashed once;
-        the counts are small integers, exact in float64.
+        Texts are counted ``_COUNT_ROWS`` at a time: each chunk is encoded at
+        once and each distinct gram hashed once. The counts are small
+        integers, exact in float64.
         """
         # Allocated before the temporaries below, so that freeing them can
         # return their memory rather than leave it stranded under ``out``.
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
-        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-        padded = _START + (_END + _START).join(texts) + _END
-        points = np.frombuffer(padded.encode("utf-32-le"), dtype="<u4").astype(np.int64)
-        # A text of n characters has n grams; its first starts after the
-        # previous texts' characters and two padding characters each.
-        rows = np.repeat(np.arange(len(texts)), lengths)
-        starts = np.arange(rows.shape[0]) + 2 * rows
-        keys = points[starts] << 2 * _POINT_BITS | points[starts + 1] << _POINT_BITS | points[starts + 2]
-        empty = np.flatnonzero(lengths == 0)
-        rows = np.concatenate([rows, empty])
-        keys = np.concatenate([keys, np.full(empty.shape[0], _EMPTY_KEY, dtype=np.int64)])
-        grams, gram_of = np.unique(keys, return_inverse=True)
-        buckets = np.array([self._bucket(_gram(key)) for key in grams.tolist()], dtype=np.int64)
-        cells, counts = np.unique(rows * self.dim + buckets[gram_of], return_counts=True)
-        out.reshape(-1)[cells] = counts
+        for start in range(0, len(texts), _COUNT_ROWS):
+            chunk = texts[start : start + _COUNT_ROWS]
+            lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+            padded = _START + (_END + _START).join(chunk) + _END
+            points = np.frombuffer(padded.encode("utf-32-le"), dtype="<u4").astype(np.int64)
+            # A text of n characters has n grams; its first starts after the
+            # previous texts' characters and two padding characters each.
+            rows = np.repeat(np.arange(len(chunk)), lengths)
+            starts = np.arange(rows.shape[0]) + 2 * rows
+            keys = points[starts] << 2 * _POINT_BITS | points[starts + 1] << _POINT_BITS | points[starts + 2]
+            empty = np.flatnonzero(lengths == 0)
+            rows = np.concatenate([rows, empty])
+            keys = np.concatenate([keys, np.full(empty.shape[0], _EMPTY_KEY, dtype=np.int64)])
+            grams, gram_of = np.unique(keys, return_inverse=True)
+            buckets = np.array([self._bucket(key) for key in grams.tolist()], dtype=np.int64)
+            cells, counts = np.unique((start + rows) * self.dim + buckets[gram_of], return_counts=True)
+            out.reshape(-1)[cells] = counts
         return out
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
@@ -121,22 +130,18 @@ class RemoteEmbedder:
         sleep=time.sleep,
     ):
         self._headers = auth_headers(api_key)
-        self.endpoint_url = endpoint_url.rstrip("/")
+        self._session = Session(endpoint_url.rstrip("/") + "/embeddings")
         self.model_id = model_id
         self.provider_id = f"remote-{model_id}"
         self.max_retries = max_retries
         self._sleep = sleep
-        self._session = Session()
 
     def _post(self, batch: Sequence[str]) -> list[list[float]]:
         def attempt() -> list[list[float]]:
-            resp = send(
-                lambda: self._session.post(
-                    f"{self.endpoint_url}/embeddings",
-                    json={"model": self.model_id, "input": list(batch)},
-                    headers=self._headers,
-                    timeout=REQUEST_TIMEOUT_S,
-                )
+            resp = self._session.post(
+                json={"model": self.model_id, "input": list(batch)},
+                headers=self._headers,
+                timeout=REQUEST_TIMEOUT_S,
             )
             try:
                 rows = sorted(resp.json()["data"], key=lambda item: item["index"])

@@ -9,9 +9,11 @@ appends every outcome, tagged with its run, to an audit log. The mock
 backend answers from a world fixture file and is a pure function of (world,
 request), which is what makes crawl determinism testable.
 
-The keep-alive HTTP client (``Session``), the retry policy
-(``with_retries``) and the mapping of HTTP outcomes to errors (``send``) live
-here and serve every remote client in the package.
+The keep-alive HTTP client (``Session``) and the retry policy
+(``with_retries``) live here and serve every remote client in the package. A
+session is bound to the one URL its client talks to: the URL is checked and
+the proxy read when the client is built, and each request returns a
+successful response or raises the gateway error its outcome maps to.
 """
 
 from __future__ import annotations
@@ -68,11 +70,14 @@ class TransportError(GatewayError):
     """Network failure or HTTP error from the backend.
 
     ``retryable`` is False for an HTTP 4xx other than 429, when the request
-    itself was refused (a bad key, a bad body), and for a URL that cannot be
-    requested at all: sending it again cannot help.
+    itself was refused (a bad key, a bad body), for a certificate that fails
+    verification, and for a URL that cannot be requested at all: sending it
+    again cannot help.
     """
 
-    retryable = True
+    def __init__(self, message: str, retryable: bool = True) -> None:
+        super().__init__(message)
+        self.retryable = retryable
 
 
 class RateLimitedError(TransportError):
@@ -102,6 +107,13 @@ def _json_body(obj) -> bytes:
     return json.dumps(obj, allow_nan=False).encode()
 
 
+def _split(url: str) -> urllib.parse.SplitResult:
+    try:
+        return urllib.parse.urlsplit(url)
+    except ValueError as exc:
+        raise http.client.InvalidURL(str(exc)) from exc
+
+
 def _host_port(parts: urllib.parse.SplitResult, default_port: int) -> tuple[str, int]:
     try:
         port = parts.port
@@ -126,7 +138,7 @@ class _Proxy:
     """Where to connect instead of the origin, and the credentials to show."""
 
     def __init__(self, url: str) -> None:
-        parts = urllib.parse.urlsplit(url if "://" in url else "http://" + url)
+        parts = _split(url if "://" in url else "http://" + url)
         self.host, self.port = _host_port(parts, 80)
         self.headers = {}
         if parts.username is not None:
@@ -170,135 +182,118 @@ class _HTTPSConnection(_OneWrite, http.client.HTTPSConnection):
 
 
 class Session:
-    """A thread-safe keep-alive HTTP client with the part of the ``requests``
-    API that the package's clients use.
+    """A thread-safe keep-alive HTTP client for one URL, with the part of the
+    ``requests`` API that the package's clients use.
 
-    Idle connections wait on a LIFO list per origin. A request takes the most
-    recently used one that the server has not closed, or opens a new one, and
-    reads the response in full before it puts the connection back, so a
-    session holds at most as many connections as it has requests in flight:
-    for a crawl run, ``parallelism`` elicitations and one NER batch.
-    A request that reached the server is never sent again here; retrying is
-    ``with_retries``' decision. Every request carries ``USER_AGENT``.
+    The URL is checked, ``HTTP(S)_PROXY`` and ``NO_PROXY`` are read and the
+    TLS context is built once, here; a malformed or non-http(s) URL or proxy
+    URL is refused as a non-retryable ``TransportError``. A request returns a
+    successful ``Response`` or raises ``RateLimitedError`` for a 429 and
+    ``TransportError`` for any other failure. It is never sent again here;
+    retrying is ``with_retries``' decision. Every request carries ``USER_AGENT``.
 
-    ``HTTP(S)_PROXY`` and ``NO_PROXY`` are read once per origin. ``https``
-    verifies certificates against the system store (``SSL_CERT_FILE``
+    Idle connections wait on a LIFO list. A request takes the most recently
+    used one that the server has not closed, or opens a new one, and reads
+    the response in full before it puts the connection back, so a session
+    holds at most as many connections as it has requests in flight: for a
+    crawl run, ``parallelism`` elicitations and one NER batch.
+
+    ``https`` verifies certificates against the system store (``SSL_CERT_FILE``
     overrides it). No ``.netrc`` is read and no redirect is followed.
     """
 
-    def __init__(self) -> None:
-        self._idle: dict[tuple, list[http.client.HTTPConnection]] = {}
-        self._proxies: dict[tuple, Optional[_Proxy]] = {}
-        self._tls: Optional[ssl.SSLContext] = None
+    def __init__(self, url: str) -> None:
+        self.url = url
+        try:
+            parts = _split(url)
+            if parts.scheme not in ("http", "https"):
+                raise http.client.InvalidURL(f"not an http(s) URL: {url!r}")
+            host, port = _host_port(parts, 443 if parts.scheme == "https" else 80)
+            netloc = parts.netloc.rpartition("@")[2]
+            proxy_url = urllib.request.getproxies().get(parts.scheme)
+            proxy = None if not proxy_url or urllib.request.proxy_bypass(netloc) else _Proxy(proxy_url)
+        except http.client.InvalidURL as exc:
+            raise TransportError(str(exc), retryable=False) from exc
+        self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        self._headers = {"User-Agent": USER_AGENT}
+        self._address = (proxy.host, proxy.port) if proxy else (host, port)
+        self._tls = self._tunnel = None
+        if parts.scheme == "https":
+            self._tls = ssl.create_default_context()
+            if proxy:
+                self._tunnel = (host, port, proxy.headers)
+        elif proxy:
+            self._target = f"http://{netloc}{self._target}"
+            self._headers.update(proxy.headers)
+        self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
 
-    def post(self, url: str, json, headers: Optional[dict] = None, timeout: Optional[float] = None) -> Response:
+    def post(self, json, headers: Optional[dict] = None, timeout: Optional[float] = None) -> Response:
         """POST ``json`` encoded as ``requests`` encodes it."""
         headers = {"Content-Type": "application/json", **(headers or {})}
-        return self._request("POST", url, _json_body(json), headers, timeout)
+        return self._request("POST", self._target, _json_body(json), headers, timeout)
 
-    def get(self, url: str, params: Optional[dict] = None, timeout: Optional[float] = None) -> Response:
+    def get(self, params: Optional[dict] = None, timeout: Optional[float] = None) -> Response:
+        target = self._target
         if params:
-            url += ("&" if "?" in url else "?") + urllib.parse.urlencode(params, doseq=True)
-        return self._request("GET", url, None, {}, timeout)
+            target += ("&" if "?" in target else "?") + urllib.parse.urlencode(params, doseq=True)
+        return self._request("GET", target, None, {}, timeout)
 
     def close(self) -> None:
         with self._lock:
-            idle, self._idle = self._idle, {}
-        for connections in idle.values():
-            for conn in connections:
-                conn.close()
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
-    def _request(self, method: str, url: str, body: Optional[bytes], headers: dict,
+    def _request(self, method: str, target: str, body: Optional[bytes], headers: dict,
                  timeout: Optional[float]) -> Response:
         try:
-            parts = urllib.parse.urlsplit(url)
-        except ValueError as exc:
-            raise http.client.InvalidURL(str(exc)) from exc
-        if parts.scheme not in ("http", "https"):
-            raise http.client.InvalidURL(f"not an http(s) URL: {url!r}")
-        origin = (parts.scheme, *_host_port(parts, 443 if parts.scheme == "https" else 80))
-        netloc = parts.netloc.rpartition("@")[2]
-        proxy = self._proxy(origin, netloc)
-        headers = {"User-Agent": USER_AGENT, **headers}
-        target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
-        if proxy and parts.scheme == "http":
-            target = f"http://{netloc}{target}"
-            headers.update(proxy.headers)
-        conn = self._checkout(origin) or self._connect(origin, proxy, timeout)
-        try:
-            conn.sock.settimeout(timeout)
-            conn.request(method, target, body=body, headers=headers)
-            resp = conn.getresponse()
-            content = resp.read()
-        except BaseException:
-            conn.close()
-            raise
+            conn = self._checkout() or self._connect(timeout)
+            try:
+                conn.sock.settimeout(timeout)
+                conn.request(method, target, body=body, headers={**self._headers, **headers})
+                resp = conn.getresponse()
+                content = resp.read()
+            except BaseException:
+                conn.close()
+                raise
+        except (OSError, http.client.HTTPException) as exc:
+            # An untrusted certificate is untrusted again on the next attempt.
+            raise TransportError(str(exc), retryable=not isinstance(exc, ssl.SSLCertVerificationError)) from exc
         if resp.will_close:
             conn.close()
         else:
             with self._lock:
-                self._idle.setdefault(origin, []).append(conn)
-        return Response(resp.status, content)
+                self._idle.append(conn)
+        response = Response(resp.status, content)
+        if response.status_code == 429:
+            raise RateLimitedError("rate limited by backend")
+        if response.status_code >= 400:
+            raise TransportError(f"backend returned HTTP {response.status_code}: {response.text[:200]}",
+                                 retryable=response.status_code >= 500)
+        return response
 
-    def _proxy(self, origin: tuple, netloc: str) -> Optional[_Proxy]:
-        with self._lock:
-            if origin not in self._proxies:
-                url = urllib.request.getproxies().get(origin[0])
-                bypass = not url or urllib.request.proxy_bypass(netloc)
-                self._proxies[origin] = None if bypass else _Proxy(url)
-            return self._proxies[origin]
-
-    def _checkout(self, origin: tuple) -> Optional[http.client.HTTPConnection]:
+    def _checkout(self) -> Optional[http.client.HTTPConnection]:
         while True:
             with self._lock:
-                idle = self._idle.get(origin)
-                if not idle:
+                if not self._idle:
                     return None
-                conn = idle.pop()
+                conn = self._idle.pop()
             if not _dropped(conn.sock):
                 return conn
             conn.close()
 
-    def _connect(self, origin: tuple, proxy: Optional[_Proxy],
-                 timeout: Optional[float]) -> http.client.HTTPConnection:
-        scheme, host, port = origin
-        address = (proxy.host, proxy.port) if proxy else (host, port)
-        if scheme == "https":
-            with self._lock:
-                if self._tls is None:
-                    self._tls = ssl.create_default_context()
-            conn = _HTTPSConnection(*address, timeout=timeout, context=self._tls)
-            if proxy:
-                conn.set_tunnel(host, port, proxy.headers)
+    def _connect(self, timeout: Optional[float]) -> http.client.HTTPConnection:
+        if self._tls:
+            conn = _HTTPSConnection(*self._address, timeout=timeout, context=self._tls)
+            if self._tunnel:
+                conn.set_tunnel(*self._tunnel)
         else:
-            conn = _HTTPConnection(*address, timeout=timeout)
+            conn = _HTTPConnection(*self._address, timeout=timeout)
         # http.client sets TCP_NODELAY here, so that no write waits for the
         # server to acknowledge the one before it.
         conn.connect()
         return conn
-
-
-def send(request: Callable[[], Response]) -> Response:
-    """Run one HTTP request and map its failure to a gateway error.
-
-    Network failures and 5xx raise a retryable ``TransportError``, 429 raises
-    ``RateLimitedError``, and any other 4xx or a malformed or non-http(s) URL
-    a non-retryable ``TransportError``.
-    """
-    try:
-        resp = request()
-    except (OSError, http.client.HTTPException) as exc:
-        error = TransportError(str(exc))
-        error.retryable = not isinstance(exc, http.client.InvalidURL)
-        raise error from exc
-    if resp.status_code == 429:
-        raise RateLimitedError("rate limited by backend")
-    if resp.status_code >= 400:
-        error = TransportError(f"backend returned HTTP {resp.status_code}: {resp.text[:200]}")
-        error.retryable = resp.status_code >= 500
-        raise error
-    return resp
 
 
 def with_retries(
@@ -480,13 +475,13 @@ class RemoteChatGateway:
             raise ValueError("remote backend needs an endpoint_url")
         self.descriptor = descriptor
         self._headers = auth_headers(api_key)
+        self.session = Session(descriptor.endpoint_url.rstrip("/") + "/chat/completions")
         # The outcome of every call, success or failure, one timestamped line each.
         self.audit = NdjsonStore(audit_path) if audit_path else None
         self._sleep = sleep
         self._backoff_base = backoff_base
         # The run whose requests these are; ``for_run`` sets it.
         self.run_id: Optional[str] = None
-        self.session = Session()
 
     def for_run(self, config, run_id: str) -> "RemoteChatGateway":
         """This gateway sending one run's model and temperature.
@@ -502,7 +497,7 @@ class RemoteChatGateway:
             self.descriptor, model_id=config.model_id, temperature=config.temperature
         )
         bound.run_id = run_id
-        bound.session = Session()
+        bound.session = Session(self.session.url)
         return bound
 
     def close(self) -> None:
@@ -532,12 +527,9 @@ class RemoteChatGateway:
                 "json_schema": {"name": schema_name, "strict": True, "schema": schema},
             },
         }
-        url = self.descriptor.endpoint_url.rstrip("/") + "/chat/completions"
 
         def attempt() -> tuple[str, T]:
-            resp = send(
-                lambda: self.session.post(url, json=body, headers=self._headers, timeout=REQUEST_TIMEOUT_S)
-            )
+            resp = self.session.post(json=body, headers=self._headers, timeout=REQUEST_TIMEOUT_S)
             try:
                 content = resp.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:

@@ -32,7 +32,6 @@ TRIPLE_SEP = "␟"
 
 INSTANCE_OF = "instanceOf"
 
-_WS_RUN = re.compile(r"\s+")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
@@ -48,7 +47,7 @@ def normalize_label(raw: str) -> str:
     Case is preserved. May return an empty string; callers decide whether
     empties are acceptable.
     """
-    return _WS_RUN.sub(" ", raw.strip())
+    return " ".join(raw.split())
 
 
 class TermKind(Enum):

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .gateway import Session, TransportError, send, with_retries
+from .gateway import Session, TransportError, with_retries
 from .model import NdjsonStore, utcnow
 
 logger = logging.getLogger(__name__)
@@ -88,11 +88,10 @@ class WikidataClient:
         rate_limiter: Optional[RateLimiter] = None,
         sleep=time.sleep,
     ):
-        self.endpoint_url = endpoint_url
+        self._session = Session(endpoint_url)
         self.max_retries = max_retries
         self._limiter = rate_limiter or RateLimiter()
         self._sleep = sleep
-        self._session = Session()
 
     def _get(self, params: dict) -> dict:
         query = dict(params)
@@ -100,9 +99,7 @@ class WikidataClient:
 
         def attempt() -> dict:
             self._limiter.wait()
-            resp = send(
-                lambda: self._session.get(self.endpoint_url, params=query, timeout=WIKIDATA_TIMEOUT_S)
-            )
+            resp = self._session.get(params=query, timeout=WIKIDATA_TIMEOUT_S)
             try:
                 return resp.json()
             except ValueError as exc:

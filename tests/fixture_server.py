@@ -15,11 +15,14 @@ import http.server
 import itertools
 import json
 import socket
+import ssl
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
 from http.client import HTTPMessage
+from pathlib import Path
+from typing import Optional
 
 
 @dataclass
@@ -36,9 +39,11 @@ class LocalServer:
 
     The server speaks HTTP/1.0 and closes each connection after one
     response, unless ``http11`` keeps connections open between requests.
+    With a ``certificate`` (the paths of a PEM certificate and its key) it
+    speaks HTTPS.
     """
 
-    def __init__(self, responder, http11: bool = False):
+    def __init__(self, responder, http11: bool = False, certificate: Optional[tuple[Path, Path]] = None):
         self.responder = responder
         self.requests: list[tuple[str, str, dict, bytes]] = []
         self.received: list[Received] = []
@@ -87,6 +92,12 @@ class LocalServer:
                 self._serve("POST")
 
         self._httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._scheme = "http"
+        if certificate:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(*certificate)
+            self._httpd.socket = context.wrap_socket(self._httpd.socket, server_side=True)
+            self._scheme = "https"
         # shutdown() waits for serve_forever's next poll: keep that short.
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
@@ -95,7 +106,7 @@ class LocalServer:
     @property
     def url(self) -> str:
         host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
+        return f"{self._scheme}://{host}:{port}"
 
     def close_idle(self, timeout: float = 5.0) -> None:
         """Close every open connection from the server's side, as a server

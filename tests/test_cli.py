@@ -2,6 +2,7 @@ import json
 import os
 import random
 import shutil
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -191,32 +192,6 @@ class TestCrawlCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
-    def test_malformed_endpoint_fails_after_one_attempt(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("KBFORGE_API_KEY", "test-key")
-        attempts, slept = [], []
-        request = gateway.Session._request
-        retries = gateway.with_retries
-        monkeypatch.setattr(gateway.Session, "_request", lambda *a: attempts.append(a) or request(*a))
-        monkeypatch.setattr(
-            gateway, "with_retries", lambda attempt, n, sleep, *rest: retries(attempt, n, slept.append, *rest)
-        )
-        code, _, err = _invoke(
-            capsys,
-            "--workspace",
-            str(tmp_path),
-            "crawl",
-            "--endpoint",
-            "ftp://example.invalid/v1",
-            "--topic",
-            "babylon",
-            "--seed",
-            "Hammurabi",
-        )
-        assert code == 1
-        assert len(err.splitlines()) == 1 and err.startswith("error: not an http(s) URL")
-        assert len(attempts) == 1 and slept == []
-        assert not (tmp_path / "runs").exists()
-
     def test_language_without_templates_sends_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("KBFORGE_API_KEY", "test-key")
         with LocalServer(lambda method, path, query, body: chat_ok('{"triples": []}')) as server:
@@ -403,6 +378,38 @@ class TestBackendKeys:
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {key} must be a string")
         assert attempts == [] and server.requests == []
         assert not (tmp_path / "runs").exists() and not (tmp_path / "suites").exists()
+
+    @pytest.mark.parametrize("command", ["crawl", "suite"])
+    @pytest.mark.parametrize(
+        "endpoint, message",
+        [
+            ("ftp://example.invalid/v1", "not an http(s) URL: 'ftp://example.invalid/v1/chat/completions'"),
+            ("http:///v1", "no host in 'http:///v1/chat/completions'"),
+            ("http://[::1/v1", "Invalid IPv6 URL"),
+            ("http://127.0.0.1:99999/v1", "Port out of range 0-65535"),
+        ],
+        ids=["ftp", "no-host", "ipv6", "port"],
+    )
+    def test_malformed_endpoint_is_refused_before_any_request(
+        self, tmp_path, capsys, monkeypatch, command, endpoint, message
+    ):
+        monkeypatch.setenv("KBFORGE_API_KEY", "test-key")
+        attempts, slept, opened = [], [], []
+        request = gateway.Session._request
+        retries = gateway.with_retries
+        monkeypatch.setattr(gateway.Session, "_request", lambda *a: attempts.append(a) or request(*a))
+        monkeypatch.setattr(
+            gateway, "with_retries", lambda attempt, n, sleep, *rest: retries(attempt, n, slept.append, *rest)
+        )
+        monkeypatch.setattr(socket, "create_connection", lambda address, *a, **kw: opened.append(address))
+        config = tmp_path / "suite.json"
+        config.write_text(json.dumps({"defaults": {"topic": "babylon", "seed": "Hammurabi"}, "runs": [{}, {}]}))
+        run = ["--topic", "babylon", "--seed", "Hammurabi"] if command == "crawl" else ["--config", str(config)]
+        code, _, err = _invoke(capsys, "--workspace", str(tmp_path), command, "--endpoint", endpoint, *run)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert attempts == [] and slept == [] and opened == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.json"]
 
 
 class TestSuiteCommand:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from kbforge.embeddings import (
     pairwise_cosine_similarity,
 )
 from kbforge.gateway import GatewayError, Session, TransportError
+from kbforge.model import TRIPLE_SEP
 
 import oracles
+from conftest import synthetic_kb
 from fixture_server import LocalServer, embeddings_responder, fake_embedding
 
 
@@ -76,6 +79,23 @@ class TestTrigramEmbedder:
 
     def test_no_texts(self):
         assert TrigramHashEmbedder(dim=8).embed([]).shape == (0, 8)
+
+    @pytest.mark.parametrize("count_rows", [1, 2, 3])
+    def test_chunks_keep_the_bits(self, monkeypatch, count_rows):
+        texts = ["", "𝄞", "a😀", "", "", "Marduk", "😀😀😀", "\x02", "", "Nabû-kudurri-uṣur", "ab"]
+        want = oracles.trigram_embed(texts, EMBED_DIM)
+        monkeypatch.setattr(embeddings, "_COUNT_ROWS", count_rows)
+        assert TrigramHashEmbedder().embed(texts).tobytes() == want.tobytes()
+
+    def test_counting_peaks_near_its_output(self):
+        texts = [TRIPLE_SEP.join(t.key()) for t in synthetic_kb(3000).triples]
+        tracemalloc.start()
+        try:
+            counts = TrigramHashEmbedder()._counts(texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * counts.nbytes, f"{peak / counts.nbytes:.2f} outputs"
 
 
 class TestCosine:

@@ -1,6 +1,9 @@
 import http.client
 import json
+import shutil
 import socket
+import ssl
+import subprocess
 import sys
 import threading
 
@@ -62,6 +65,23 @@ def no_proxy_env(monkeypatch):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
     return monkeypatch
+
+
+@pytest.fixture(scope="module")
+def certificate(tmp_path_factory):
+    """A throwaway self-signed certificate for 127.0.0.1 and its key, made
+    by the ``openssl`` command."""
+    if shutil.which("openssl") is None:
+        pytest.skip("the openssl command is not installed")
+    folder = tmp_path_factory.mktemp("tls")
+    cert, key = folder / "cert.pem", folder / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1", "-nodes",
+         "-days", "1", "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+         "-keyout", str(key), "-out", str(cert)],
+        check=True, capture_output=True,
+    )
+    return cert, key
 
 
 def _remote(server_url, tmp_path=None, max_retries=2):
@@ -262,16 +282,16 @@ class TestTransport:
     def test_body_is_the_json_requests_would_send(self):
         body = {"model": "m", "temperature": 0.5, "messages": [{"content": "Nabû-kudurri-uṣur ☃"}]}
         with LocalServer(lambda *request: (200, {}), http11=True) as server:
-            session = Session()
-            assert session.post(server.url + "/x", json=body, timeout=5).json() == {}
+            session = Session(server.url + "/x")
+            assert session.post(json=body, timeout=5).json() == {}
             session.close()
         assert server.requests[0][3] == json.dumps(body, allow_nan=False).encode()
         assert server.received[0].headers["Content-Type"] == "application/json"
 
     def test_new_connections_set_tcp_nodelay(self, opened_sockets):
         with LocalServer(lambda *request: (200, {}), http11=True) as server:
-            session = Session()
-            session.post(server.url + "/x", json={}, timeout=5)
+            session = Session(server.url + "/x")
+            session.post(json={}, timeout=5)
             [sock] = opened_sockets
             assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
             session.close()
@@ -279,9 +299,9 @@ class TestTransport:
     def test_each_request_is_one_write(self, opened_sockets):
         body = {"input": ["x" * 3000]}
         with LocalServer(lambda *request: (200, {}), http11=True) as server:
-            session = Session()
+            session = Session(server.url + "/x")
             for _ in range(2):
-                session.post(server.url + "/x", json=body, timeout=5)
+                session.post(json=body, timeout=5)
             session.close()
         [sock] = opened_sockets
         assert len(sock.writes) == 2
@@ -321,17 +341,35 @@ class TestTransport:
     @pytest.mark.parametrize(
         "url", ["ftp://example.invalid/v1", "http://[::1/v1", "http:///v1", "http://127.0.0.1:99999/v1"]
     )
-    def test_malformed_url_fails_at_once(self, url, monkeypatch, opened_sockets):
-        slept, posts = [], []
+    def test_malformed_url_fails_at_once(self, url, opened_sockets):
+        slept = []
         descriptor = BackendDescriptor(kind="remote", endpoint_url=url, max_retries=2)
-        gateway = RemoteChatGateway(descriptor, api_key="k", sleep=slept.append)
-        post = gateway.session.post
-        monkeypatch.setattr(gateway.session, "post", lambda *a, **kw: posts.append(a) or post(*a, **kw))
         with pytest.raises(TransportError) as err:
-            gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
+            RemoteChatGateway(descriptor, api_key="k", sleep=slept.append)
         assert not err.value.retryable
         assert isinstance(err.value.__cause__, http.client.InvalidURL)
-        assert len(posts) == 1 and slept == [] and opened_sockets == []
+        assert slept == [] and opened_sockets == []
+
+    def test_https_with_a_trusted_certificate(self, certificate, no_proxy_env):
+        no_proxy_env.setenv("SSL_CERT_FILE", str(certificate[0]))
+        with LocalServer(scripted_chat_responder([(200, VALID_ELICIT)]), certificate=certificate) as server:
+            assert server.url.startswith("https://")
+            gateway = _remote(server.url)
+            assert len(gateway.elicit(ElicitationRequest("Hammurabi", "babylon")).triples) == 2
+            gateway.close()
+
+    def test_untrusted_certificate_fails_after_one_attempt(self, certificate, no_proxy_env, opened_sockets):
+        no_proxy_env.delenv("SSL_CERT_FILE", raising=False)
+        no_proxy_env.delenv("SSL_CERT_DIR", raising=False)
+        slept = []
+        with LocalServer(scripted_chat_responder([]), certificate=certificate) as server:
+            descriptor = BackendDescriptor(kind="remote", endpoint_url=server.url, max_retries=2)
+            gateway = RemoteChatGateway(descriptor, api_key="k", sleep=slept.append)
+            with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED") as err:
+                gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
+        assert not err.value.retryable
+        assert isinstance(err.value.__cause__, ssl.SSLCertVerificationError)
+        assert len(opened_sockets) == 1 and slept == [] and server.requests == []
 
     def test_http_proxy_gets_an_absolute_target(self, no_proxy_env):
         with LocalServer(scripted_chat_responder([(200, VALID_ELICIT)])) as proxy, \
@@ -351,6 +389,21 @@ class TestTransport:
         assert [r.target for r in origin.received] == ["/chat/completions"]
         assert proxy.requests == []
 
+    def test_proxy_is_read_when_the_gateway_is_built(self, no_proxy_env):
+        with LocalServer(scripted_chat_responder([])) as proxy, \
+                LocalServer(scripted_chat_responder([(200, VALID_ELICIT)])) as origin:
+            gateway = _remote(origin.url)
+            no_proxy_env.setenv("HTTP_PROXY", proxy.url)
+            gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
+        assert [r.target for r in origin.received] == ["/chat/completions"]
+        assert proxy.requests == []
+
+    def test_malformed_proxy_is_refused_when_the_gateway_is_built(self, no_proxy_env, opened_sockets):
+        no_proxy_env.setenv("HTTP_PROXY", "http://[::1")
+        with pytest.raises(TransportError, match="Invalid IPv6 URL") as err:
+            _remote("http://127.0.0.1:9/v1")
+        assert not err.value.retryable and opened_sockets == []
+
     def test_threads_sharing_a_session_get_their_own_responses(self):
         threads, calls = 8, 25
 
@@ -361,13 +414,13 @@ class TestTransport:
         sys.setswitchinterval(1e-5)
         try:
             with LocalServer(echo, http11=True) as server:
-                session = Session()
+                session = Session(server.url + "/x")
                 mismatches = []
 
                 def worker(t):
                     for i in range(calls):
                         sent = {"thread": t, "call": i}
-                        if session.post(server.url + "/x", json=sent, timeout=5).json() != {"echo": sent}:
+                        if session.post(json=sent, timeout=5).json() != {"echo": sent}:
                             mismatches.append(sent)
 
                 workers = [threading.Thread(target=worker, args=(t,)) for t in range(threads)]

@@ -1,9 +1,10 @@
-"""Every name a kbforge module imports is used by that module.
+"""Every name a kbforge module imports is used by that module, and only
+the gateway module imports the HTTP transport.
 
 An AST walk stands in for a linter: an import counts as used when its bound
 name appears as a name in the module's code or in a quoted annotation.
 Docstrings and comments do not count. The package's ``__init__.py`` imports
-only to re-export, so it is exempt.
+only to re-export, so it is exempt from the first check.
 """
 
 import ast
@@ -67,3 +68,38 @@ def test_the_check_sees_names_in_code_and_quoted_annotations_only():
         "    return os.getcwd()\n"
     )
     assert unused_imports(source) == [(2, "osp"), (4, "Caps"), (4, "Triple")]
+
+
+# The standard-library modules that open connections or speak TLS; every
+# remote client goes through ``gateway.Session`` instead.
+TRANSPORT = {"http.client", "ssl", "urllib.request"}
+
+
+def imported_modules(source: str) -> set[str]:
+    """The full name of each absolute module that ``source`` imports, or
+    imports a name from."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            # ``from http import client`` imports the module http.client.
+            modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return modules
+
+
+def test_only_the_gateway_imports_the_transport():
+    importers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if imported_modules(path.read_text(encoding="utf-8")) & TRANSPORT
+    }
+    assert importers == {"gateway.py"}
+
+
+def test_the_transport_check_sees_every_import_form():
+    for source in ("import http.client", "import ssl as tls", "from urllib import request",
+                   "from urllib.request import urlopen", "def f():\n    from http.client import HTTPConnection"):
+        assert imported_modules(source) & TRANSPORT, source
+    assert not imported_modules("import urllib.parse\nfrom .gateway import Session") & TRANSPORT

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 import sys
 import threading
 
@@ -47,6 +48,11 @@ class TestNormalizeLabel:
     def test_empty_and_whitespace_only(self):
         assert normalize_label("") == ""
         assert normalize_label("   \t\n") == ""
+
+    def test_whitespace_is_the_regex_whitespace_on_every_code_point(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+        assert normalize_label(every) == re.sub(r"\s+", " ", every.strip())
 
 
 class TestTriple:

@@ -176,7 +176,10 @@ def _crawl(
     per_layer: list[LayerStats] = []
 
     # Each distinct label the crawl meets is one string, however many
-    # triples and layers hold it.
+    # triples and layers hold it: the config's for the seed, otherwise the
+    # first one the gateway served, since ``normalize_label`` returns a
+    # normalized label as it is. So the runs of an in-process gateway share
+    # its strings.
     labels = LabelTable()
     seed = labels[normalize_label(config.seed_entity)]
     kinds[seed] = TermKind.NAMED_ENTITY

@@ -32,10 +32,11 @@ import time
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Optional, TypeVar
 
-from .model import NdjsonStore, is_unicode, read_ndjson, utcnow
+from .model import LabelTable, NdjsonStore, is_unicode, read_ndjson, utcnow
 from .prompts import render_elicitation_prompt, render_ner_prompt
 
 logger = logging.getLogger(__name__)
@@ -135,10 +136,16 @@ def _dropped(sock) -> bool:
 
 
 class _Proxy:
-    """Where to connect instead of the origin, and the credentials to show."""
+    """Where to connect instead of the origin, and the credentials to show.
+
+    The proxy is spoken to in plain HTTP, so a proxy URL of any other
+    scheme (``https://``, ``socks5://``) is refused.
+    """
 
     def __init__(self, url: str) -> None:
         parts = _split(url if "://" in url else "http://" + url)
+        if parts.scheme != "http":
+            raise http.client.InvalidURL(f"not an http proxy URL: {url!r}")
         self.host, self.port = _host_port(parts, 80)
         self.headers = {}
         if parts.username is not None:
@@ -186,11 +193,12 @@ class Session:
     ``requests`` API that the package's clients use.
 
     The URL is checked, ``HTTP(S)_PROXY`` and ``NO_PROXY`` are read and the
-    TLS context is built once, here; a malformed or non-http(s) URL or proxy
-    URL is refused as a non-retryable ``TransportError``. A request returns a
-    successful ``Response`` or raises ``RateLimitedError`` for a 429 and
-    ``TransportError`` for any other failure. It is never sent again here;
-    retrying is ``with_retries``' decision. Every request carries ``USER_AGENT``.
+    TLS context is built once, here; a malformed or non-http(s) URL, or a
+    malformed or non-http proxy URL, is refused as a non-retryable
+    ``TransportError``. A request returns a successful ``Response`` or raises
+    ``RateLimitedError`` for a 429 and ``TransportError`` for any other
+    failure. It is never sent again here; retrying is ``with_retries``'
+    decision. Every request carries ``USER_AGENT``.
 
     Idle connections wait on a LIFO list. A request takes the most recently
     used one that the server has not closed, or opens a new one, and reads
@@ -601,6 +609,11 @@ class MockWorldGateway:
     The world maps each known subject to its facts and carries the ground
     truth of which phrases count as named entities. Identical requests get
     identical responses regardless of call order.
+
+    Every label of the world is read through one ``LabelTable``, so it is
+    one string however many facts hold it, and each subject's facts are one
+    flat tuple ``(p1, o1, p2, o2, ...)``. A crawl's own table keeps the
+    strings it is served, so the runs of an offline suite share them too.
     """
 
     def __init__(self, world_path: Path) -> None:
@@ -612,11 +625,16 @@ class MockWorldGateway:
         # In a UTF-8 file only a \u escape can spell a lone surrogate (see ``is_unicode``).
         if "\\u" in text and not is_unicode(json.dumps(world, ensure_ascii=False)):
             raise ValueError(f"world {self.world_path} holds text that is not Unicode")
-        self.facts: dict[str, list[tuple[str, str]]] = {
-            subject: [(p, o) for p, o in pairs] for subject, pairs in world.get("facts", {}).items()
-        }
-        self.entities: set[str] = set(world.get("entities", []))
-        self.off_topic: set[str] = set(world.get("off_topic", []))
+        labels = LabelTable()
+        share = labels.__getitem__
+        self.facts: dict[str, tuple[str, ...]] = {}
+        for subject, pairs in world.get("facts", {}).items():
+            flat = tuple(map(share, chain.from_iterable(pairs)))
+            if len(flat) != 2 * len(pairs):
+                raise ValueError(f"world {self.world_path}: a fact of {subject!r} is not a pair")
+            self.facts[share(subject)] = flat
+        self.entities: set[str] = set(map(share, world.get("entities", [])))
+        self.off_topic: set[str] = set(map(share, world.get("off_topic", [])))
         injectors = world.get("injectors", {})
         self.suffix_loop: Optional[SuffixLoopInjector] = None
         if "suffix_loop" in injectors:
@@ -640,11 +658,10 @@ class MockWorldGateway:
 
     def elicit(self, req: ElicitationRequest) -> ElicitationResponse:
         subject = req.subject
-        triples: list[tuple[str, str, str]] = []
         if subject in self.off_topic:
             logger.warning("off-topic subject elicited: %r", subject)
-        for p, o in self.facts.get(subject, []):
-            triples.append((subject, p, o))
+        labels = iter(self.facts.get(subject, ()))
+        triples = [(subject, p, o) for p, o in zip(labels, labels)]
         if self.suffix_loop and self.suffix_loop.in_domain(subject):
             for child in self.suffix_loop.children(subject):
                 triples.append((subject, "alsoKnownAs", child))

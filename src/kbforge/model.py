@@ -45,9 +45,11 @@ def normalize_label(raw: str) -> str:
     """Strip surrounding whitespace and collapse internal runs to one space.
 
     Case is preserved. May return an empty string; callers decide whether
-    empties are acceptable.
+    empties are acceptable. A label that is already normalized comes back as
+    the same object, so a ``LabelTable`` keeps the string it was served.
     """
-    return " ".join(raw.split())
+    cleaned = " ".join(raw.split())
+    return raw if cleaned == raw else cleaned
 
 
 class TermKind(Enum):

@@ -153,6 +153,24 @@ class TestFixtureCrawl:
         objects = label_objects([crawl(babylon_config, babylon_gateway).kb])
         assert {label: len(ids) for label, ids in objects.items() if len(ids) > 1} == {}
 
+    def test_a_suite_keeps_the_gateway_strings(self, babylon_gateway, tmp_path):
+        # The strings the gateway serves: one object per label.
+        served: dict[str, set[int]] = {}
+        for subject in babylon_gateway.facts:
+            for triple in babylon_gateway.elicit(ElicitationRequest(subject, "babylon")).triples:
+                for label in triple:
+                    served.setdefault(label, set()).add(id(label))
+        assert {label: len(ids) for label, ids in served.items() if len(ids) > 1} == {}
+        # The seed is the one label a crawl takes from its config, not from
+        # the gateway; give it the gateway's string.
+        [seed] = [subject for subject in babylon_gateway.facts if subject == "Hammurabi"]
+        config = RunConfig(topic="babylon", seed_entity=seed)
+        records = run_suite([config, config], babylon_gateway, tmp_path / "suite")
+        assert all(len(record.kb) > 0 for record in records)
+        # Compared by id: both runs hold each label as the gateway's string.
+        held = label_objects(record.kb for record in records)
+        assert held == {label: served[label] for label in held}
+
     # The budgets of the loaded-run test in test_model.py. Set on CPython
     # 3.11, where a crawled KB measures 110 B per triple at 5.5k triples and
     # 89 B at 20k; with a dedupe index kept in the KB it measured 138 and

@@ -1,5 +1,6 @@
 import http.client
 import json
+import random
 import shutil
 import socket
 import ssl
@@ -26,6 +27,7 @@ from kbforge.gateway import (
     with_retries,
 )
 
+from conftest import held_bytes
 from fixture_server import LocalServer, closed_port, scripted_chat_responder
 
 
@@ -404,6 +406,21 @@ class TestTransport:
             _remote("http://127.0.0.1:9/v1")
         assert not err.value.retryable and opened_sockets == []
 
+    # A proxy is spoken to in plain HTTP, so one that expects TLS or SOCKS
+    # would be dialed on the wrong protocol.
+    @pytest.mark.parametrize("proxy", ["https://proxy.example", "socks5://proxy.example:1080"])
+    @pytest.mark.parametrize("variable, endpoint", [
+        ("HTTP_PROXY", "http://127.0.0.1:9/v1"),
+        ("HTTPS_PROXY", "https://127.0.0.1:9/v1"),
+    ])
+    def test_non_http_proxy_is_refused_when_the_gateway_is_built(
+        self, no_proxy_env, opened_sockets, proxy, variable, endpoint
+    ):
+        no_proxy_env.setenv(variable, proxy)
+        with pytest.raises(TransportError, match="not an http proxy URL") as err:
+            _remote(endpoint)
+        assert not err.value.retryable and opened_sockets == []
+
     def test_threads_sharing_a_session_get_their_own_responses(self):
         threads, calls = 8, 25
 
@@ -479,6 +496,32 @@ class TestMockWorld:
         path.write_text(json.dumps(world), encoding="utf-8")
         with pytest.raises(ValueError, match="not Unicode"):
             MockWorldGateway(path)
+
+    def test_a_fact_that_is_not_a_pair_is_refused(self, tmp_path):
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps({"facts": {"Ur": [["p", "o"], ["p", "o", "x"]]}}), encoding="utf-8")
+        with pytest.raises(ValueError, match="not a pair"):
+            MockWorldGateway(path)
+
+    # Set on CPython 3.11, where this world measures 87 B per fact; with a
+    # string per occurrence of a label and a 2-tuple per fact it measured
+    # 227 B. The benchmark's ensemble_wide world (seed 7) measures 72 and 215.
+    @pytest.mark.parametrize("facts, budget", [(5000, 100)])
+    def test_loaded_world_fits_its_byte_budget(self, tmp_path, facts, budget):
+        # 600 subjects and 60 predicates; 30% of objects link to a subject,
+        # the rest are literals that each occur once, as in the benchmark.
+        rng = random.Random(5)
+        subjects = [f"Entity {i} of Babylon" for i in range(600)]
+        predicates = [f"predicate{i}" for i in range(60)]
+        world: dict[str, list] = {}
+        for i in range(facts):
+            obj = rng.choice(subjects) if rng.random() < 0.3 else f"literal value {i}"
+            world.setdefault(subjects[i % 600], []).append([rng.choice(predicates), obj])
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps({"facts": world, "entities": subjects}), encoding="utf-8")
+        gateway, used = held_bytes(lambda: MockWorldGateway(path))
+        assert sum(map(len, gateway.facts.values())) == 2 * facts
+        assert used / facts < budget
 
     def test_serves_fixture_facts(self, babylon_gateway):
         response = babylon_gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))

@@ -6,6 +6,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kbforge import model
 from kbforge.model import (
@@ -53,6 +55,15 @@ class TestNormalizeLabel:
         every = "".join(map(chr, range(sys.maxunicode + 1)))
         assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
         assert normalize_label(every) == re.sub(r"\s+", " ", every.strip())
+
+    # Any text, text with whitespace in every form, and normalized labels of
+    # several words.
+    @given(st.text() | st.text(" \t\n\u00a0\u2003ab") | st.lists(st.text("ab", min_size=1)).map(" ".join))
+    def test_is_split_and_join_and_keeps_a_normalized_label(self, raw):
+        cleaned = " ".join(raw.split())
+        assert normalize_label(raw) == cleaned
+        if cleaned == raw:
+            assert normalize_label(raw) is raw
 
 
 class TestTriple:

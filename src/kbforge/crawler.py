@@ -20,12 +20,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .gateway import (
-    ElicitationRequest,
-    ElicitationResponse,
-    MalformedOutputError,
-    NerRequest,
-)
+from .gateway import ElicitationRequest, MalformedOutputError, NerRequest
 from .model import (
     FAILED_NAME,
     DegeneracyEvent,
@@ -120,6 +115,10 @@ def crawl(
 ) -> RunRecord:
     """Run one bounded knowledge crawl and return its full record.
 
+    The record's KB holds the facts found, and its ``visited_count`` counts
+    the subjects whose answers the crawl read, those that yielded no triples
+    included; responses fetched ahead and never read do not count.
+
     Caps are checked at every layer boundary; the wall clock is additionally
     checked before each request, so a timed-out run loses at most the
     remainder of its current layer and the next-layer responses it fetched
@@ -170,7 +169,8 @@ def _crawl(
     # The crawl's facts in the order found, each once: a fact a response
     # repeats keeps its first copy. The returned KB holds only their list.
     facts: dict[Triple, None] = {}
-    visited: set[str] = set()
+    # Each frontier subject is new, so a count of the answers read counts subjects.
+    visited = 0
     kinds: dict[str, TermKind] = {}
     events: list[DegeneracyEvent] = []
     per_layer: list[LayerStats] = []
@@ -187,7 +187,7 @@ def _crawl(
     termination: Optional[Termination] = None
     deepest_layer = 0
 
-    def fetch(subject: str) -> Optional[ElicitationResponse]:
+    def fetch(subject: str) -> Optional[list[tuple[str, str, str]]]:
         if clock() >= deadline:
             return None
         try:
@@ -196,7 +196,7 @@ def _crawl(
             )
         except MalformedOutputError as exc:
             logger.warning("subject %r failed elicitation: %s", subject, exc)
-            return ElicitationResponse([])
+            return []
 
     def admit(batch: list[str], next_frontier: list) -> bool:
         """Classify one batch of the layer's new labels and start fetching
@@ -206,7 +206,7 @@ def _crawl(
             return False
         request = NerRequest(batch, config.topic, config.prompt_language)
         try:
-            verdicts = gateway.classify_ner(request).verdicts
+            verdicts = gateway.classify_ner(request)
         except MalformedOutputError as exc:
             # Conservative fallback: an unparseable batch stops expansion
             # instead of admitting unvetted phrases to the frontier.
@@ -246,15 +246,15 @@ def _crawl(
         unsent: list[str] = []
         next_frontier: list[tuple[str, Optional[Callable]]] = []
         for subject, read in frontier:
-            response = read()
-            if response is None:
+            answer = read()
+            if answer is None:
                 timed_out = True
                 continue
-            visited.add(subject)
+            visited += 1
             # The BFS graph stays well-formed only if every returned fact hangs
             # off the requested subject: divergent subjects are overwritten,
             # not dropped.
-            for _, p, o in response.triples:
+            for _, p, o in answer:
                 p2, o2 = labels[normalize_label(p)], labels[normalize_label(o)]
                 if not p2 or not o2:
                     continue
@@ -289,13 +289,11 @@ def _crawl(
     # dicts of the whole crawl are never held at once.
     triples = list(facts)
     facts.clear()
-    kb = KnowledgeBase(triples)
-    kb.visited_subjects = visited
 
     return RunRecord(
         run_id=run_id,
         config=config,
-        kb=kb,
+        kb=KnowledgeBase(triples),
         termination=termination,
         wall_seconds=clock() - start,
         deepest_layer=deepest_layer,
@@ -303,6 +301,7 @@ def _crawl(
         degeneracy_events=events,
         started_at=started_at,
         finished_at=utcnow(),
+        visited_count=visited,
     )
 
 

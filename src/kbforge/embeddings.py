@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .gateway import REQUEST_TIMEOUT_S, Session, TransportError, auth_headers, with_retries
+from .gateway import REQUEST_TIMEOUT_S, Session, TransportError, auth_headers, check_max_retries, with_retries
 from .model import NdjsonStore
 
 EMBED_DIM = 384
@@ -129,11 +129,11 @@ class RemoteEmbedder:
         max_retries: int = 2,
         sleep=time.sleep,
     ):
+        self.max_retries = check_max_retries(max_retries)
         self._headers = auth_headers(api_key)
         self._session = Session(endpoint_url.rstrip("/") + "/embeddings")
         self.model_id = model_id
         self.provider_id = f"remote-{model_id}"
-        self.max_retries = max_retries
         self._sleep = sleep
 
     def _post(self, batch: Sequence[str]) -> list[list[float]]:

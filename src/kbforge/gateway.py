@@ -1,13 +1,14 @@
 """Chat-completion gateways: a remote OpenAI-compatible backend and a mock.
 
-Both gateways expose the same two operations, ``elicit`` (facts about one
-subject) and ``classify_ner`` (entity verdicts for a batch of phrases), and
-each remote call is one chat request: batching and fallbacks are the
-crawler's. The remote backend declares a strict JSON schema for the response,
-retries transport failures and rate limits with exponential backoff, and
-appends every outcome, tagged with its run, to an audit log. The mock
-backend answers from a world fixture file and is a pure function of (world,
-request), which is what makes crawl determinism testable.
+Both gateways expose the same two operations and answer with plain data:
+``elicit`` returns one subject's facts as a list of ``(s, p, o)`` string
+tuples, and ``classify_ner`` returns a list of ``bool``, one entity verdict
+per phrase of its batch. Each remote call is one chat request: batching and
+fallbacks are the crawler's. The remote backend declares a strict JSON
+schema for the response, retries transport failures and rate limits with
+exponential backoff, and appends every outcome, tagged with its run, to an
+audit log. The mock backend answers from a world fixture file and is a pure
+function of (world, request), which is what makes crawl determinism testable.
 
 The keep-alive HTTP client (``Session``) and the retry policy
 (``with_retries``) live here and serve every remote client in the package. A
@@ -304,6 +305,14 @@ class Session:
         return conn
 
 
+def check_max_retries(max_retries: int) -> int:
+    """``max_retries``, or ``ValueError`` when it is negative; each client
+    checks its count when it is built, before any request."""
+    if max_retries < 0:
+        raise ValueError("max_retries must be >= 0")
+    return max_retries
+
+
 def with_retries(
     attempt: Callable[[], T],
     max_retries: int,
@@ -342,11 +351,6 @@ class ElicitationRequest:
 
 
 @dataclass
-class ElicitationResponse:
-    triples: list[tuple[str, str, str]]
-
-
-@dataclass
 class NerRequest:
     phrases: list[str]
     topic: str
@@ -355,11 +359,6 @@ class NerRequest:
     def __post_init__(self) -> None:
         if not self.phrases:
             raise ValueError("phrases must be a non-empty list")
-
-
-@dataclass
-class NerResponse:
-    verdicts: list[bool]
 
 
 @dataclass
@@ -373,8 +372,7 @@ class BackendDescriptor:
     max_retries: int = 2
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        check_max_retries(self.max_retries)
         if self.kind != "remote":
             raise ValueError(f"unknown backend kind: {self.kind!r}")
 
@@ -454,18 +452,18 @@ def parse_ner_payload(text: str, expected: int) -> list[bool]:
     return verdicts
 
 
-def replay_audit(path: Path) -> list[ElicitationResponse]:
-    """Re-parse every logged elicitation response.
+def replay_audit(path: Path) -> list[list[tuple[str, str, str]]]:
+    """Re-parse every logged elicitation response: one list of (s, p, o)
+    tuples per successful elicitation, in log order.
 
     Running the recorded payloads back through the parser must reproduce
-    the responses the crawl saw, which makes remote runs auditable.
+    the answers the crawl saw, which makes remote runs auditable.
     """
-    responses = []
-    for entry in read_ndjson(path):
-        if entry.get("kind") != "elicit" or entry.get("status") != "ok":
-            continue
-        responses.append(ElicitationResponse(parse_elicitation_payload(entry["response_text"])))
-    return responses
+    return [
+        parse_elicitation_payload(entry["response_text"])
+        for entry in read_ndjson(path)
+        if entry.get("kind") == "elicit" and entry.get("status") == "ok"
+    ]
 
 
 class RemoteChatGateway:
@@ -550,7 +548,8 @@ class RemoteChatGateway:
             self._audit({**entry, "status": type(exc).__name__, "error": str(exc)})
             raise
 
-    def elicit(self, req: ElicitationRequest) -> ElicitationResponse:
+    def elicit(self, req: ElicitationRequest) -> list[tuple[str, str, str]]:
+        """The subject's facts as the model states them, raw (s, p, o) tuples."""
         instruction = render_elicitation_prompt(req.topic, req.language)
         entry = {"kind": "elicit", "subject": req.subject}
         content, triples = self._ask(
@@ -558,9 +557,10 @@ class RemoteChatGateway:
             parse_elicitation_payload,
         )
         self._audit({**entry, "status": "ok", "response_text": content})
-        return ElicitationResponse(triples=triples)
+        return triples
 
-    def classify_ner(self, req: NerRequest) -> NerResponse:
+    def classify_ner(self, req: NerRequest) -> list[bool]:
+        """One verdict per phrase of the batch, in order: True for a named entity."""
         instruction = render_ner_prompt(req.topic, req.language)
         entry = {"kind": "ner", "phrases": req.phrases}
         _, verdicts = self._ask(
@@ -568,7 +568,7 @@ class RemoteChatGateway:
             lambda content: parse_ner_payload(content, len(req.phrases)),
         )
         self._audit({**entry, "status": "ok", "verdicts": verdicts})
-        return NerResponse(verdicts=verdicts)
+        return verdicts
 
 
 @dataclass
@@ -656,7 +656,7 @@ class MockWorldGateway:
             return True
         return False
 
-    def elicit(self, req: ElicitationRequest) -> ElicitationResponse:
+    def elicit(self, req: ElicitationRequest) -> list[tuple[str, str, str]]:
         subject = req.subject
         if subject in self.off_topic:
             logger.warning("off-topic subject elicited: %r", subject)
@@ -668,7 +668,7 @@ class MockWorldGateway:
         if self.q_id and subject == self.q_id.host:
             for qid in self.q_id.qids:
                 triples.append((subject, "relatedEntity", qid))
-        return ElicitationResponse(triples=triples)
+        return triples
 
-    def classify_ner(self, req: NerRequest) -> NerResponse:
-        return NerResponse(verdicts=[self._is_entity(p) for p in req.phrases])
+    def classify_ner(self, req: NerRequest) -> list[bool]:
+        return [self._is_entity(p) for p in req.phrases]

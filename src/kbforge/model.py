@@ -148,16 +148,13 @@ class KnowledgeBase:
     and keeps only ``triples``, each fact once in the order it was first
     given. A later duplicate is dropped, so the first copy keeps its kind
     and layer. The crawl deduplicates as it goes and builds its KB at the end.
-
-    ``visited_subjects`` are the subjects a crawl elicited; a KB read from
-    disk leaves it empty (see ``RunRecord.visited_count``).
+    What the crawl visited is its record's (``RunRecord.visited_count``).
     """
 
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
         # Storing an equal key keeps the first one, so each fact keeps the
         # kind and layer of its first copy.
         self.triples: list[Triple] = list(dict.fromkeys(triples))
-        self.visited_subjects: set[str] = set()
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -311,11 +308,10 @@ class LayerStats:
 class RunRecord:
     """Outcome of one crawl: configuration, KB, and termination telemetry.
 
-    The manifest's ``visited_subjects`` counts the subjects the crawl
-    elicited, including those that yielded no triples. ``save_run`` writes
-    ``visited_count`` when it is set (``load_run`` sets it from the
-    manifest, whose KB holds no subjects) and otherwise the size of the
-    KB's ``visited_subjects`` (a crawl fills that set).
+    ``visited_count`` counts the subjects whose answers the crawl read,
+    including those that yielded no triples. The crawl sets it, ``save_run``
+    writes it as the manifest's ``visited_subjects`` and ``load_run`` reads
+    it back.
     """
 
     run_id: str
@@ -488,7 +484,7 @@ def save_run(record: RunRecord, run_dir: Path) -> None:
         "deepest_layer": record.deepest_layer,
         "per_layer_counts": [astuple(s) for s in record.per_layer_counts],
         "degeneracy_events": [asdict(e) for e in record.degeneracy_events],
-        "visited_subjects": record.visited_count or len(record.kb.visited_subjects),
+        "visited_subjects": record.visited_count,
         "triple_count": len(record.kb),
         "started_at": record.started_at,
         "finished_at": record.finished_at,
@@ -530,9 +526,8 @@ def load_triples(path: Path, labels: Optional[LabelTable] = None) -> list[Triple
 def load_run(run_dir: Path, labels: Optional[LabelTable] = None) -> RunRecord:
     """Rebuild a RunRecord from a persisted run directory.
 
-    The visited subjects are not persisted one by one: the loaded KB leaves
-    ``visited_subjects`` empty and ``visited_count`` keeps their count.
-    ``labels`` is passed to ``load_triples``.
+    The visited subjects are persisted as a count, which ``visited_count``
+    keeps. ``labels`` is passed to ``load_triples``.
     """
     run_dir = Path(run_dir)
     manifest = read_json(run_dir / MANIFEST_NAME)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .gateway import Session, TransportError, with_retries
+from .gateway import Session, TransportError, check_max_retries, with_retries
 from .model import NdjsonStore, utcnow
 
 logger = logging.getLogger(__name__)
@@ -88,8 +88,8 @@ class WikidataClient:
         rate_limiter: Optional[RateLimiter] = None,
         sleep=time.sleep,
     ):
+        self.max_retries = check_max_retries(max_retries)
         self._session = Session(endpoint_url)
-        self.max_retries = max_retries
         self._limiter = rate_limiter or RateLimiter()
         self._sleep = sleep
 

@@ -64,12 +64,10 @@ FIXTURE_ROWS = [
 
 
 def build_fixture_kb() -> KnowledgeBase:
-    kb = KnowledgeBase(
+    return KnowledgeBase(
         Triple(subject=s, predicate=p, object=o, object_kind=kind, layer=layer)
         for s, p, o, kind, layer in FIXTURE_ROWS
     )
-    kb.visited_subjects = {t.subject for t in kb.triples}
-    return kb
 
 
 @pytest.fixture

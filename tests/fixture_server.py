@@ -1,10 +1,10 @@
 """A local HTTP server serving canned backend responses for tests.
 
 One generic threaded server plus responder factories for the three wire
-protocols the package talks: chat completions, embeddings, and the
-Wikidata action API. Every request is recorded so tests can assert on
-call counts and payloads, and on the headers, target and TCP connection
-each one came with.
+protocols the package talks: chat completions (scripted, or answered from
+a mock world), embeddings, and the Wikidata action API. Every request is
+recorded so tests can assert on call counts and payloads, and on the
+headers, target and TCP connection each one came with.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from http.client import HTTPMessage
 from pathlib import Path
 from typing import Optional
+
+from kbforge.gateway import ElicitationRequest, NerRequest
 
 
 @dataclass
@@ -160,6 +162,29 @@ def scripted_chat_responder(script: list):
         if status == 200:
             return chat_ok(payload)
         return status, payload if isinstance(payload, dict) else {}
+
+    return responder
+
+
+def world_chat_responder(world_gateway, before=None, delay_s: float = 0.0):
+    """Serves chat completions from a mock world gateway: elicitations by
+    subject, NER batches by phrase. ``before`` sees each parsed request body
+    first, and each answer waits ``delay_s`` seconds."""
+
+    def responder(method, path, query, body):
+        request = json.loads(body)
+        if before:
+            before(request)
+        time.sleep(delay_s)
+        payload = request["messages"][1]["content"]
+        if request["response_format"]["json_schema"]["name"] == "elicitation_triples":
+            triples = world_gateway.elicit(ElicitationRequest(payload, "babylon"))
+            return chat_ok(json.dumps(
+                {"triples": [{"subject": s, "predicate": p, "object": o} for s, p, o in triples]},
+                ensure_ascii=False,
+            ))
+        verdicts = world_gateway.classify_ner(NerRequest(payload.split("\n"), "babylon"))
+        return chat_ok(json.dumps({"verdicts": verdicts}))
 
     return responder
 

@@ -1,4 +1,5 @@
-"""Every public function and class of kbforge has a caller outside the tests.
+"""Every public function and class of kbforge has a caller outside the tests,
+and no public dataclass only wraps one value.
 
 An AST walk stands in for a dead-code linter: a public (no leading
 underscore) module-level function or class of ``src/kbforge`` must be named
@@ -7,6 +8,9 @@ the benchmark under ``perfbench/``, or be listed in ``kbforge.__all__``.
 Names in code are names, attributes, imported names and quoted annotations;
 docstrings and comments do not count. A helper that only tests call is
 deleted, and its tests use what the package itself calls.
+
+A public dataclass with one field and no methods adds a name and an
+attribute lookup to the value it holds; the package hands on the value.
 """
 
 import ast
@@ -27,6 +31,12 @@ ALLOWED = {
     ("export", "read_csv"),
     # Re-parses a crawl's audit log: the base of resuming a crawl from its log.
     ("gateway", "replay_audit"),
+}
+
+# One-field dataclasses kept, each for its reason.
+WRAPPERS_ALLOWED = {
+    # The benchmark's trace reads its ``.buckets``.
+    ("popularity", "BucketAssignment"),
 }
 
 
@@ -109,3 +119,64 @@ def test_the_check_sees_names_in_code_only():
     assert uncalled(sources, "perfbench calls b.benched()", {"exported"}) == [
         ("a", "Annotated"), ("a", "recursive"), ("b", "only_in_docstring"),
     ]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def wrappers(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of each public dataclass in ``sources`` (module -> code)
+    that declares one field and defines no method."""
+    found = []
+    for module, source in sources.items():
+        for definition in _definitions(ast.parse(source)):
+            if not isinstance(definition, ast.ClassDef) or not _is_dataclass(definition):
+                continue
+            fields = [part for part in definition.body if isinstance(part, ast.AnnAssign)]
+            methods = [part for part in definition.body if isinstance(part, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            if len(fields) == 1 and not methods:
+                found.append((module, definition.name))
+    return sorted(found)
+
+
+def test_no_public_dataclass_only_wraps_one_field():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert [w for w in wrappers(sources) if w not in WRAPPERS_ALLOWED] == []
+
+
+@pytest.mark.parametrize("module, name", sorted(WRAPPERS_ALLOWED))
+def test_each_allowed_wrapper_is_still_one(module, name):
+    assert (module, name) in wrappers({module: (PACKAGE / f"{module}.py").read_text(encoding="utf-8")})
+
+
+def test_the_wrapper_check_counts_fields_and_methods():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Wrapper:\n"
+        "    value: int\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class Qualified:\n"
+        "    value: int\n"
+        "@dataclass\n"
+        "class Pair:\n"
+        "    left: int\n"
+        "    right: int\n"
+        "@dataclass\n"
+        "class Checked:\n"
+        "    value: int\n"
+        "    def __post_init__(self): pass\n"
+        "class Plain:\n"
+        "    value: int\n"
+        "@dataclass\n"
+        "class _Private:\n"
+        "    value: int\n"
+    )
+    assert wrappers({"m": source}) == [("m", "Qualified"), ("m", "Wrapper")]

@@ -19,11 +19,8 @@ from kbforge.crawler import (
 from kbforge.gateway import (
     BackendDescriptor,
     ElicitationRequest,
-    ElicitationResponse,
     MalformedOutputError,
     MockWorldGateway,
-    NerRequest,
-    NerResponse,
     RemoteChatGateway,
     parse_elicitation_payload,
     replay_audit,
@@ -42,7 +39,7 @@ from kbforge.model import (
 )
 
 from conftest import held_bytes, label_objects, synthetic_kb
-from fixture_server import LocalServer, chat_ok, scripted_chat_responder
+from fixture_server import LocalServer, chat_ok, scripted_chat_responder, world_chat_responder
 from oracles import world_closure
 
 
@@ -145,9 +142,11 @@ class TestFixtureCrawl:
         assert record.degeneracy_events == []
 
     def test_visited_covers_every_entity(self, babylon_config, babylon_gateway, babylon_world_path):
-        record = crawl(babylon_config, babylon_gateway)
+        spy = _CountingGateway(babylon_gateway)
+        record = crawl(babylon_config, spy)
         expected_entities, _ = world_closure(babylon_world_path, "Hammurabi")
-        assert record.kb.visited_subjects == expected_entities
+        assert sorted(spy.subjects) == sorted(expected_entities)
+        assert record.visited_count == len(expected_entities)
 
     def test_equal_labels_are_one_string(self, babylon_config, babylon_gateway):
         objects = label_objects([crawl(babylon_config, babylon_gateway).kb])
@@ -157,7 +156,7 @@ class TestFixtureCrawl:
         # The strings the gateway serves: one object per label.
         served: dict[str, set[int]] = {}
         for subject in babylon_gateway.facts:
-            for triple in babylon_gateway.elicit(ElicitationRequest(subject, "babylon")).triples:
+            for triple in babylon_gateway.elicit(ElicitationRequest(subject, "babylon")):
                 for label in triple:
                     served.setdefault(label, set()).add(id(label))
         assert {label: len(ids) for label, ids in served.items() if len(ids) > 1} == {}
@@ -293,7 +292,8 @@ class TestCaps:
 
     def test_time_cap_at_layer_boundary(self, babylon_gateway):
         clock = _Clock()
-        gateway = _ExpiringGateway(babylon_gateway, clock, detonate_after=1)
+        spy = _CountingGateway(babylon_gateway)
+        gateway = _ExpiringGateway(spy, clock, detonate_after=1)
         config = RunConfig(
             topic="babylon",
             seed_entity="Hammurabi",
@@ -304,13 +304,15 @@ class TestCaps:
         assert record.termination is Termination.CAPPED_TIME
         # The seed layer completed before the clock ran out.
         assert len(record.kb) == 5
-        assert record.kb.visited_subjects == {"Hammurabi"}
+        assert spy.subjects == ["Hammurabi"]
+        assert record.visited_count == 1
 
     def test_time_cap_after_a_committed_layer(self, babylon_gateway):
         # The clock runs out after layer 0's NER batch, so the layer is
         # committed with its verdicts and the next layer never starts.
         clock = _Clock()
-        gateway = _ExpiringGateway(babylon_gateway, clock, detonate_after=1, kind="classify_ner")
+        spy = _CountingGateway(babylon_gateway)
+        gateway = _ExpiringGateway(spy, clock, detonate_after=1, kind="classify_ner")
         config = RunConfig(
             topic="babylon",
             seed_entity="Hammurabi",
@@ -321,12 +323,14 @@ class TestCaps:
         assert record.termination is Termination.CAPPED_TIME
         assert [(s.layer, s.new_entities, s.new_triples) for s in record.per_layer_counts] == [(0, 4, 5)]
         assert {t.layer for t in record.kb.triples} == {0}
-        assert record.kb.visited_subjects == {"Hammurabi"}
+        assert spy.subjects == ["Hammurabi"]
+        assert record.visited_count == 1
         assert record.deepest_layer == 0
 
     def test_time_cap_mid_layer_skips_subjects(self, babylon_gateway):
         clock = _Clock()
-        gateway = _ExpiringGateway(babylon_gateway, clock, detonate_after=2)
+        spy = _CountingGateway(babylon_gateway)
+        gateway = _ExpiringGateway(spy, clock, detonate_after=2)
         config = RunConfig(
             topic="babylon",
             seed_entity="Hammurabi",
@@ -336,10 +340,41 @@ class TestCaps:
         record = crawl(config, gateway, clock=clock)
         assert record.termination is Termination.CAPPED_TIME
         # Layer 1 order is discovery order: King, Babylon, Code, Samsu-iluna.
-        assert record.kb.visited_subjects == {"Hammurabi", "King"}
-        assert "Babylon" not in record.kb.visited_subjects
-        assert "Samsu-iluna" not in record.kb.visited_subjects
+        assert spy.subjects == ["Hammurabi", "King"]
+        assert record.visited_count == 2
         assert record.deepest_layer == 1
+
+    def test_time_cap_leaves_responses_fetched_ahead_unread(self, babylon_gateway):
+        # One worker elicits in frontier order. Once layer 1's NER batch has
+        # gone, the run's clock reads past the deadline as soon as a layer-2
+        # subject has been elicited: layer 2 is fetched ahead, never read.
+        asked, ner_batches = [], []
+        fetched_ahead = threading.Event()
+        run_thread = threading.get_ident()
+
+        def before(request):
+            if not _is_elicitation(request):
+                ner_batches.append(request)
+                return
+            asked.append(request["messages"][1]["content"])
+            if len(ner_batches) == 2:
+                fetched_ahead.set()
+
+        def clock():
+            if threading.get_ident() == run_thread and len(ner_batches) == 2:
+                assert fetched_ahead.wait(timeout=5)
+                return 1e9
+            return 0.0
+
+        config = RunConfig(topic="babylon", seed_entity="Hammurabi", parallelism=1)
+        with LocalServer(world_chat_responder(babylon_gateway, before)) as server:
+            record = crawl(config, _remote_gateway(server.url), clock=clock)
+        assert record.termination is Termination.CAPPED_TIME
+        read = ["Hammurabi", "King", "Babylon", "Code of Hammurabi", "Samsu-iluna"]
+        assert asked[: len(read)] == read
+        # "King" answers with no facts, and is read all the same.
+        assert {t.subject for t in record.kb.triples} == set(read) - {"King"}
+        assert record.visited_count == len(read) < len(asked)
 
     def test_time_cap_between_ner_batches(self, tmp_path):
         # Layer 0 finds 250 new labels, three NER batches; the clock runs
@@ -361,7 +396,8 @@ class TestCaps:
         assert kinds.pop("Early") is TermKind.NAMED_ENTITY
         assert set(kinds.values()) == {TermKind.LITERAL} and "Late" in kinds
         assert [(s.layer, s.new_entities, s.new_triples) for s in record.per_layer_counts] == [(0, 1, 250)]
-        assert record.kb.visited_subjects == {"Root"}
+        assert {t.subject for t in record.kb.triples} == {"Root"}
+        assert record.visited_count == 1
         assert record.deepest_layer == 0
 
 
@@ -398,17 +434,19 @@ class _CountingGateway:
 
 class _BlankLabelGateway:
     """Answers each subject with one fact whose predicate is blank and one
-    whose object is; records every NER batch."""
+    whose object is; records every elicited subject and every NER batch."""
 
     def __init__(self):
+        self.subjects = []
         self.batches = []
 
     def elicit(self, req):
-        return ElicitationResponse([(req.subject, "  ", "Ur"), (req.subject, "rules", "\n")])
+        self.subjects.append(req.subject)
+        return [(req.subject, "  ", "Ur"), (req.subject, "rules", "\n")]
 
     def classify_ner(self, req):
         self.batches.append(list(req.phrases))
-        return NerResponse([True] * len(req.phrases))
+        return [True] * len(req.phrases)
 
 
 class TestElicitedLabels:
@@ -418,13 +456,15 @@ class TestElicitedLabels:
         gateway = _CountingGateway(MockWorldGateway(request.getfixturevalue(f"{world}_world_path")))
         record = crawl(config, gateway)
         assert len(gateway.subjects) > 10
-        assert sorted(gateway.subjects) == sorted(record.kb.visited_subjects)
+        assert len(set(gateway.subjects)) == len(gateway.subjects) == record.visited_count
+        assert {t.subject for t in record.kb.triples} <= set(gateway.subjects)
 
     def test_a_blank_predicate_or_object_is_dropped(self, babylon_config):
         gateway = _BlankLabelGateway()
         record = crawl(babylon_config, gateway)
         assert record.kb.triples == []
-        assert record.kb.visited_subjects == {"Hammurabi"}
+        assert gateway.subjects == ["Hammurabi"]
+        assert record.visited_count == 1
         assert record.termination is Termination.ORGANIC
         # Neither "" nor the object of the blank predicate reaches NER.
         assert gateway.batches == []
@@ -434,10 +474,11 @@ class TestDegradedSubjects:
     def test_malformed_subject_is_visited_with_zero_triples(
         self, babylon_config, babylon_gateway
     ):
-        gateway = _BrokenSubjectGateway(babylon_gateway, "Babylon")
-        record = crawl(babylon_config, gateway)
+        spy = _CountingGateway(_BrokenSubjectGateway(babylon_gateway, "Babylon"))
+        record = crawl(babylon_config, spy)
         assert record.termination is Termination.ORGANIC
-        assert "Babylon" in record.kb.visited_subjects
+        assert "Babylon" in spy.subjects
+        assert record.visited_count == len(spy.subjects)
         assert not any(t.subject == "Babylon" for t in record.kb.triples)
         # Babylon still appears as an object elicited from the seed.
         names = derive_categories(record.kb)[StructuralCategory.NAMED_ENTITIES]
@@ -446,8 +487,8 @@ class TestDegradedSubjects:
 
 class TestLoopWorld:
     def test_degenerate_names_are_fenced_off(self, loop_config, loop_world_path):
-        gateway = MockWorldGateway(loop_world_path)
-        record = crawl(loop_config, gateway)
+        spy = _CountingGateway(MockWorldGateway(loop_world_path))
+        record = crawl(loop_config, spy)
 
         assert record.termination is Termination.CAPPED_LAYERS
         assert record.deepest_layer == 4
@@ -470,17 +511,27 @@ class TestLoopWorld:
         # Flagged names keep their triples but are never expanded.
         objects = {t.object for t in record.kb.triples}
         assert "Q768509" in objects
-        assert not (flagged & record.kb.visited_subjects)
+        assert not (flagged & set(spy.subjects))
+        assert record.visited_count == len(spy.subjects)
         assert not any(t.subject in flagged for t in record.kb.triples)
 
+    def test_visited_count_includes_subjects_without_triples(self, loop_config, loop_world_path):
+        spy = _CountingGateway(MockWorldGateway(loop_world_path))
+        record = crawl(loop_config, spy)
+        # Some visited subjects of this world yield no triples; they count too.
+        assert set(spy.subjects) > {t.subject for t in record.kb.triples}
+        assert record.visited_count == len(spy.subjects) == len(set(spy.subjects))
+
     def test_resaved_run_keeps_its_bytes(self, loop_config, loop_world_path, tmp_path):
-        # Some visited subjects of this world yield no triples.
         record = crawl(loop_config, MockWorldGateway(loop_world_path))
-        assert record.kb.visited_subjects > {t.subject for t in record.kb.triples}
         save_run(record, tmp_path / "a")
-        save_run(load_run(tmp_path / "a"), tmp_path / "b")
+        loaded = load_run(tmp_path / "a")
+        assert loaded.visited_count == record.visited_count > len({t.subject for t in record.kb.triples})
+        save_run(loaded, tmp_path / "b")
         for name in ("manifest.json", "triples.ndjson"):
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["visited_subjects"] == record.visited_count
 
 
 class TestRunSuite:
@@ -525,28 +576,6 @@ class TestRunSuite:
         assert [t.key() for t in loaded] == [t.key() for t in record.kb.triples]
 
 
-def _world_responder(world_gateway, before=None, delay_s=0.0):
-    """Serves chat completions from a mock world: elicitations by subject,
-    NER batches by phrase. ``before`` sees each parsed request body first."""
-
-    def responder(method, path, query, body):
-        request = json.loads(body)
-        if before:
-            before(request)
-        time.sleep(delay_s)
-        payload = request["messages"][1]["content"]
-        if request["response_format"]["json_schema"]["name"] == "elicitation_triples":
-            triples = world_gateway.elicit(ElicitationRequest(payload, "babylon")).triples
-            return chat_ok(json.dumps(
-                {"triples": [{"subject": s, "predicate": p, "object": o} for s, p, o in triples]},
-                ensure_ascii=False,
-            ))
-        verdicts = world_gateway.classify_ner(NerRequest(payload.split("\n"), "babylon")).verdicts
-        return chat_ok(json.dumps({"verdicts": verdicts}))
-
-    return responder
-
-
 def _remote_gateway(url, audit_path=None):
     descriptor = BackendDescriptor(kind="remote", endpoint_url=url, max_retries=0)
     return RemoteChatGateway(descriptor, api_key="test-key", audit_path=audit_path)
@@ -568,7 +597,7 @@ class TestRemoteSuite:
                 # run-000's first elicitation waits for run-001's first request.
                 held.append(second_run_started.wait(timeout=5))
 
-        with LocalServer(_world_responder(babylon_gateway, before)) as server:
+        with LocalServer(world_chat_responder(babylon_gateway, before)) as server:
             records = run_suite(
                 _model_configs("m0", "m1"), _remote_gateway(server.url), tmp_path / "suite"
             )
@@ -576,7 +605,7 @@ class TestRemoteSuite:
         assert all(r is not None for r in records)
 
     def test_remote_runs_equal_the_mock_crawl(self, babylon_config, babylon_gateway, tmp_path):
-        with LocalServer(_world_responder(babylon_gateway, delay_s=0.002)) as server:
+        with LocalServer(world_chat_responder(babylon_gateway, delay_s=0.002)) as server:
             records = run_suite([babylon_config] * 3, _remote_gateway(server.url), tmp_path / "suite")
         reference = crawl(babylon_config, babylon_gateway, run_id="run-000")
         save_run(reference, tmp_path / "reference")
@@ -593,7 +622,7 @@ class TestRemoteSuite:
                 # Ctrl-C once both runs are under way.
                 signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
 
-        with LocalServer(_world_responder(babylon_gateway, before, delay_s=0.05)) as server:
+        with LocalServer(world_chat_responder(babylon_gateway, before, delay_s=0.05)) as server:
             with pytest.raises(KeyboardInterrupt):
                 run_suite(_model_configs("m0", "m1"), _remote_gateway(server.url), tmp_path / "suite")
         # A whole run sends dozens of requests; an interrupted one ends after
@@ -605,7 +634,7 @@ class TestRemoteSuite:
 
     def test_failed_runs_keep_index_order(self, babylon_gateway, tmp_path):
         last_failure_sent = threading.Event()
-        serve = _world_responder(babylon_gateway)
+        serve = world_chat_responder(babylon_gateway)
 
         def responder(method, path, query, body):
             model = json.loads(body)["model"]
@@ -643,7 +672,7 @@ class TestRemoteSuite:
         facts.update({c: [["age", "1"]] for c in children})
         world = tmp_path / "world.json"
         world.write_text(json.dumps({"entities": ["Root", *people, *children], "facts": facts}), encoding="utf-8")
-        serve = _world_responder(MockWorldGateway(world), delay_s=0.05)
+        serve = world_chat_responder(MockWorldGateway(world), delay_s=0.05)
         failing = children[0]
 
         def responder(method, path, query, body):
@@ -664,7 +693,7 @@ class TestRemoteSuite:
         assert set(after) <= set(children)
 
     def test_an_answer_that_is_not_unicode_skips_its_subject(self, babylon_config, babylon_gateway, tmp_path):
-        serve = _world_responder(babylon_gateway)
+        serve = world_chat_responder(babylon_gateway)
         asked = []
 
         def responder(method, path, query, body):
@@ -691,7 +720,7 @@ class TestRemoteSuite:
 
     def test_audit_lines_name_their_run(self, babylon_gateway, tmp_path):
         audit_path = tmp_path / "audit.ndjson"
-        with LocalServer(_world_responder(babylon_gateway, delay_s=0.002)) as server:
+        with LocalServer(world_chat_responder(babylon_gateway, delay_s=0.002)) as server:
             run_suite(
                 _model_configs("m0", "m1"),
                 _remote_gateway(server.url, audit_path),
@@ -711,7 +740,7 @@ class TestRemoteSuite:
         for run_id in sent:
             assert sorted(logged[run_id]) == sorted(sent[run_id])
         elicited = [e for e in entries if e["kind"] == "elicit"]
-        assert [r.triples for r in replay_audit(audit_path)] == [
+        assert replay_audit(audit_path) == [
             parse_elicitation_payload(e["response_text"]) for e in elicited
         ]
 
@@ -729,7 +758,7 @@ class TestRemoteSuite:
         configs = [
             RunConfig(topic="babylon", seed_entity="Root", model_id=m, parallelism=4) for m in models
         ]
-        responder = _world_responder(MockWorldGateway(world), delay_s=0.02)
+        responder = world_chat_responder(MockWorldGateway(world), delay_s=0.02)
         with LocalServer(responder, http11=True) as server:
             records = run_suite(configs, _remote_gateway(server.url), tmp_path / "suite")
         assert [len(r.kb) for r in records] == [48, 48, 48]
@@ -805,14 +834,14 @@ class TestCrawlThreads:
                 second_in_flight.set()
 
         config = RunConfig(topic="babylon", seed_entity="Hammurabi", parallelism=2)
-        with LocalServer(_world_responder(babylon_gateway, before)) as server:
+        with LocalServer(world_chat_responder(babylon_gateway, before)) as server:
             record = crawl(config, _remote_gateway(server.url))
         assert held == [True]
         assert record.termination is Termination.ORGANIC
 
     def test_remote_crawl_uses_one_pool_for_all_layers(self, babylon_gateway, pools):
         config = RunConfig(topic="babylon", seed_entity="Hammurabi", parallelism=2)
-        with LocalServer(_world_responder(babylon_gateway)) as server:
+        with LocalServer(world_chat_responder(babylon_gateway)) as server:
             record = crawl(config, _remote_gateway(server.url))
         assert record.deepest_layer >= 2
         assert len(pools) == 1
@@ -853,7 +882,7 @@ class TestNerBatches:
         config = RunConfig(topic="babylon", seed_entity="Root", parallelism=2)
         spy = _NerSpy(world)
         save_run(crawl(config, spy, run_id="r"), tmp_path / "mock")
-        with LocalServer(_world_responder(MockWorldGateway(world))) as server:
+        with LocalServer(world_chat_responder(MockWorldGateway(world))) as server:
             record = crawl(config, _remote_gateway(server.url), run_id="r")
         save_run(record, tmp_path / "remote")
         assert NER_BATCH == 100
@@ -865,7 +894,7 @@ class TestNerBatches:
         assert triples[0] == triples[1]
 
     def test_malformed_batch_makes_literals_and_the_crawl_ends(self, babylon_config, babylon_gateway, tmp_path):
-        serve = _world_responder(babylon_gateway)
+        serve = world_chat_responder(babylon_gateway)
         ner_requests = []
 
         def responder(method, path, query, body):
@@ -913,7 +942,7 @@ class TestStreamedLayers:
         spy = _NerSpy(world)
         save_run(crawl(config, spy, run_id="r"), tmp_path / "mock")
 
-        serve = _world_responder(MockWorldGateway(world), delay_s=0.005)
+        serve = world_chat_responder(MockWorldGateway(world), delay_s=0.005)
         lock = threading.Lock()
         in_flight = {"elicit": 0, "ner": 0}
         peak = dict(in_flight)
@@ -947,12 +976,14 @@ class TestStreamedLayers:
         # Layer 1's first NER batch admits children while the layer still runs.
         world = _streamed_world(tmp_path / "world.json")
         config = RunConfig(topic="babylon", seed_entity="Root", caps=Caps(max_layers=2), parallelism=2)
-        with LocalServer(_world_responder(MockWorldGateway(world), delay_s=0.005)) as server:
+        with LocalServer(world_chat_responder(MockWorldGateway(world), delay_s=0.005)) as server:
             record = crawl(config, _remote_gateway(server.url))
         requests = [json.loads(body) for _, _, _, body in server.requests]
         elicited = [r["messages"][1]["content"] for r in requests if _is_elicitation(r)]
         assert record.termination is Termination.CAPPED_LAYERS
-        assert sorted(elicited) == sorted(record.kb.visited_subjects)
+        # Every subject elicited was read, once.
+        assert len(set(elicited)) == len(elicited) == record.visited_count
+        assert {t.subject for t in record.kb.triples} <= set(elicited)
 
 
 class TestDivergentSubjects:
@@ -965,4 +996,4 @@ class TestDivergentSubjects:
         with LocalServer(scripted_chat_responder(script)) as server:
             record = crawl(config, _remote_gateway(server.url))
         assert [(t.subject, t.predicate, t.object) for t in record.kb.triples] == [("Hammurabi", "knows", "Things")]
-        assert record.kb.visited_subjects == {"Hammurabi"}
+        assert record.visited_count == 1

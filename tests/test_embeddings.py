@@ -352,3 +352,9 @@ class TestRemoteEmbedder:
         monkeypatch.delenv("KBFORGE_API_KEY", raising=False)
         with pytest.raises(GatewayError):
             RemoteEmbedder("http://localhost:1")
+
+    def test_negative_max_retries_is_refused_when_built(self):
+        with LocalServer(embeddings_responder(dim=6)) as server:
+            with pytest.raises(ValueError, match="max_retries must be >= 0"):
+                RemoteEmbedder(server.url, api_key="k", max_retries=-1)
+        assert server.requests == []

@@ -28,7 +28,7 @@ from kbforge.gateway import (
 )
 
 from conftest import held_bytes
-from fixture_server import LocalServer, closed_port, scripted_chat_responder
+from fixture_server import LocalServer, closed_port, scripted_chat_responder, world_chat_responder
 
 
 class RecordingSocket:
@@ -184,8 +184,8 @@ class TestRemoteGateway:
         )
         with LocalServer(scripted_chat_responder([(200, divergent)])) as server:
             gateway = _remote(server.url, tmp_path)
-            response = gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
-        assert response.triples == [("Somebody Else", "knows", "Things")]
+            triples = gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
+        assert triples == [("Somebody Else", "knows", "Things")]
 
     def test_request_shape(self):
         with LocalServer(scripted_chat_responder([(200, VALID_ELICIT)])) as server:
@@ -204,8 +204,8 @@ class TestRemoteGateway:
         with LocalServer(scripted_chat_responder(script)) as server:
             descriptor = BackendDescriptor(kind="remote", endpoint_url=server.url, max_retries=2)
             gateway = RemoteChatGateway(descriptor, api_key="k", sleep=slept.append)
-            response = gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
-        assert len(response.triples) == 2
+            triples = gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
+        assert len(triples) == 2
         assert len(slept) == 1 and slept[0] > 0
 
     def test_backoff_grows_exponentially(self):
@@ -258,6 +258,32 @@ class TestRemoteGateway:
         [entry] = _audit_lines(tmp_path)
         assert entry["kind"] == "ner" and entry["phrases"] == ["a", "b"]
         assert entry["status"] == "MalformedOutputError"
+
+
+class TestPlainAnswers:
+    def test_both_backends_answer_with_equal_plain_values(self, babylon_gateway):
+        # Every subject of the Babylon world, and an unknown one.
+        subjects = [*babylon_gateway.facts, "Atlantis"]
+        phrases = sorted({
+            o for subject in subjects for _, _, o in babylon_gateway.elicit(ElicitationRequest(subject, "babylon"))
+        })
+        with LocalServer(world_chat_responder(babylon_gateway)) as server:
+            remote = _remote(server.url, max_retries=0)
+            for subject in subjects:
+                request = ElicitationRequest(subject, "babylon")
+                answers = [babylon_gateway.elicit(request), remote.elicit(request)]
+                for triples in answers:
+                    assert type(triples) is list
+                    assert all(type(t) is tuple and len(t) == 3 and all(type(x) is str for x in t) for t in triples)
+                assert answers[0] == answers[1]
+            request = NerRequest(phrases, "babylon")
+            verdicts = [babylon_gateway.classify_ner(request), remote.classify_ner(request)]
+            remote.close()
+        for batch in verdicts:
+            assert type(batch) is list and len(batch) == len(phrases)
+            assert all(type(v) is bool for v in batch)
+        assert verdicts[0] == verdicts[1]
+        assert set(verdicts[0]) == {True, False}
 
 
 class TestTransport:
@@ -357,7 +383,7 @@ class TestTransport:
         with LocalServer(scripted_chat_responder([(200, VALID_ELICIT)]), certificate=certificate) as server:
             assert server.url.startswith("https://")
             gateway = _remote(server.url)
-            assert len(gateway.elicit(ElicitationRequest("Hammurabi", "babylon")).triples) == 2
+            assert len(gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))) == 2
             gateway.close()
 
     def test_untrusted_certificate_fails_after_one_attempt(self, certificate, no_proxy_env, opened_sockets):
@@ -459,9 +485,7 @@ class TestAuditLog:
         with LocalServer(scripted_chat_responder([(200, VALID_ELICIT)])) as server:
             gateway = _remote(server.url, tmp_path)
             live = gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
-        replayed = replay_audit(tmp_path / "audit.ndjson")
-        assert len(replayed) == 1
-        assert replayed[0].triples == live.triples
+        assert replay_audit(tmp_path / "audit.ndjson") == [live]
 
     def test_error_outcomes_are_logged(self, tmp_path):
         with LocalServer(scripted_chat_responder([(503, {})])) as server:
@@ -491,7 +515,7 @@ class TestMockWorld:
         world["entities"].append("\u00c9tana")
         path = tmp_path / "world.json"
         path.write_text(json.dumps(world), encoding="utf-8")  # spells the accent as an escape
-        assert MockWorldGateway(path).classify_ner(NerRequest(["\u00c9tana"], "babylon")).verdicts == [True]
+        assert MockWorldGateway(path).classify_ner(NerRequest(["\u00c9tana"], "babylon")) == [True]
         world["entities"].append("Ur\udc80")
         path.write_text(json.dumps(world), encoding="utf-8")
         with pytest.raises(ValueError, match="not Unicode"):
@@ -524,38 +548,37 @@ class TestMockWorld:
         assert used / facts < budget
 
     def test_serves_fixture_facts(self, babylon_gateway):
-        response = babylon_gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
-        assert ("Hammurabi", "instanceOf", "King") in response.triples
-        assert len(response.triples) == 5
+        triples = babylon_gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
+        assert ("Hammurabi", "instanceOf", "King") in triples
+        assert len(triples) == 5
 
     def test_unknown_subject_yields_empty(self, babylon_gateway):
-        response = babylon_gateway.elicit(ElicitationRequest("Atlantis", "babylon"))
-        assert response.triples == []
+        assert babylon_gateway.elicit(ElicitationRequest("Atlantis", "babylon")) == []
 
     def test_ner_truth_follows_entity_list(self, babylon_gateway):
         request = NerRequest(["Babylon", "1792 BC", "France", "Marduk"], "babylon")
-        assert babylon_gateway.classify_ner(request).verdicts == [True, False, False, True]
+        assert babylon_gateway.classify_ner(request) == [True, False, False, True]
 
     def test_off_topic_subject_logged_but_served(self, babylon_gateway, caplog):
         with caplog.at_level("WARNING"):
-            response = babylon_gateway.elicit(ElicitationRequest("Louvre", "babylon"))
-        assert len(response.triples) == 3
+            triples = babylon_gateway.elicit(ElicitationRequest("Louvre", "babylon"))
+        assert len(triples) == 3
         assert any("off-topic" in message for message in caplog.messages)
 
     def test_suffix_loop_injector_children(self, loop_world_path):
         gateway = MockWorldGateway(loop_world_path)
-        response = gateway.elicit(ElicitationRequest("Nabu-mukin-zeri", "babylon"))
-        objects = {o for _, _, o in response.triples}
+        triples = gateway.elicit(ElicitationRequest("Nabu-mukin-zeri", "babylon"))
+        objects = {o for _, _, o in triples}
         assert "Nabu-mukin-zeri-mu" in objects
         assert "Nabu-mukin-zeri-ma" in objects
         assert "Q768509" in objects
         deeper = gateway.elicit(ElicitationRequest("Nabu-mukin-zeri-mu-ma", "babylon"))
-        assert ("Nabu-mukin-zeri-mu-ma", "alsoKnownAs", "Nabu-mukin-zeri-mu-ma-mu") in deeper.triples
+        assert ("Nabu-mukin-zeri-mu-ma", "alsoKnownAs", "Nabu-mukin-zeri-mu-ma-mu") in deeper
 
     def test_injected_names_classify_as_entities(self, loop_world_path):
         gateway = MockWorldGateway(loop_world_path)
         request = NerRequest(["Nabu-mukin-zeri-mu-mu", "Q768509", "1792 BC"], "babylon")
-        assert gateway.classify_ner(request).verdicts == [True, True, False]
+        assert gateway.classify_ner(request) == [True, True, False]
 
 
 class TestWithRetries:

@@ -219,6 +219,7 @@ class TestPersistence:
             deepest_layer=3,
             started_at="2024-01-01T00:00:00+00:00",
             finished_at="2024-01-01T00:00:01+00:00",
+            visited_count=7,
         )
 
     def test_save_and_load_round_trip(self, tmp_path, fixture_kb):
@@ -228,6 +229,7 @@ class TestPersistence:
         assert loaded.run_id == "run-test"
         assert loaded.termination is Termination.ORGANIC
         assert loaded.deepest_layer == 3
+        assert loaded.visited_count == 7
         assert [t.key() for t in loaded.kb.triples] == [t.key() for t in fixture_kb.triples]
         assert [t.object_kind for t in loaded.kb.triples] == [
             t.object_kind for t in fixture_kb.triples

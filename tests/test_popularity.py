@@ -167,6 +167,12 @@ class TestWikidataClient:
             with pytest.raises(TransportError):
                 client.search_qid("Hammurabi")
 
+    def test_negative_max_retries_is_refused_when_built(self):
+        with LocalServer(wikidata_responder(CATALOG)) as server:
+            with pytest.raises(ValueError, match="max_retries must be >= 0"):
+                _client(server.url, max_retries=-1)
+        assert server.requests == []
+
     def test_requests_carry_the_fixed_timeout_language_and_user_agent(self, monkeypatch):
         timeouts = []
         get = Session.get

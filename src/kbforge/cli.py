@@ -147,14 +147,12 @@ def cmd_suite(args) -> int:
 
 
 def _embedding_provider(args):
-    name = args.provider or "trigram"
-    if name == "trigram":
+    # argparse allows only "trigram" and "remote".
+    if args.provider != "remote":
         return TrigramHashEmbedder()
-    if name == "remote":
-        if not args.embed_endpoint:
-            raise CliError("remote embedding provider needs --embed-endpoint")
-        return RemoteEmbedder(args.embed_endpoint, model_id=args.embed_model)
-    raise CliError(f"unknown embedding provider {name!r}")
+    if not args.embed_endpoint:
+        raise CliError("remote embedding provider needs --embed-endpoint")
+    return RemoteEmbedder(args.embed_endpoint, model_id=args.embed_model)
 
 
 def _entity_labels(record) -> list[str]:

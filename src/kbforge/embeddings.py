@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .gateway import REQUEST_TIMEOUT_S, Session, TransportError, auth_headers, check_max_retries, with_retries
+from .gateway import MAX_RETRIES, REQUEST_TIMEOUT_S, Session, TransportError, auth_headers, with_retries
 from .model import NdjsonStore
 
 EMBED_DIM = 384
@@ -119,17 +119,16 @@ class TrigramHashEmbedder:
 
 
 class RemoteEmbedder:
-    """OpenAI-compatible /embeddings client. Rows come back in input order."""
+    """OpenAI-compatible /embeddings client. Rows come back in input order;
+    a request is sent at most ``MAX_RETRIES + 1`` times."""
 
     def __init__(
         self,
         endpoint_url: str,
         model_id: str = "text-embedding-3-small",
         api_key: Optional[str] = None,
-        max_retries: int = 2,
         sleep=time.sleep,
     ):
-        self.max_retries = check_max_retries(max_retries)
         self._headers = auth_headers(api_key)
         self._session = Session(endpoint_url.rstrip("/") + "/embeddings")
         self.model_id = model_id
@@ -152,7 +151,7 @@ class RemoteEmbedder:
             except (ValueError, KeyError, TypeError) as exc:
                 raise TransportError(f"unexpected embeddings body: {exc!r}") from exc
 
-        return with_retries(attempt, self.max_retries, self._sleep)
+        return with_retries(attempt, MAX_RETRIES, self._sleep)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:

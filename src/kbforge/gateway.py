@@ -32,12 +32,12 @@ import threading
 import time
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Optional, TypeVar
 
-from .model import LabelTable, NdjsonStore, is_unicode, read_ndjson, utcnow
+from .model import LabelTable, NdjsonStore, RunConfig, is_unicode, read_ndjson, utcnow
 from .prompts import render_elicitation_prompt, render_ner_prompt
 
 logger = logging.getLogger(__name__)
@@ -49,6 +49,9 @@ BACKOFF_BASE_S = 0.5
 
 # Socket timeout of a chat or embeddings request.
 REQUEST_TIMEOUT_S = 60
+
+# Retries of a chat or embeddings request: it is sent at most three times.
+MAX_RETRIES = 2
 
 USER_AGENT = "kbforge/0.1 (knowledge-base stability toolkit)"
 
@@ -305,14 +308,6 @@ class Session:
         return conn
 
 
-def check_max_retries(max_retries: int) -> int:
-    """``max_retries``, or ``ValueError`` when it is negative; each client
-    checks its count when it is built, before any request."""
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    return max_retries
-
-
 def with_retries(
     attempt: Callable[[], T],
     max_retries: int,
@@ -363,16 +358,13 @@ class NerRequest:
 
 @dataclass
 class BackendDescriptor:
-    """Connection parameters for a remote chat backend; ``kind`` is always "remote"."""
+    """Where a remote chat backend listens; ``kind`` is always "remote". The
+    model and temperature a request carries are its run's (``for_run``)."""
 
     kind: str = "remote"
     endpoint_url: str = ""
-    model_id: str = "gpt-4.1-mini"
-    temperature: float = 0.0
-    max_retries: int = 2
 
     def __post_init__(self) -> None:
-        check_max_retries(self.max_retries)
         if self.kind != "remote":
             raise ValueError(f"unknown backend kind: {self.kind!r}")
 
@@ -467,7 +459,9 @@ def replay_audit(path: Path) -> list[list[tuple[str, str, str]]]:
 
 
 class RemoteChatGateway:
-    """OpenAI-compatible chat-completions client with structured output."""
+    """OpenAI-compatible chat-completions client with structured output.
+    Requests carry ``RunConfig``'s default model and temperature, or those of
+    the run that a ``for_run`` copy is bound to."""
 
     def __init__(
         self,
@@ -477,9 +471,8 @@ class RemoteChatGateway:
         sleep: Callable[[float], None] = time.sleep,
         backoff_base: float = BACKOFF_BASE_S,
     ) -> None:
-        if not descriptor.endpoint_url:
-            raise ValueError("remote backend needs an endpoint_url")
-        self.descriptor = descriptor
+        self.model_id = RunConfig.model_id
+        self.temperature = RunConfig.temperature
         self._headers = auth_headers(api_key)
         self.session = Session(descriptor.endpoint_url.rstrip("/") + "/chat/completions")
         # The outcome of every call, success or failure, one timestamped line each.
@@ -490,18 +483,17 @@ class RemoteChatGateway:
         self.run_id: Optional[str] = None
 
     def for_run(self, config, run_id: str) -> "RemoteChatGateway":
-        """This gateway sending one run's model and temperature.
-
-        The copy shares the audit log with this gateway and tags its lines
-        with ``run_id``. Its own session keeps one connection per request
-        the run has in flight, at most ``config.parallelism`` elicitations
-        and one NER batch, so runs crawled at the same time never share a
-        connection. Close the copy when the run ends.
+        """A copy of this gateway that sends ``config``'s model and
+        temperature, tags its lines in the shared audit log with ``run_id``
+        and has its own session; nothing else differs. The session keeps one
+        connection per request the run has in flight, at most
+        ``config.parallelism`` elicitations and one NER batch, so runs
+        crawled at the same time never share a connection. Close the copy
+        when the run ends.
         """
         bound = copy.copy(self)
-        bound.descriptor = replace(
-            self.descriptor, model_id=config.model_id, temperature=config.temperature
-        )
+        bound.model_id = config.model_id
+        bound.temperature = config.temperature
         bound.run_id = run_id
         bound.session = Session(self.session.url)
         return bound
@@ -522,8 +514,8 @@ class RemoteChatGateway:
         class, then raised. The caller audits a success.
         """
         body = {
-            "model": self.descriptor.model_id,
-            "temperature": self.descriptor.temperature,
+            "model": self.model_id,
+            "temperature": self.temperature,
             "messages": [
                 {"role": "system", "content": instruction},
                 {"role": "user", "content": payload},
@@ -543,7 +535,7 @@ class RemoteChatGateway:
             return content, parse(content)
 
         try:
-            return with_retries(attempt, self.descriptor.max_retries, self._sleep, self._backoff_base)
+            return with_retries(attempt, MAX_RETRIES, self._sleep, self._backoff_base)
         except GatewayError as exc:
             self._audit({**entry, "status": type(exc).__name__, "error": str(exc)})
             raise

@@ -1,4 +1,4 @@
-"""Entity popularity via Wikidata statement counts, bucketed into quintiles.
+"""Entity popularity via Wikidata statement counts, bucketed by quartile.
 
 Each named entity is resolved label -> QID -> number of statements on the
 entity page. Unresolved labels land in a NotFound bucket; resolved ones are
@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .gateway import Session, TransportError, check_max_retries, with_retries
+from .gateway import Session, TransportError, with_retries
 from .model import NdjsonStore, utcnow
 
 logger = logging.getLogger(__name__)
@@ -33,6 +33,9 @@ MAX_REQUESTS_PER_SECOND = 5.0
 
 # Socket timeout of a Wikidata request.
 WIKIDATA_TIMEOUT_S = 30.0
+
+# Retries of a Wikidata request: it is sent at most four times.
+WIKIDATA_MAX_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -79,16 +82,15 @@ class RateLimiter:
 
 
 class WikidataClient:
-    """Thin wrapper over the public search and entity-data endpoints."""
+    """Thin wrapper over the public search and entity-data endpoints; a
+    request is sent at most ``WIKIDATA_MAX_RETRIES + 1`` times."""
 
     def __init__(
         self,
         endpoint_url: str = WIKIDATA_API,
-        max_retries: int = 3,
         rate_limiter: Optional[RateLimiter] = None,
         sleep=time.sleep,
     ):
-        self.max_retries = check_max_retries(max_retries)
         self._session = Session(endpoint_url)
         self._limiter = rate_limiter or RateLimiter()
         self._sleep = sleep
@@ -105,7 +107,7 @@ class WikidataClient:
             except ValueError as exc:
                 raise TransportError(f"non-JSON response: {exc}") from exc
 
-        return with_retries(attempt, self.max_retries, self._sleep)
+        return with_retries(attempt, WIKIDATA_MAX_RETRIES, self._sleep)
 
     def search_qid(self, label: str) -> Optional[str]:
         """Top search hit for a label, or None when nothing matches."""
@@ -167,16 +169,17 @@ class PopularityStore:
 def resolve_many(
     entities: Iterable[str],
     client: Optional[WikidataClient],
-    store: Optional[PopularityStore] = None,
+    store: PopularityStore,
     offline: bool = False,
 ) -> list[PopularityRecord]:
-    """Resolve a batch of labels, consulting and feeding the cache when given.
-    Offline mode never touches the network: uncached labels come back NotFound
-    (and are not written to the cache), reported in one warning per call."""
+    """Resolve a batch of labels, consulting ``store`` first and feeding it
+    each label ``client`` resolves. Offline mode never touches the network:
+    uncached labels come back NotFound (and are not written to the store),
+    reported in one warning per call."""
     records: list[PopularityRecord] = []
     misses: list[str] = []
     for entity in entities:
-        cached = store.get(entity) if store is not None else None
+        cached = store.get(entity)
         if cached is not None:
             records.append(cached)
             continue
@@ -191,8 +194,7 @@ def resolve_many(
         qid = client.search_qid(entity)
         statements = None if qid is None else client.statement_count(qid)
         record = PopularityRecord(entity, qid, statements, utcnow())
-        if store is not None:
-            store.put(record)
+        store.put(record)
         records.append(record)
     if misses:
         logger.warning(

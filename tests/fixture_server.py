@@ -4,7 +4,8 @@ One generic threaded server plus responder factories for the three wire
 protocols the package talks: chat completions (scripted, or answered from
 a mock world), embeddings, and the Wikidata action API. Every request is
 recorded so tests can assert on call counts and payloads, and on the
-headers, target and TCP connection each one came with.
+headers, target and TCP connection each one came with. A CONNECT relay
+stands in for a forward proxy that tunnels ``https``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import http.server
 import itertools
 import json
 import socket
+import socketserver
 import ssl
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
-from http.client import HTTPMessage
+from http.client import HTTPMessage, parse_headers
 from pathlib import Path
 from typing import Optional
 
@@ -131,6 +133,67 @@ class LocalServer:
         self._httpd.shutdown()
         self._httpd.server_close()
         return False
+
+
+class ConnectRelay:
+    """Context manager around a forward proxy that only tunnels: it answers
+    each ``CONNECT host:port`` with 200, then relays bytes both ways.
+
+    ``connects`` holds the request line and headers of each tunnel asked for.
+    """
+
+    def __init__(self):
+        self.connects: list[tuple[str, HTTPMessage]] = []
+        relay = self
+
+        class Handler(socketserver.StreamRequestHandler):
+            # Unbuffered, so no byte after the CONNECT head is read ahead.
+            rbufsize = 0
+            # A client that sends no CONNECT head, such as one starting TLS
+            # with the relay itself, is dropped instead of waited for.
+            timeout = 5
+
+            def handle(self):
+                line = self.rfile.readline().decode("latin-1").rstrip("\r\n")
+                headers = parse_headers(self.rfile)
+                self.connection.settimeout(None)
+                relay.connects.append((line, headers))
+                host, _, port = line.split()[1].rpartition(":")
+                with socket.create_connection((host, int(port))) as upstream:
+                    self.connection.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+                    back = threading.Thread(target=_pipe, args=(upstream, self.connection), daemon=True)
+                    back.start()
+                    _pipe(self.connection, upstream)
+                    back.join(timeout=5)
+
+        self._server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        self._server.daemon_threads = True
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
+
+    @property
+    def url(self) -> str:
+        host, port = self._server.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def __enter__(self) -> "ConnectRelay":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._server.shutdown()
+        self._server.server_close()
+        return False
+
+
+def _pipe(source: socket.socket, sink: socket.socket) -> None:
+    """Copy ``source`` to ``sink`` until ``source`` ends, then end ``sink``'s writes."""
+    with contextlib.suppress(OSError):
+        while data := source.recv(65536):
+            sink.sendall(data)
+    with contextlib.suppress(OSError):
+        sink.shutdown(socket.SHUT_WR)
 
 
 def closed_port() -> int:

@@ -156,6 +156,14 @@ class TestCrawlCommand:
         assert code == 1
         assert "--world" in err and "--endpoint" in err
 
+    @pytest.mark.parametrize("given", [[], ["--topic", "babylon"], ["--seed", "Hammurabi"]],
+                             ids=["neither", "no-seed", "no-topic"])
+    def test_missing_topic_or_seed_is_one_error_line(self, tmp_path, babylon_world_path, capsys, given):
+        argv = ["--workspace", str(tmp_path), "crawl", "--world", str(babylon_world_path), *given]
+        code, _, err = _invoke(capsys, *argv)
+        assert code == 1 and err == "error: both a topic and a seed entity are required\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_remote_without_key_fails_before_writing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("KBFORGE_API_KEY", raising=False)
         code, _, err = _invoke(
@@ -229,6 +237,12 @@ class TestCrawlCommand:
     def test_config_directory_is_one_error_line(self, tmp_path, capsys):
         code, _, err = _invoke(capsys, "--workspace", str(tmp_path), "crawl", "--config", str(tmp_path))
         _assert_one_error_line(code, err, tmp_path)
+
+    def test_config_file_that_is_not_an_object_is_one_error_line(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text("[1]\n", encoding="utf-8")
+        code, _, err = _invoke(capsys, "--workspace", str(tmp_path), "crawl", "--config", str(config))
+        assert code == 1 and err == f"error: config file {config} must hold a JSON object\n"
 
     def test_world_file_that_is_not_json_is_one_error_line(self, tmp_path, capsys):
         world = tmp_path / "world.json"
@@ -336,7 +350,7 @@ class TestBackendSelection:
         monkeypatch.setenv("KBFORGE_API_KEY", "test-key")
         chosen = self._gateway(tmp_path, "--endpoint", "http://127.0.0.1:9/v1")
         assert isinstance(chosen, RemoteChatGateway)
-        assert chosen.descriptor.endpoint_url == "http://127.0.0.1:9/v1"
+        assert chosen.session.url == "http://127.0.0.1:9/v1/chat/completions"
         assert chosen.audit.path == tmp_path / "audit.ndjson"
 
     def test_missing_world_file_is_a_config_error(self, tmp_path):
@@ -486,6 +500,22 @@ class TestSuiteCommand:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: suite 'defaults'")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"runs": [{"seed": "Hammurabi"}, 3]}, "each suite run entry must be a JSON object"),
+            ({"dimension": "vibes", "runs": [{"seed": "Hammurabi"}]}, "unknown suite dimension 'vibes'"),
+        ],
+        ids=["run-entry", "dimension"],
+    )
+    def test_bad_suite_config_is_one_error_line(self, tmp_path, babylon_world_path, capsys, config, message):
+        config_path = tmp_path / "suite.json"
+        config = {"world": str(babylon_world_path), "defaults": {"topic": "babylon"}, **config}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = _invoke(capsys, "--workspace", str(tmp_path), "suite", "--config", str(config_path))
+        assert code == 1 and err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["suite.json"]
 
     def _remote_suite(self, tmp_path, capsys, monkeypatch, config):
         monkeypatch.setenv("KBFORGE_API_KEY", "test-key")
@@ -846,6 +876,22 @@ class TestEnsembleCommand:
         assert code == 1
         assert "--k N or --auto" in err
 
+    @pytest.mark.parametrize(
+        "n_runs, flags, message",
+        [
+            (1, ["--k", "1"], "ensembling needs at least two successful runs"),
+            (2, ["--auto"], "elbow needs at least three points"),
+        ],
+        ids=["one-run", "auto-two-runs"],
+    )
+    def test_too_few_runs_is_one_error_line(self, tmp_path, babylon_world_path, capsys, n_runs, flags, message):
+        config = _write_suite_config(tmp_path / "suite.json", babylon_world_path, n_runs=n_runs)
+        out_dir = tmp_path / "s"
+        assert _invoke(capsys, "suite", "--config", str(config), "--out", str(out_dir))[0] == 0
+        code, _, err = _invoke(capsys, "ensemble", str(out_dir), *flags)
+        assert code == 1 and err == f"error: {message}\n"
+        assert not (out_dir / "ensemble").exists()
+
     def test_suite_manifest_without_run_ids_is_one_error_line(self, suite_dir, capsys):
         manifest = suite_dir / "suite.json"
         payload = json.loads(manifest.read_text(encoding="utf-8"))
@@ -976,6 +1022,13 @@ class TestPopularityCommand:
         manifest.write_text(json.dumps(payload), encoding="utf-8")
         code, _, err = _invoke(capsys, "popularity", str(suite_dir / "run-000"), "--offline")
         _assert_one_error_line(code, err, suite_dir / "run-000")
+
+    def test_labels_file_of_blank_lines_is_one_error_line(self, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("\n  \n\t\n", encoding="utf-8")
+        code, _, err = _invoke(capsys, "--workspace", str(tmp_path), "popularity", "--labels", str(labels), "--offline")
+        assert code == 1 and err == "error: no entity labels to resolve\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["labels.txt"]
 
     def test_labels_directory_is_one_error_line(self, tmp_path, capsys):
         code, _, err = _invoke(capsys, "popularity", "--labels", str(tmp_path), "--offline")

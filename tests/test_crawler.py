@@ -344,7 +344,7 @@ class TestCaps:
         assert record.visited_count == 2
         assert record.deepest_layer == 1
 
-    def test_time_cap_leaves_responses_fetched_ahead_unread(self, babylon_gateway):
+    def test_time_cap_leaves_responses_fetched_ahead_unread(self, babylon_gateway, remote_gateway):
         # One worker elicits in frontier order. Once layer 1's NER batch has
         # gone, the run's clock reads past the deadline as soon as a layer-2
         # subject has been elicited: layer 2 is fetched ahead, never read.
@@ -368,7 +368,7 @@ class TestCaps:
 
         config = RunConfig(topic="babylon", seed_entity="Hammurabi", parallelism=1)
         with LocalServer(world_chat_responder(babylon_gateway, before)) as server:
-            record = crawl(config, _remote_gateway(server.url), clock=clock)
+            record = crawl(config, remote_gateway(server.url), clock=clock)
         assert record.termination is Termination.CAPPED_TIME
         read = ["Hammurabi", "King", "Babylon", "Code of Hammurabi", "Samsu-iluna"]
         assert asked[: len(read)] == read
@@ -576,9 +576,15 @@ class TestRunSuite:
         assert [t.key() for t in loaded] == [t.key() for t in record.kb.triples]
 
 
-def _remote_gateway(url, audit_path=None):
-    descriptor = BackendDescriptor(kind="remote", endpoint_url=url, max_retries=0)
-    return RemoteChatGateway(descriptor, api_key="test-key", audit_path=audit_path)
+@pytest.fixture
+def remote_gateway(monkeypatch):
+    """Builds a remote gateway that sends each request once."""
+    monkeypatch.setattr("kbforge.gateway.MAX_RETRIES", 0)
+
+    def build(url, audit_path=None):
+        return RemoteChatGateway(BackendDescriptor(endpoint_url=url), api_key="test-key", audit_path=audit_path)
+
+    return build
 
 
 def _model_configs(*models):
@@ -586,7 +592,7 @@ def _model_configs(*models):
 
 
 class TestRemoteSuite:
-    def test_runs_crawl_at_the_same_time(self, babylon_gateway, tmp_path):
+    def test_runs_crawl_at_the_same_time(self, babylon_gateway, tmp_path, remote_gateway):
         second_run_started = threading.Event()
         held = []
 
@@ -599,21 +605,21 @@ class TestRemoteSuite:
 
         with LocalServer(world_chat_responder(babylon_gateway, before)) as server:
             records = run_suite(
-                _model_configs("m0", "m1"), _remote_gateway(server.url), tmp_path / "suite"
+                _model_configs("m0", "m1"), remote_gateway(server.url), tmp_path / "suite"
             )
         assert held == [True]
         assert all(r is not None for r in records)
 
-    def test_remote_runs_equal_the_mock_crawl(self, babylon_config, babylon_gateway, tmp_path):
+    def test_remote_runs_equal_the_mock_crawl(self, babylon_config, babylon_gateway, tmp_path, remote_gateway):
         with LocalServer(world_chat_responder(babylon_gateway, delay_s=0.002)) as server:
-            records = run_suite([babylon_config] * 3, _remote_gateway(server.url), tmp_path / "suite")
+            records = run_suite([babylon_config] * 3, remote_gateway(server.url), tmp_path / "suite")
         reference = crawl(babylon_config, babylon_gateway, run_id="run-000")
         save_run(reference, tmp_path / "reference")
         expected = (tmp_path / "reference" / "triples.ndjson").read_bytes()
         for record in records:
             assert (tmp_path / "suite" / record.run_id / "triples.ndjson").read_bytes() == expected
 
-    def test_interrupt_stops_every_run(self, babylon_gateway, tmp_path):
+    def test_interrupt_stops_every_run(self, babylon_gateway, tmp_path, remote_gateway):
         served = []
 
         def before(request):
@@ -624,7 +630,7 @@ class TestRemoteSuite:
 
         with LocalServer(world_chat_responder(babylon_gateway, before, delay_s=0.05)) as server:
             with pytest.raises(KeyboardInterrupt):
-                run_suite(_model_configs("m0", "m1"), _remote_gateway(server.url), tmp_path / "suite")
+                run_suite(_model_configs("m0", "m1"), remote_gateway(server.url), tmp_path / "suite")
         # A whole run sends dozens of requests; an interrupted one ends after
         # the requests it already had in flight.
         assert len(served) <= 4
@@ -632,7 +638,7 @@ class TestRemoteSuite:
             assert (tmp_path / "suite" / run_id / "FAILED").read_text() == "suite interrupted\n"
         assert not (tmp_path / "suite" / "suite.json").exists()
 
-    def test_failed_runs_keep_index_order(self, babylon_gateway, tmp_path):
+    def test_failed_runs_keep_index_order(self, babylon_gateway, tmp_path, remote_gateway):
         last_failure_sent = threading.Event()
         serve = world_chat_responder(babylon_gateway)
 
@@ -650,7 +656,7 @@ class TestRemoteSuite:
         with LocalServer(responder) as server:
             records = run_suite(
                 _model_configs("m0", "bad1", "m2", "bad3"),
-                _remote_gateway(server.url),
+                remote_gateway(server.url),
                 tmp_path / "suite",
             )
         assert [r is not None for r in records] == [True, False, True, False]
@@ -663,7 +669,7 @@ class TestRemoteSuite:
         for run_id in ("run-001", "run-003"):
             assert (tmp_path / "suite" / run_id / "FAILED").exists()
 
-    def test_a_failed_subject_cancels_the_requests_fetched_ahead(self, tmp_path):
+    def test_a_failed_subject_cancels_the_requests_fetched_ahead(self, tmp_path, remote_gateway):
         # Layer 1 admits 12 layer-2 subjects at once; the first gets HTTP 401.
         people = [f"Person {i}" for i in range(4)]
         children = [f"Child {i}-{k}" for i in range(4) for k in range(3)]
@@ -682,7 +688,7 @@ class TestRemoteSuite:
 
         config = RunConfig(topic="babylon", seed_entity="Root", parallelism=2)
         with LocalServer(responder) as server:
-            records = run_suite([config], _remote_gateway(server.url), tmp_path / "suite")
+            records = run_suite([config], remote_gateway(server.url), tmp_path / "suite")
         assert records == [None]
         manifest = json.loads((tmp_path / "suite" / "suite.json").read_text())
         assert "HTTP 401" in manifest["failed"]["run-000"]
@@ -706,7 +712,7 @@ class TestRemoteSuite:
 
         audit_path = tmp_path / "audit.ndjson"
         with LocalServer(responder) as server:
-            descriptor = BackendDescriptor(endpoint_url=server.url, max_retries=2)
+            descriptor = BackendDescriptor(endpoint_url=server.url)
             gateway = RemoteChatGateway(descriptor, api_key="test-key", audit_path=audit_path)
             (record,) = run_suite([babylon_config], gateway, tmp_path / "suite")
         assert record is not None and asked == ["Marduk"] * 3
@@ -718,12 +724,12 @@ class TestRemoteSuite:
             ("run-000", "elicit", "Marduk", "MalformedOutputError")
         ]
 
-    def test_audit_lines_name_their_run(self, babylon_gateway, tmp_path):
+    def test_audit_lines_name_their_run(self, babylon_gateway, tmp_path, remote_gateway):
         audit_path = tmp_path / "audit.ndjson"
         with LocalServer(world_chat_responder(babylon_gateway, delay_s=0.002)) as server:
             run_suite(
                 _model_configs("m0", "m1"),
-                _remote_gateway(server.url, audit_path),
+                remote_gateway(server.url, audit_path),
                 tmp_path / "suite",
             )
         sent = {"run-000": [], "run-001": []}
@@ -744,7 +750,7 @@ class TestRemoteSuite:
             parse_elicitation_payload(e["response_text"]) for e in elicited
         ]
 
-    def test_connection_pools_fit_the_requests_in_flight(self, tmp_path):
+    def test_connection_pools_fit_the_requests_in_flight(self, tmp_path, remote_gateway):
         # 16 subjects in layer 1: each of 3 runs keeps 4 requests in flight.
         children = [f"Child {i}" for i in range(16)]
         facts = {"Root": [["hasChild", c] for c in children]}
@@ -760,7 +766,7 @@ class TestRemoteSuite:
         ]
         responder = world_chat_responder(MockWorldGateway(world), delay_s=0.02)
         with LocalServer(responder, http11=True) as server:
-            records = run_suite(configs, _remote_gateway(server.url), tmp_path / "suite")
+            records = run_suite(configs, remote_gateway(server.url), tmp_path / "suite")
         assert [len(r.kb) for r in records] == [48, 48, 48]
         connections = {m: set() for m in models}
         for (_, _, _, body), received in zip(server.requests, server.received):
@@ -814,7 +820,7 @@ class TestCrawlThreads:
         assert gateway.threads == {threading.get_ident()}
         assert pools == []
 
-    def test_remote_crawl_keeps_parallelism_requests_in_flight(self, babylon_gateway):
+    def test_remote_crawl_keeps_parallelism_requests_in_flight(self, babylon_gateway, remote_gateway):
         lock = threading.Lock()
         elicitations = []
         second_in_flight = threading.Event()
@@ -835,14 +841,14 @@ class TestCrawlThreads:
 
         config = RunConfig(topic="babylon", seed_entity="Hammurabi", parallelism=2)
         with LocalServer(world_chat_responder(babylon_gateway, before)) as server:
-            record = crawl(config, _remote_gateway(server.url))
+            record = crawl(config, remote_gateway(server.url))
         assert held == [True]
         assert record.termination is Termination.ORGANIC
 
-    def test_remote_crawl_uses_one_pool_for_all_layers(self, babylon_gateway, pools):
+    def test_remote_crawl_uses_one_pool_for_all_layers(self, babylon_gateway, pools, remote_gateway):
         config = RunConfig(topic="babylon", seed_entity="Hammurabi", parallelism=2)
         with LocalServer(world_chat_responder(babylon_gateway)) as server:
-            record = crawl(config, _remote_gateway(server.url))
+            record = crawl(config, remote_gateway(server.url))
         assert record.deepest_layer >= 2
         assert len(pools) == 1
         assert pools[0]._max_workers == 2
@@ -871,7 +877,7 @@ def _ner_batches(server):
 
 
 class TestNerBatches:
-    def test_both_backends_see_the_same_batches(self, tmp_path):
+    def test_both_backends_see_the_same_batches(self, tmp_path, remote_gateway):
         # The seed's 250 facts give layer 0 250 new literal labels.
         labels = [f"value {i:03d}" for i in range(250)]
         world = tmp_path / "literal_world.json"
@@ -883,7 +889,7 @@ class TestNerBatches:
         spy = _NerSpy(world)
         save_run(crawl(config, spy, run_id="r"), tmp_path / "mock")
         with LocalServer(world_chat_responder(MockWorldGateway(world))) as server:
-            record = crawl(config, _remote_gateway(server.url), run_id="r")
+            record = crawl(config, remote_gateway(server.url), run_id="r")
         save_run(record, tmp_path / "remote")
         assert NER_BATCH == 100
         expected = [labels[:100], labels[100:200], labels[200:]]
@@ -893,7 +899,7 @@ class TestNerBatches:
         triples = [(tmp_path / side / "triples.ndjson").read_bytes() for side in ("mock", "remote")]
         assert triples[0] == triples[1]
 
-    def test_malformed_batch_makes_literals_and_the_crawl_ends(self, babylon_config, babylon_gateway, tmp_path):
+    def test_malformed_batch_makes_literals_and_the_crawl_ends(self, babylon_config, babylon_gateway, tmp_path, remote_gateway):
         serve = world_chat_responder(babylon_gateway)
         ner_requests = []
 
@@ -906,7 +912,7 @@ class TestNerBatches:
 
         audit_path = tmp_path / "audit.ndjson"
         with LocalServer(responder) as server:
-            record = crawl(babylon_config, _remote_gateway(server.url, audit_path))
+            record = crawl(babylon_config, remote_gateway(server.url, audit_path))
             _, layer_1 = _ner_batches(server)
         assert record.termination is Termination.ORGANIC
         assert record.deepest_layer == 1
@@ -936,7 +942,7 @@ def _streamed_world(path, width=24):
 
 class TestStreamedLayers:
     @pytest.mark.parametrize("parallelism", [1, 2, 4])
-    def test_schedule_bounds_requests_and_keeps_the_mock_crawl(self, tmp_path, parallelism):
+    def test_schedule_bounds_requests_and_keeps_the_mock_crawl(self, tmp_path, parallelism, remote_gateway):
         world = _streamed_world(tmp_path / "world.json")
         config = RunConfig(topic="babylon", seed_entity="Root", parallelism=parallelism)
         spy = _NerSpy(world)
@@ -961,7 +967,7 @@ class TestStreamedLayers:
                     in_flight[kind] -= 1
 
         with LocalServer(responder) as server:
-            record = crawl(config, _remote_gateway(server.url), run_id="r")
+            record = crawl(config, remote_gateway(server.url), run_id="r")
         save_run(record, tmp_path / "remote")
         assert record.termination is Termination.ORGANIC
         assert peak["elicit"] <= parallelism and peak["ner"] == 1
@@ -972,12 +978,12 @@ class TestStreamedLayers:
         triples = [(tmp_path / side / "triples.ndjson").read_bytes() for side in ("mock", "remote")]
         assert triples[0] == triples[1]
 
-    def test_nothing_is_fetched_past_the_layer_cap(self, tmp_path):
+    def test_nothing_is_fetched_past_the_layer_cap(self, tmp_path, remote_gateway):
         # Layer 1's first NER batch admits children while the layer still runs.
         world = _streamed_world(tmp_path / "world.json")
         config = RunConfig(topic="babylon", seed_entity="Root", caps=Caps(max_layers=2), parallelism=2)
         with LocalServer(world_chat_responder(MockWorldGateway(world), delay_s=0.005)) as server:
-            record = crawl(config, _remote_gateway(server.url))
+            record = crawl(config, remote_gateway(server.url))
         requests = [json.loads(body) for _, _, _, body in server.requests]
         elicited = [r["messages"][1]["content"] for r in requests if _is_elicitation(r)]
         assert record.termination is Termination.CAPPED_LAYERS
@@ -987,13 +993,13 @@ class TestStreamedLayers:
 
 
 class TestDivergentSubjects:
-    def test_facts_are_filed_under_the_requested_subject(self):
+    def test_facts_are_filed_under_the_requested_subject(self, remote_gateway):
         divergent = json.dumps(
             {"triples": [{"subject": "Somebody Else", "predicate": "knows", "object": "Things"}]}
         )
         script = [(200, divergent), (200, json.dumps({"verdicts": [False]}))]
         config = RunConfig(topic="babylon", seed_entity="Hammurabi", parallelism=1)
         with LocalServer(scripted_chat_responder(script)) as server:
-            record = crawl(config, _remote_gateway(server.url))
+            record = crawl(config, remote_gateway(server.url))
         assert [(t.subject, t.predicate, t.object) for t in record.kb.triples] == [("Hammurabi", "knows", "Things")]
         assert record.visited_count == 1

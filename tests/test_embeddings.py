@@ -261,12 +261,11 @@ class TestRemoteEmbedder:
         np.testing.assert_allclose(rows[0], fake_embedding("one"))
         np.testing.assert_allclose(rows[1], fake_embedding("two"))
 
-    def test_retries_transient_failures(self):
+    def test_retries_transient_failures(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "MAX_RETRIES", 3)
         slept = []
         with LocalServer(embeddings_responder(fail_first=2, dim=6)) as server:
-            embedder = RemoteEmbedder(
-                server.url, api_key="k", max_retries=3, sleep=slept.append
-            )
+            embedder = RemoteEmbedder(server.url, api_key="k", sleep=slept.append)
             rows = embedder.embed(["one"])
         assert rows.shape == (1, 6)
         assert len(slept) == 2
@@ -274,7 +273,7 @@ class TestRemoteEmbedder:
     def test_rejected_request_is_not_retried(self):
         slept = []
         with LocalServer(lambda *request: (401, {"error": "bad key"})) as server:
-            embedder = RemoteEmbedder(server.url, api_key="k", max_retries=2, sleep=slept.append)
+            embedder = RemoteEmbedder(server.url, api_key="k", sleep=slept.append)
             with pytest.raises(TransportError, match="HTTP 401"):
                 embedder.embed(["one"])
             assert len(server.requests) == 1
@@ -338,8 +337,8 @@ class TestRemoteEmbedder:
         slept = []
         texts = ["one", "two", "three"]
         with LocalServer(responder) as server:
-            embedder = RemoteEmbedder(server.url, api_key="k", max_retries=2, sleep=slept.append)
-            if damaged_requests > embedder.max_retries:
+            embedder = RemoteEmbedder(server.url, api_key="k", sleep=slept.append)
+            if damaged_requests > embeddings.MAX_RETRIES:
                 with pytest.raises(TransportError, match="unexpected embeddings body"):
                     embedder.embed(texts)
             else:
@@ -352,9 +351,3 @@ class TestRemoteEmbedder:
         monkeypatch.delenv("KBFORGE_API_KEY", raising=False)
         with pytest.raises(GatewayError):
             RemoteEmbedder("http://localhost:1")
-
-    def test_negative_max_retries_is_refused_when_built(self):
-        with LocalServer(embeddings_responder(dim=6)) as server:
-            with pytest.raises(ValueError, match="max_retries must be >= 0"):
-                RemoteEmbedder(server.url, api_key="k", max_retries=-1)
-        assert server.requests == []

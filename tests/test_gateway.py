@@ -28,7 +28,7 @@ from kbforge.gateway import (
 )
 
 from conftest import held_bytes
-from fixture_server import LocalServer, closed_port, scripted_chat_responder, world_chat_responder
+from fixture_server import ConnectRelay, LocalServer, closed_port, scripted_chat_responder, world_chat_responder
 
 
 class RecordingSocket:
@@ -86,8 +86,8 @@ def certificate(tmp_path_factory):
     return cert, key
 
 
-def _remote(server_url, tmp_path=None, max_retries=2):
-    descriptor = BackendDescriptor(kind="remote", endpoint_url=server_url, max_retries=max_retries)
+def _remote(server_url, tmp_path=None):
+    descriptor = BackendDescriptor(kind="remote", endpoint_url=server_url)
     return RemoteChatGateway(
         descriptor,
         api_key="test-key",
@@ -197,22 +197,25 @@ class TestRemoteGateway:
         assert body["messages"][1] == {"role": "user", "content": "Hammurabi"}
         assert body["response_format"]["type"] == "json_schema"
         assert body["response_format"]["json_schema"]["strict"] is True
+        # A gateway bound to no run sends RunConfig's defaults.
+        assert (body["model"], body["temperature"]) == ("gpt-4.1-mini", 0.0)
 
     def test_retry_after_rate_limit(self, tmp_path):
         script = [(429, {"error": "slow down"}), (200, VALID_ELICIT)]
         slept = []
         with LocalServer(scripted_chat_responder(script)) as server:
-            descriptor = BackendDescriptor(kind="remote", endpoint_url=server.url, max_retries=2)
+            descriptor = BackendDescriptor(kind="remote", endpoint_url=server.url)
             gateway = RemoteChatGateway(descriptor, api_key="k", sleep=slept.append)
             triples = gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
         assert len(triples) == 2
         assert len(slept) == 1 and slept[0] > 0
 
-    def test_backoff_grows_exponentially(self):
+    def test_backoff_grows_exponentially(self, monkeypatch):
+        monkeypatch.setattr("kbforge.gateway.MAX_RETRIES", 3)
         script = [(500, {}), (500, {}), (200, VALID_ELICIT)]
         slept = []
         with LocalServer(scripted_chat_responder(script)) as server:
-            descriptor = BackendDescriptor(kind="remote", endpoint_url=server.url, max_retries=3)
+            descriptor = BackendDescriptor(kind="remote", endpoint_url=server.url)
             gateway = RemoteChatGateway(descriptor, api_key="k", sleep=slept.append)
             gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
         assert len(slept) == 2
@@ -221,20 +224,21 @@ class TestRemoteGateway:
     def test_retries_exhausted_surfaces_error(self):
         script = [(429, {})] * 3
         with LocalServer(scripted_chat_responder(script)) as server:
-            gateway = _remote(server.url, max_retries=2)
+            gateway = _remote(server.url)
             with pytest.raises(RateLimitedError):
                 gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
 
-    def test_http_error_is_transport_error(self):
+    def test_http_error_is_transport_error(self, monkeypatch):
+        monkeypatch.setattr("kbforge.gateway.MAX_RETRIES", 0)
         with LocalServer(scripted_chat_responder([(503, {})])) as server:
-            gateway = _remote(server.url, max_retries=0)
+            gateway = _remote(server.url)
             with pytest.raises(TransportError):
                 gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
 
     def test_rejected_request_is_not_retried(self):
         slept = []
         with LocalServer(scripted_chat_responder([(401, {"error": "bad key"})])) as server:
-            descriptor = BackendDescriptor(kind="remote", endpoint_url=server.url, max_retries=2)
+            descriptor = BackendDescriptor(kind="remote", endpoint_url=server.url)
             gateway = RemoteChatGateway(descriptor, api_key="k", sleep=slept.append)
             with pytest.raises(TransportError, match="HTTP 401"):
                 gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
@@ -244,14 +248,30 @@ class TestRemoteGateway:
     def test_persistent_malformed_output_surfaces(self):
         script = [(200, "garbage"), (200, "garbage"), (200, "garbage")]
         with LocalServer(scripted_chat_responder(script)) as server:
-            gateway = _remote(server.url, max_retries=2)
+            gateway = _remote(server.url)
             with pytest.raises(MalformedOutputError):
                 gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
+
+    # A body that is not a completion envelope counts as malformed output,
+    # so it is retried at once, without backoff.
+    @pytest.mark.parametrize("body", [b"not json", {}], ids=["not-json", "empty-object"])
+    def test_unreadable_envelope_is_malformed_output(self, tmp_path, body):
+        slept = []
+        with LocalServer(lambda *request: (200, body)) as server:
+            descriptor = BackendDescriptor(endpoint_url=server.url)
+            gateway = RemoteChatGateway(descriptor, api_key="k", audit_path=tmp_path / "audit.ndjson",
+                                        sleep=slept.append)
+            with pytest.raises(MalformedOutputError, match="unexpected completion envelope"):
+                gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
+            assert len(server.requests) == 3
+        assert slept == []
+        [entry] = _audit_lines(tmp_path)
+        assert (entry["kind"], entry["subject"], entry["status"]) == ("elicit", "Hammurabi", "MalformedOutputError")
 
     def test_ner_malformed_batch_raises_after_retries(self, tmp_path):
         script = [(200, "garbage")] * 3
         with LocalServer(scripted_chat_responder(script)) as server:
-            gateway = _remote(server.url, tmp_path, max_retries=2)
+            gateway = _remote(server.url, tmp_path)
             with pytest.raises(MalformedOutputError):
                 gateway.classify_ner(NerRequest(["a", "b"], "babylon"))
             assert len(server.requests) == 3
@@ -261,14 +281,15 @@ class TestRemoteGateway:
 
 
 class TestPlainAnswers:
-    def test_both_backends_answer_with_equal_plain_values(self, babylon_gateway):
+    def test_both_backends_answer_with_equal_plain_values(self, babylon_gateway, monkeypatch):
+        monkeypatch.setattr("kbforge.gateway.MAX_RETRIES", 0)
         # Every subject of the Babylon world, and an unknown one.
         subjects = [*babylon_gateway.facts, "Atlantis"]
         phrases = sorted({
             o for subject in subjects for _, _, o in babylon_gateway.elicit(ElicitationRequest(subject, "babylon"))
         })
         with LocalServer(world_chat_responder(babylon_gateway)) as server:
-            remote = _remote(server.url, max_retries=0)
+            remote = _remote(server.url)
             for subject in subjects:
                 request = ElicitationRequest(subject, "babylon")
                 answers = [babylon_gateway.elicit(request), remote.elicit(request)]
@@ -341,7 +362,7 @@ class TestTransport:
         slept = []
         script = [(200, VALID_ELICIT)] * 3
         with LocalServer(scripted_chat_responder(script), http11=True) as server:
-            descriptor = BackendDescriptor(kind="remote", endpoint_url=server.url, max_retries=2)
+            descriptor = BackendDescriptor(kind="remote", endpoint_url=server.url)
             gateway = RemoteChatGateway(descriptor, api_key="k", sleep=slept.append)
             for _ in range(2):
                 gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
@@ -353,9 +374,7 @@ class TestTransport:
 
     def test_connection_refused_is_retried_with_backoff(self, opened_sockets):
         slept = []
-        descriptor = BackendDescriptor(
-            kind="remote", endpoint_url=f"http://127.0.0.1:{closed_port()}", max_retries=2
-        )
+        descriptor = BackendDescriptor(kind="remote", endpoint_url=f"http://127.0.0.1:{closed_port()}")
         gateway = RemoteChatGateway(descriptor, api_key="k", sleep=slept.append)
         with pytest.raises(TransportError) as err:
             gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
@@ -367,11 +386,12 @@ class TestTransport:
             assert BACKOFF_BASE_S * 2**k <= delay <= BACKOFF_BASE_S * 2**k * 1.1
 
     @pytest.mark.parametrize(
-        "url", ["ftp://example.invalid/v1", "http://[::1/v1", "http:///v1", "http://127.0.0.1:99999/v1"]
+        "url", ["ftp://example.invalid/v1", "http://[::1/v1", "http:///v1", "http://127.0.0.1:99999/v1",
+                pytest.param("", id="empty")]
     )
     def test_malformed_url_fails_at_once(self, url, opened_sockets):
         slept = []
-        descriptor = BackendDescriptor(kind="remote", endpoint_url=url, max_retries=2)
+        descriptor = BackendDescriptor(kind="remote", endpoint_url=url)
         with pytest.raises(TransportError) as err:
             RemoteChatGateway(descriptor, api_key="k", sleep=slept.append)
         assert not err.value.retryable
@@ -386,12 +406,26 @@ class TestTransport:
             assert len(gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))) == 2
             gateway.close()
 
+    def test_https_proxy_gets_a_tunnel(self, certificate, no_proxy_env):
+        no_proxy_env.setenv("SSL_CERT_FILE", str(certificate[0]))
+        with LocalServer(scripted_chat_responder([(200, VALID_ELICIT)]), certificate=certificate) as origin, \
+                ConnectRelay() as proxy:
+            no_proxy_env.setenv("HTTPS_PROXY", proxy.url.replace("://", "://u:p@"))
+            gateway = _remote(origin.url)
+            assert len(gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))) == 2
+            gateway.close()
+        [(line, headers)] = proxy.connects
+        assert line.startswith(f"CONNECT {origin.url.removeprefix('https://')} HTTP/")
+        assert headers["Proxy-Authorization"] == "Basic dTpw"
+        assert [r.target for r in origin.received] == ["/chat/completions"]
+        assert "Proxy-Authorization" not in origin.received[0].headers
+
     def test_untrusted_certificate_fails_after_one_attempt(self, certificate, no_proxy_env, opened_sockets):
         no_proxy_env.delenv("SSL_CERT_FILE", raising=False)
         no_proxy_env.delenv("SSL_CERT_DIR", raising=False)
         slept = []
         with LocalServer(scripted_chat_responder([]), certificate=certificate) as server:
-            descriptor = BackendDescriptor(kind="remote", endpoint_url=server.url, max_retries=2)
+            descriptor = BackendDescriptor(kind="remote", endpoint_url=server.url)
             gateway = RemoteChatGateway(descriptor, api_key="k", sleep=slept.append)
             with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED") as err:
                 gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
@@ -487,9 +521,10 @@ class TestAuditLog:
             live = gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
         assert replay_audit(tmp_path / "audit.ndjson") == [live]
 
-    def test_error_outcomes_are_logged(self, tmp_path):
+    def test_error_outcomes_are_logged(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("kbforge.gateway.MAX_RETRIES", 0)
         with LocalServer(scripted_chat_responder([(503, {})])) as server:
-            gateway = _remote(server.url, tmp_path, max_retries=0)
+            gateway = _remote(server.url, tmp_path)
             with pytest.raises(TransportError):
                 gateway.elicit(ElicitationRequest("Hammurabi", "babylon"))
         lines = (tmp_path / "audit.ndjson").read_text(encoding="utf-8").splitlines()
@@ -499,7 +534,7 @@ class TestAuditLog:
 
     def test_failed_ner_batch_is_logged(self, tmp_path):
         with LocalServer(scripted_chat_responder([(503, {})] * 3)) as server:
-            gateway = _remote(server.url, tmp_path, max_retries=2)
+            gateway = _remote(server.url, tmp_path)
             with pytest.raises(TransportError):
                 gateway.classify_ner(NerRequest(["Babylon", "1792 BC"], "babylon"))
             assert len(server.requests) == 3

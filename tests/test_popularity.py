@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kbforge import popularity
 from kbforge.gateway import Session, TransportError
 from kbforge.popularity import (
     BUCKET_NAMES,
@@ -157,21 +158,25 @@ class TestWikidataClient:
 
     def test_rate_limit_responses_are_retried(self):
         with LocalServer(wikidata_responder(CATALOG, fail_first=2)) as server:
-            client = _client(server.url, max_retries=3)
+            client = _client(server.url)
             assert client.search_qid("Hammurabi") == "Q36359"
             assert len(server.requests) == 3
 
-    def test_exhausted_retries_surface(self):
+    def test_exhausted_retries_surface(self, monkeypatch):
+        monkeypatch.setattr(popularity, "WIKIDATA_MAX_RETRIES", 1)
         with LocalServer(wikidata_responder(CATALOG, fail_first=10)) as server:
-            client = _client(server.url, max_retries=1)
+            client = _client(server.url)
             with pytest.raises(TransportError):
                 client.search_qid("Hammurabi")
 
-    def test_negative_max_retries_is_refused_when_built(self):
-        with LocalServer(wikidata_responder(CATALOG)) as server:
-            with pytest.raises(ValueError, match="max_retries must be >= 0"):
-                _client(server.url, max_retries=-1)
-        assert server.requests == []
+    def test_body_that_is_not_json_is_retried_with_backoff(self):
+        slept = []
+        with LocalServer(lambda *request: (200, b"not json")) as server:
+            client = _client(server.url, sleep=slept.append)
+            with pytest.raises(TransportError, match="non-JSON response"):
+                client.search_qid("Hammurabi")
+            assert len(server.requests) == 4
+        assert len(slept) == 3 and all(delay > 0 for delay in slept)
 
     def test_requests_carry_the_fixed_timeout_language_and_user_agent(self, monkeypatch):
         timeouts = []

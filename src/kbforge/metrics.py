@@ -231,6 +231,7 @@ class BucketRow:
 class CategoryComparison:
     matrices: dict[str, PairwiseMatrix]
     row: CategoryRow
+    bucket_rows: list[BucketRow] = field(default_factory=list)
 
 
 @dataclass
@@ -285,9 +286,13 @@ def _cells(table: _Table, i: int, j: int, tau: float, flags: set[str]) -> dict[s
     }
 
 
+# The field of a report row that holds each metric's mean over the row's cells.
+_MEAN_FIELDS = {METRIC_LEXICAL: "avg_jaccard", METRIC_HAUSDORFF: "avg_hausdorff", METRIC_MATCH: "avg_match_pct"}
+
+
 def _means(cells: list[dict[str, float]]) -> dict[str, Optional[float]]:
-    """Each metric's mean over ``cells``, summed in list order; None without cells."""
-    return {m: sum(c[m] for c in cells) / len(cells) if cells else None for m in _DIAGONAL}
+    """Each metric's row field and mean over ``cells``, summed in list order; None without cells."""
+    return {name: sum(c[m] for c in cells) / len(cells) if cells else None for m, name in _MEAN_FIELDS.items()}
 
 
 def pairwise_report(
@@ -298,11 +303,18 @@ def pairwise_report(
     cache: Optional[EmbeddingCache] = None,
     *,
     element_sets: Optional[Sequence[set[str]]] = None,
+    assignments: Optional[Sequence[BucketAssignment]] = None,
 ) -> CategoryComparison:
     """Compare one structural category across runs, every pair once.
 
     ``element_sets`` holds each run's elements of ``category`` when the
     caller has derived them already; by default they are derived here.
+    ``assignments`` (named entities only) holds one popularity bucket
+    assignment per run. Each run's non-empty slice of each bucket is one
+    more set in the category's one table, and ``bucket_rows`` averages each
+    bucket over its ordered pairs (slice of run i, all of run j), skipping
+    the runs whose slice is empty; a bucket empty for every run gets a
+    flagged row with null metrics.
     """
     if len(records) < 2:
         raise ValueError("pairwise comparison needs at least two runs")
@@ -311,10 +323,36 @@ def pairwise_report(
     run_ids = [r.run_id for r in records]
     if element_sets is None:
         element_sets = [category_elements(r, category) for r in records]
-    table = _table(list(element_sets), provider, cache)
+    n = len(records)
+    sets = list(element_sets)
+    # Per bucket, in first-seen order: its flags and its ordered pairs of
+    # (slice of run i, all of run j); each slice is one more set in the table.
+    plan: list[tuple[str, set[str], list[tuple[int, int]]]] = []
+    if assignments is not None:
+        if category is not StructuralCategory.NAMED_ENTITIES:
+            raise ValueError("popularity buckets split named entities only")
+        if len(assignments) != n:
+            raise ValueError("one bucket assignment per run is required")
+        for name in dict.fromkeys(bucket for a in assignments for bucket in a.buckets):
+            bucket_flags: set[str] = set()
+            pairs: list[tuple[int, int]] = []
+            for i, assignment in enumerate(assignments):
+                members = set(assignment.buckets.get(name, ()))
+                if not members:
+                    bucket_flags.add(f"empty_bucket_skipped:{run_ids[i]}")
+                    continue
+                missing = sorted(members - sets[i])
+                if missing:
+                    raise ValueError(
+                        f"bucket {name!r} of run {run_ids[i]} has labels "
+                        f"outside the run's named entities: {missing[:3]}"
+                    )
+                pairs.extend((len(sets), j) for j in range(n) if j != i)
+                sets.append(members)
+            plan.append((name, bucket_flags, pairs))
+    table = _table(sets, provider, cache)
 
     flags: set[str] = set()
-    n = len(records)
     # Every pair once, in row-major order of the upper triangle.
     cells = {(i, j): _cells(table, i, j, tau, flags) for i in range(n) for j in range(i + 1, n)}
     values = {metric_id: [[diagonal] * n for _ in range(n)] for metric_id, diagonal in _DIAGONAL.items()}
@@ -332,7 +370,6 @@ def pairwise_report(
     else:
         yield_cv = yield_std / yield_mean
 
-    means = _means(list(cells.values()))
     row = CategoryRow(
         category=category,
         run_ids=run_ids,
@@ -340,12 +377,16 @@ def pairwise_report(
         yield_mean=yield_mean,
         yield_std=yield_std,
         yield_cv=yield_cv,
-        avg_jaccard=means[METRIC_LEXICAL],
-        avg_hausdorff=means[METRIC_HAUSDORFF],
-        avg_match_pct=means[METRIC_MATCH],
+        **_means(list(cells.values())),
         flags=sorted(flags),
     )
-    return CategoryComparison(matrices=matrices, row=row)
+    bucket_rows: list[BucketRow] = []
+    for name, bucket_flags, pairs in plan:
+        bucket_cells = [_cells(table, k, j, tau, bucket_flags) for k, j in pairs]
+        if not bucket_cells:
+            bucket_flags.add("empty_for_all_runs")
+        bucket_rows.append(BucketRow(name, len(bucket_cells), **_means(bucket_cells), flags=sorted(bucket_flags)))
+    return CategoryComparison(matrices=matrices, row=row, bucket_rows=bucket_rows)
 
 
 def bucketed_report(
@@ -354,72 +395,15 @@ def bucketed_report(
     tau: float = DEFAULT_TAU,
     provider: Optional[EmbeddingProvider] = None,
     cache: Optional[EmbeddingCache] = None,
-    *,
-    element_sets: Optional[Sequence[set[str]]] = None,
 ) -> list[BucketRow]:
     """Popularity-bucketed comparison: bucket slice of run i vs ALL of run j.
 
-    Pairs are ordered (the bucket side and the full side differ), and a pair
-    is skipped when the bucket is empty for run i. Buckets empty everywhere
-    produce a flagged row with null metrics. ``element_sets`` holds each
-    run's named entities when the caller has derived them already. Each
-    run's slice of each bucket is one more set in the runs' table.
+    The bucket rows of the named entities' ``pairwise_report``, whose one
+    table holds the slices beside the runs' sets.
     """
-    if len(records) != len(assignments):
-        raise ValueError("one bucket assignment per run is required")
-    if len(records) < 2:
-        raise ValueError("bucketed comparison needs at least two runs")
-    _check_tau(tau)
-    provider = provider or TrigramHashEmbedder()
-
-    if element_sets is None:
-        element_sets = [category_elements(r, StructuralCategory.NAMED_ENTITIES) for r in records]
-    sets = list(element_sets)
-    buckets_per_run = [a.buckets for a in assignments]
-    bucket_names: list[str] = []
-    for per_run in buckets_per_run:
-        for name in per_run:
-            if name not in bucket_names:
-                bucket_names.append(name)
-
-    # Per bucket: its flags and its ordered (slice set, full run) pairs.
-    plan: list[tuple[str, set[str], list[tuple[int, int]]]] = []
-    for name in bucket_names:
-        flags: set[str] = set()
-        pairs: list[tuple[int, int]] = []
-        for i, per_run in enumerate(buckets_per_run):
-            members = set(per_run.get(name, ()))
-            if not members:
-                flags.add(f"empty_bucket_skipped:{records[i].run_id}")
-                continue
-            missing = sorted(members - element_sets[i])
-            if missing:
-                raise ValueError(
-                    f"bucket {name!r} of run {records[i].run_id} has labels "
-                    f"outside the run's named entities: {missing[:3]}"
-                )
-            pairs.extend((len(sets), j) for j in range(len(records)) if j != i)
-            sets.append(members)
-        plan.append((name, flags, pairs))
-
-    table = _table(sets, provider, cache)
-    rows: list[BucketRow] = []
-    for name, flags, pairs in plan:
-        cells = [_cells(table, k, j, tau, flags) for k, j in pairs]
-        if not cells:
-            flags.add("empty_for_all_runs")
-        means = _means(cells)
-        rows.append(
-            BucketRow(
-                bucket=name,
-                pair_count=len(cells),
-                avg_jaccard=means[METRIC_LEXICAL],
-                avg_hausdorff=means[METRIC_HAUSDORFF],
-                avg_match_pct=means[METRIC_MATCH],
-                flags=sorted(flags),
-            )
-        )
-    return rows
+    return pairwise_report(
+        records, StructuralCategory.NAMED_ENTITIES, tau, provider, cache, assignments=assignments
+    ).bucket_rows
 
 
 def build_stability_report(
@@ -433,33 +417,39 @@ def build_stability_report(
 ) -> StabilityReport:
     """Compare every category, and the popularity buckets if given.
 
-    Each run's categories are derived once, and each distinct label is
-    embedded once for the whole report.
+    Each run's categories are derived once, each distinct label is embedded
+    once for the whole report, and each compared category fills one table.
+    The bucket rows come from the named entities' table, which is compared
+    for them even when named entities are not among ``categories``; the
+    report then holds no row or matrix of its own for them.
     """
     provider = provider or TrigramHashEmbedder()
     # Without a caller's cache, an in-memory one still embeds a label
-    # compared in several categories or in the bucketed rows once.
+    # compared in several categories once.
     vectors = cache if cache is not None else EmbeddingCache()
+    named = StructuralCategory.NAMED_ENTITIES
+    compared = list(categories)
+    if assignments is not None and named not in compared:
+        compared.append(named)
     # Only the compared sets are kept, so the others are freed at once.
-    kept = set(categories)
-    if assignments is not None:
-        kept.add(StructuralCategory.NAMED_ENTITIES)
     derived = []
     for record in records:
         sets = derive_categories(record.kb)
-        derived.append({category: sets[category] for category in kept})
+        derived.append({category: sets[category] for category in compared})
     rows: list[CategoryRow] = []
     matrices: list[PairwiseMatrix] = []
-    for category in categories:
-        comparison = pairwise_report(
-            records, category, tau, provider, vectors, element_sets=[d[category] for d in derived]
-        )
-        rows.append(comparison.row)
-        matrices.extend(comparison.matrices.values())
     bucket_rows: list[BucketRow] = []
-    if assignments is not None:
-        named = [d[StructuralCategory.NAMED_ENTITIES] for d in derived]
-        bucket_rows = bucketed_report(records, assignments, tau, provider, vectors, element_sets=named)
+    for category in compared:
+        comparison = pairwise_report(
+            records, category, tau, provider, vectors,
+            element_sets=[d[category] for d in derived],
+            assignments=assignments if category is named else None,
+        )
+        if category in categories:
+            rows.append(comparison.row)
+            matrices.extend(comparison.matrices.values())
+        if category is named:
+            bucket_rows = comparison.bucket_rows
     return StabilityReport(
         suite_id=suite_id,
         tau=tau,

@@ -13,7 +13,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .gateway import Session, TransportError, with_retries
 from .model import NdjsonStore, utcnow
@@ -95,23 +95,41 @@ class WikidataClient:
         self._limiter = rate_limiter or RateLimiter()
         self._sleep = sleep
 
-    def _get(self, params: dict) -> dict:
+    def _get(self, params: dict, read: Callable[[Any], Any]) -> Any:
+        """``read`` of the JSON body; a body that is not JSON, or whose fields
+        ``read`` finds of the wrong shape, is retried as a ``TransportError``."""
         query = dict(params)
         query["format"] = "json"
 
-        def attempt() -> dict:
+        def attempt() -> Any:
             self._limiter.wait()
             resp = self._session.get(params=query, timeout=WIKIDATA_TIMEOUT_S)
             try:
-                return resp.json()
+                payload = resp.json()
             except ValueError as exc:
                 raise TransportError(f"non-JSON response: {exc}") from exc
+            try:
+                return read(payload)
+            except (AttributeError, KeyError, IndexError, TypeError) as exc:
+                raise TransportError(f"response of the wrong shape: {exc!r}") from exc
 
         return with_retries(attempt, WIKIDATA_MAX_RETRIES, self._sleep)
 
     def search_qid(self, label: str) -> Optional[str]:
         """Top search hit for a label, or None when nothing matches."""
-        payload = self._get(
+
+        def top_hit(payload) -> Optional[str]:
+            hits = payload.get("search", [])
+            if not hits:
+                return None
+            qid = hits[0]["id"]
+            if not isinstance(qid, str):
+                raise TypeError(f"search hit id {qid!r} is not a string")
+            if len(hits) > 1:
+                logger.info("label %r is ambiguous (%d hits); taking top hit", label, len(hits))
+            return qid
+
+        return self._get(
             {
                 "action": "wbsearchentities",
                 "search": label,
@@ -119,21 +137,22 @@ class WikidataClient:
                 "uselang": "en",
                 "type": "item",
                 "limit": 5,
-            }
+            },
+            top_hit,
         )
-        hits = payload.get("search", [])
-        if not hits:
-            return None
-        if len(hits) > 1:
-            logger.info("label %r is ambiguous (%d hits); taking top hit", label, len(hits))
-        return hits[0]["id"]
 
     def statement_count(self, qid: str) -> int:
-        """Total number of statements on the entity page (sum over properties)."""
-        payload = self._get({"action": "wbgetentities", "ids": qid, "props": "claims"})
-        entity = payload.get("entities", {}).get(qid, {})
-        claims = entity.get("claims", {})
-        return sum(len(values) for values in claims.values())
+        """Total number of statements on the entity page (sum over properties);
+        0 for an entity the body does not list or lists without claims."""
+
+        def count(payload) -> int:
+            # Wikibase may write an empty map of claims as an empty list.
+            claims = payload.get("entities", {}).get(qid, {}).get("claims") or {}
+            if not all(isinstance(values, list) for values in claims.values()):
+                raise TypeError("claims must list each property's statements")
+            return sum(map(len, claims.values()))
+
+        return self._get({"action": "wbgetentities", "ids": qid, "props": "claims"}, count)
 
 
 CACHE_NAME = "popularity.ndjson"

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import kbforge
-from kbforge import cli, gateway
+from kbforge import cli, gateway, popularity
 from kbforge.cli import build_parser, main
 from kbforge.gateway import MockWorldGateway, RemoteChatGateway
 from kbforge.model import (
@@ -719,6 +719,28 @@ class TestCompareCommand:
         not_found = next(r for r in report["bucket_rows"] if r["bucket"] == "NotFound")
         assert not_found["pair_count"] == 6
 
+        # Buckets without a named-entity row still read the named entities.
+        code, _, _ = _invoke(
+            capsys,
+            "compare",
+            str(suite_dir),
+            "--categories",
+            "predicates",
+            "--buckets",
+            "--offline",
+            "--popularity-cache",
+            str(cache_path),
+            "--out",
+            str(tmp_path / "rep-predicates"),
+        )
+        assert code == 0
+        lines = (tmp_path / "rep-predicates" / "report.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[1] for line in lines if line.startswith("category,")] == ["predicates"]
+        both = (tmp_path / "rep" / "report.csv").read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if line.startswith("bucket,")] == [
+            line for line in both if line.startswith("bucket,")
+        ] != []
+
     @pytest.mark.parametrize("flags", [["--cache"], ["--buckets", "--offline", "--popularity-cache"]],
                              ids=["embedding", "popularity"])
     def test_damaged_cache_is_one_error_line(self, suite_dir, tmp_path, capsys, flags):
@@ -1010,6 +1032,17 @@ class TestPopularityCommand:
         assert code == 0
         assert "NotFound: 0" in out
         assert "Q1: 1" in out
+
+    def test_wikidata_body_of_the_wrong_shape_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(popularity, "WIKIDATA_MAX_RETRIES", 0)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("Hammurabi\n", encoding="utf-8")
+        with LocalServer(lambda *request: (200, b'{"search": ["Q1"]}')) as server:
+            code, _, err = _invoke(
+                capsys, "--workspace", str(tmp_path), "popularity", "--labels", str(labels),
+                "--wikidata-endpoint", server.url + "/w/api.php",
+            )
+        assert code == 1 and len(err.splitlines()) == 1 and "wrong shape" in err
 
     def test_missing_run_directory_is_one_error_line(self, tmp_path, capsys):
         code, _, err = _invoke(capsys, "popularity", str(tmp_path / "missing"), "--offline")

@@ -568,6 +568,18 @@ class TestBucketedReport:
         with pytest.raises(ValueError, match="tau"):
             bucketed_report(_two_identical_runs(), _assignments(*buckets), tau=1.5)
 
+    @pytest.mark.parametrize("category", [c for c in StructuralCategory if c is not StructuralCategory.NAMED_ENTITIES])
+    def test_buckets_split_only_named_entities(self, category):
+        assignments = _assignments({"Q4": {"A"}}, {"Q4": {"A"}})
+        with pytest.raises(ValueError, match="named entities only"):
+            pairwise_report(_two_identical_runs(), category, assignments=assignments)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_pairwise_report_wants_one_assignment_per_run(self, count):
+        assignments = _assignments(*({"Q4": {"A"}} for _ in range(count)))
+        with pytest.raises(ValueError, match="one bucket assignment per run"):
+            pairwise_report(_two_identical_runs(), StructuralCategory.NAMED_ENTITIES, assignments=assignments)
+
 
 class _TableProvider:
     """Seeded random vectors per label; "twin-a" and "twin-b" share one vector."""
@@ -735,6 +747,27 @@ class TestOneEmbeddingPerLabel:
         for row, category in zip(report.rows, categories):
             alone = pairwise_report(runs, category, provider=TrigramHashEmbedder(dim=32)).row
             assert row == alone
+
+    def test_buckets_join_the_named_entities_table(self, monkeypatch):
+        runs = self._runs()
+        assignments = _assignments(*({"Q4": {"Hammurabi", "Babylon"}, "Q1": {"Marduk"}, "Q2": set()} for _ in runs))
+        tables = _count_tables(monkeypatch)
+        report = build_stability_report(runs, list(StructuralCategory), assignments=assignments)
+        # One table per category; the named entities' holds the runs and their 2 non-empty slices each.
+        assert tables == [len(runs) + 2 * len(runs), *[len(runs)] * 4]
+        assert [row.pair_count for row in report.bucket_rows] == [6, 6, 0]
+
+    def test_buckets_without_a_named_entities_row(self):
+        runs = self._runs()
+        assignments = _assignments(*({"Q4": {"Hammurabi", "Babylon"}, "Q1": {"Marduk"}} for _ in runs))
+        alone = build_stability_report(runs, [StructuralCategory.PREDICATES], assignments=assignments)
+        both = build_stability_report(
+            runs, [StructuralCategory.NAMED_ENTITIES, StructuralCategory.PREDICATES], assignments=assignments
+        )
+        assert [row.category for row in alone.rows] == [StructuralCategory.PREDICATES]
+        assert len(alone.matrices) == 3
+        assert {m.category for m in alone.matrices} == {StructuralCategory.PREDICATES}
+        assert alone.bucket_rows and alone.bucket_rows == both.bucket_rows
 
     def test_distinct_labels_with_one_vector_score_as_verbatim(self):
         class OneVector:

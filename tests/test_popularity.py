@@ -139,6 +139,18 @@ CATALOG = {
 }
 
 
+def _assert_retried_with_backoff(call, body, message):
+    """Every answer is ``body``: the client's ``call`` is sent four times and
+    then raises a ``TransportError`` whose text holds ``message``."""
+    slept = []
+    with LocalServer(lambda *request: (200, body)) as server:
+        client = _client(server.url, sleep=slept.append)
+        with pytest.raises(TransportError, match=message):
+            getattr(client, call)("Q1")
+        assert len(server.requests) == 4
+    assert len(slept) == 3 and all(delay > 0 for delay in slept)
+
+
 class TestWikidataClient:
     def test_resolves_label_to_statement_count(self):
         with LocalServer(wikidata_responder(CATALOG)) as server:
@@ -170,13 +182,28 @@ class TestWikidataClient:
                 client.search_qid("Hammurabi")
 
     def test_body_that_is_not_json_is_retried_with_backoff(self):
-        slept = []
-        with LocalServer(lambda *request: (200, b"not json")) as server:
-            client = _client(server.url, sleep=slept.append)
-            with pytest.raises(TransportError, match="non-JSON response"):
-                client.search_qid("Hammurabi")
-            assert len(server.requests) == 4
-        assert len(slept) == 3 and all(delay > 0 for delay in slept)
+        _assert_retried_with_backoff("search_qid", b"not json", "non-JSON response")
+
+    @pytest.mark.parametrize(
+        "call, body",
+        [
+            ("search_qid", b"[]"),
+            ("search_qid", b'{"search": ["Q1"]}'),
+            ("search_qid", b'{"search": [{"label": "x"}]}'),
+            ("search_qid", b'{"search": [{"id": 1}]}'),
+            ("statement_count", b'{"entities": []}'),
+            ("statement_count", b'{"entities": {"Q1": {"claims": {"P1": 3}}}}'),
+            ("statement_count", b'{"entities": {"Q1": {"claims": {"P1": "abc"}}}}'),
+        ],
+    )
+    def test_body_of_the_wrong_shape_is_retried_with_backoff(self, call, body):
+        _assert_retried_with_backoff(call, body, "wrong shape")
+
+    @pytest.mark.parametrize("body", [b"{}", b'{"entities": {"Q1": {"claims": []}}}'])
+    def test_entity_without_claims_counts_zero(self, body):
+        with LocalServer(lambda *request: (200, body)) as server:
+            assert _client(server.url).statement_count("Q1") == 0
+            assert len(server.requests) == 1
 
     def test_requests_carry_the_fixed_timeout_language_and_user_agent(self, monkeypatch):
         timeouts = []

@@ -200,15 +200,18 @@ def cmd_compare(args) -> int:
     if args.buckets:
         assignments = _bucketize(args, args.popularity_cache, workspace, map(_entity_labels, records))
 
-    report = metrics.build_stability_report(
-        records,
-        categories,
-        tau=args.tau,
-        provider=provider,
-        cache=cache,
-        suite_id=suite_dir.name or str(suite_dir),
-        assignments=assignments,
-    )
+    try:
+        report = metrics.build_stability_report(
+            records,
+            categories,
+            tau=args.tau,
+            provider=provider,
+            cache=cache,
+            suite_id=suite_dir.name or str(suite_dir),
+            assignments=assignments,
+        )
+    except ValueError as exc:  # provider rows of the wrong shape, e.g. not as wide as the cache's
+        raise CliError(str(exc)) from exc
     out_dir = Path(args.out) if args.out else suite_dir / "report"
     json_path, csv_path = metrics.write_report(report, out_dir)
     for row in report.rows:

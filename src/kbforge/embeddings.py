@@ -2,9 +2,10 @@
 
 Two providers share one interface: a deterministic offline embedder that
 hashes character trigrams into a fixed-width bag vector, and a remote
-embedder speaking the OpenAI embeddings wire format. A cache, in memory
-or backed by a newline-delimited JSON file, keeps repeat comparisons from
-re-embedding unchanged rows.
+embedder speaking the OpenAI embeddings wire format. Every embedding goes
+through a cache, in memory or backed by a newline-delimited JSON file:
+only texts it lacks reach the provider, so a label is embedded once per
+cache and a repeat comparison against a file re-embeds nothing.
 
 Cosine similarity comes in two steps: ``normalise_rows`` scales rows to
 unit length in place, and ``pairwise_cosine_similarity`` multiplies unit
@@ -16,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import time
 from pathlib import Path
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -163,80 +164,62 @@ class RemoteEmbedder:
 
 
 class EmbeddingCache:
-    """Vectors keyed by (provider_id, text), held in memory.
+    """Vectors keyed by (provider_id, text), held in memory; the one way
+    kbforge embeds.
 
     With a path, they are also read from and appended to an NDJSON store;
-    without one, the cache lives only as long as the object.
+    without one, the cache lives only as long as the object. A provider's
+    vectors share one width: a file whose vectors for one provider differ
+    in width is refused when it is read.
     """
 
     def __init__(self, path: Optional[Path] = None):
         self._store = NdjsonStore(path) if path is not None else None
         self._vectors: dict[tuple[str, str], np.ndarray] = {}
+        self._widths: dict[str, int] = {}
         for entry in self._store.entries() if self._store is not None else ():
-            key = (entry["provider"], entry["text"])
-            self._vectors[key] = np.asarray(entry["vector"], dtype=np.float64)
+            provider_id, text = entry["provider"], entry["text"]
+            vector = np.asarray(entry["vector"], dtype=np.float64)
+            width = self._widths.setdefault(provider_id, len(vector))
+            if vector.shape != (width,):
+                raise ValueError(
+                    f"vector of {text!r} has shape {vector.shape}, but {provider_id!r} vectors have width {width}"
+                )
+            self._vectors[provider_id, text] = vector
 
-    def get(self, provider_id: str, text: str) -> Optional[np.ndarray]:
-        return self._vectors.get((provider_id, text))
+    def rows(self, texts: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
+        """The rows of the distinct ``texts``, in order; only the texts the
+        cache lacks reach the provider, in one call.
 
-    def put_many(self, provider_id: str, items: Iterable[tuple[str, np.ndarray]]) -> None:
-        fresh = [(text, np.asarray(vector, dtype=np.float64)) for text, vector in items]
-        self._vectors.update(((provider_id, text), vector) for text, vector in fresh)
-        if self._store is not None:
-            self._store.append(
-                {"provider": provider_id, "text": text, "vector": vector.tolist()} for text, vector in fresh
-            )
-
-
-def _provided(provider: EmbeddingProvider, texts: Sequence[str], width: Optional[int]) -> np.ndarray:
-    """The provider's float64 rows for ``texts``: one per text, ``width`` wide if given."""
-    rows = np.asarray(provider.embed(texts), dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] != len(texts) or width not in (None, rows.shape[1]):
-        wanted = f"{len(texts)} rows" + ("" if width is None else f" of width {width}")
-        raise ValueError(
-            f"embedding provider {provider.provider_id!r} returned shape {rows.shape} for {wanted}"
-        )
-    return rows
-
-
-def embed_batch(
-    texts: Sequence[str],
-    provider: EmbeddingProvider,
-    cache: Optional[EmbeddingCache] = None,
-) -> np.ndarray:
-    """Embed texts through the cache; only misses reach the provider.
-
-    Without a cache, or when every text is a distinct miss (a table's
-    sorted union against a cold cache), the result is the provider's own
-    matrix, and the cache holds its rows as views. Otherwise it is a new
-    matrix stacked from the cache. Either way the caller only reads it.
-    A provider's rows must match the width of the texts' cached vectors.
-    """
-    if not texts:
-        dim = getattr(provider, "dim", EMBED_DIM)
-        return np.zeros((0, dim), dtype=np.float64)
-    if cache is None:
-        return _provided(provider, texts, None)
-
-    provider_id = provider.provider_id
-    misses: list[str] = []
-    seen: set[str] = set()
-    width: Optional[int] = None
-    for text in texts:
-        if text in seen:
-            continue
-        seen.add(text)
-        vector = cache.get(provider_id, text)
-        if vector is None:
-            misses.append(text)
-        elif width is None:
-            width = vector.shape[0]
-    if misses:
-        fresh = _provided(provider, misses, width)
-        cache.put_many(provider_id, zip(misses, fresh))
-        if len(misses) == len(texts):
-            return fresh
-    return np.vstack([cache.get(provider_id, text) for text in texts])
+        The provider must return one row per text it is sent, as wide as
+        its cached vectors. When every text misses (a table's sorted union
+        against a cold cache), the result is the provider's own matrix, and
+        the cache holds its rows as views. Otherwise it is a new matrix
+        stacked from the cache. Either way the caller only reads it. No
+        texts give a ``(0, EMBED_DIM)`` matrix without a provider call.
+        """
+        if not texts:
+            return np.zeros((0, EMBED_DIM), dtype=np.float64)
+        provider_id = provider.provider_id
+        misses = [text for text in texts if (provider_id, text) not in self._vectors]
+        if misses:
+            fresh = np.asarray(provider.embed(misses), dtype=np.float64)
+            width = self._widths.get(provider_id)
+            if fresh.ndim != 2 or fresh.shape[0] != len(misses) or width not in (None, fresh.shape[1]):
+                wanted = f"{len(misses)} rows"
+                if width is not None:
+                    source = "" if self._store is None else f" in {self._store.path}"
+                    wanted += f" of width {width}, the width of its cached vectors{source}"
+                raise ValueError(f"embedding provider {provider_id!r} returned shape {fresh.shape} for {wanted}")
+            self._widths[provider_id] = fresh.shape[1]
+            self._vectors.update(((provider_id, text), row) for text, row in zip(misses, fresh))
+            if self._store is not None:
+                self._store.append(
+                    {"provider": provider_id, "text": text, "vector": row.tolist()} for text, row in zip(misses, fresh)
+                )
+            if len(misses) == len(texts):
+                return fresh
+        return np.vstack([self._vectors[provider_id, text] for text in texts])
 
 
 def normalise_rows(rows: np.ndarray) -> np.ndarray:

@@ -602,10 +602,11 @@ class MockWorldGateway:
     truth of which phrases count as named entities. Identical requests get
     identical responses regardless of call order.
 
-    Every label of the world is read through one ``LabelTable``, so it is
-    one string however many facts hold it, and each subject's facts are one
-    flat tuple ``(p1, o1, p2, o2, ...)``. A crawl's own table keeps the
-    strings it is served, so the runs of an offline suite share them too.
+    Every label of the world must be a string. Each is read through one
+    ``LabelTable``, so it is one string however many facts hold it, and
+    each subject's facts are one flat tuple ``(p1, o1, p2, o2, ...)``. A
+    crawl's own table keeps the strings it is served, so the runs of an
+    offline suite share them too.
     """
 
     def __init__(self, world_path: Path) -> None:
@@ -619,8 +620,11 @@ class MockWorldGateway:
             raise ValueError(f"world {self.world_path} holds text that is not Unicode")
         labels = LabelTable()
         share = labels.__getitem__
+        facts = world.get("facts", {})
+        if not isinstance(facts, dict):
+            raise ValueError(f"world {self.world_path}: 'facts' must map each subject to its pairs")
         self.facts: dict[str, tuple[str, ...]] = {}
-        for subject, pairs in world.get("facts", {}).items():
+        for subject, pairs in facts.items():
             flat = tuple(map(share, chain.from_iterable(pairs)))
             if len(flat) != 2 * len(pairs):
                 raise ValueError(f"world {self.world_path}: a fact of {subject!r} is not a pair")
@@ -632,12 +636,16 @@ class MockWorldGateway:
         if "suffix_loop" in injectors:
             cfg = injectors["suffix_loop"]
             self.suffix_loop = SuffixLoopInjector(
-                root=cfg["root"], syllables=list(cfg.get("syllables", ["mu", "ma"]))
+                root=share(cfg["root"]), syllables=list(map(share, cfg.get("syllables", ["mu", "ma"])))
             )
         self.q_id: Optional[QIdInjector] = None
         if "q_id" in injectors:
             cfg = injectors["q_id"]
-            self.q_id = QIdInjector(host=cfg["host"], qids=list(cfg["qids"]))
+            self.q_id = QIdInjector(host=share(cfg["host"]), qids=list(map(share, cfg["qids"])))
+        # Every label entered through ``share``, so the table holds each distinct one.
+        bad = [label for label in labels if not isinstance(label, str)]
+        if bad:
+            raise ValueError(f"world {self.world_path}: label {bad[0]!r} is not a string")
 
     def _is_entity(self, phrase: str) -> bool:
         if phrase in self.entities:

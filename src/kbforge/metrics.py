@@ -22,7 +22,6 @@ from .embeddings import (
     EmbeddingCache,
     EmbeddingProvider,
     TrigramHashEmbedder,
-    embed_batch,
     normalise_rows,
     pairwise_cosine_similarity,
 )
@@ -256,14 +255,14 @@ class _Table(NamedTuple):
     best: np.ndarray
 
 
-def _table(sets: list[set[str]], provider: EmbeddingProvider, cache) -> _Table:
+def _table(sets: list[set[str]], provider: EmbeddingProvider, cache: EmbeddingCache) -> _Table:
     """Embed every distinct label of the sets once and fill one best-match table.
 
-    The provider's rows (which the cache may keep) are only read; the table
-    normalises its own copy of the distinct rows in place.
+    The cache's rows are only read; the table normalises its own copy of
+    the distinct rows in place.
     """
     union = sorted(set().union(*sets))
-    rows, _, inverse = _distinct(embed_batch(union, provider, cache))
+    rows, _, inverse = _distinct(cache.rows(union, provider))
     row_of = dict(zip(union, inverse.tolist()))
     members = [np.array([row_of[label] for label in sorted(s)], dtype=np.intp) for s in sets]
     return _Table(sets, members, _best_into(normalise_rows(rows), members))
@@ -314,7 +313,8 @@ def pairwise_report(
     more set in the category's one table, and ``bucket_rows`` averages each
     bucket over its ordered pairs (slice of run i, all of run j), skipping
     the runs whose slice is empty; a bucket empty for every run gets a
-    flagged row with null metrics.
+    flagged row with null metrics. Without ``cache``, the labels go through
+    a fresh in-memory one.
     """
     if len(records) < 2:
         raise ValueError("pairwise comparison needs at least two runs")
@@ -350,7 +350,7 @@ def pairwise_report(
                 pairs.extend((len(sets), j) for j in range(n) if j != i)
                 sets.append(members)
             plan.append((name, bucket_flags, pairs))
-    table = _table(sets, provider, cache)
+    table = _table(sets, provider, cache if cache is not None else EmbeddingCache())
 
     flags: set[str] = set()
     # Every pair once, in row-major order of the upper triangle.

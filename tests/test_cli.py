@@ -254,11 +254,23 @@ class TestCrawlCommand:
         code, _, err = _invoke(capsys, *_crawl_args(tmp_path, tmp_path))
         _assert_one_error_line(code, err, tmp_path)
 
-    def test_world_file_that_is_not_an_object_is_one_error_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"facts": []}',
+            '{"facts": {"Babylon": [[1, 2]]}}',
+            '{"facts": {"Babylon": [["p", null]]}}',
+            '{"facts": {"Babylon": []}, "injectors": {"q_id": {"host": "Babylon", "qids": [5]}}}',
+        ],
+        ids=["array", "facts-array", "number-labels", "null-label", "number-qid"],
+    )
+    def test_world_file_that_is_not_an_object_is_one_error_line(self, tmp_path, capsys, text):
         world = tmp_path / "world.json"
-        world.write_text("[1, 2]\n", encoding="utf-8")
+        world.write_text(text + "\n", encoding="utf-8")
         code, _, err = _invoke(capsys, *_crawl_args(tmp_path, world))
         _assert_one_error_line(code, err, world)
+        assert not (tmp_path / "runs").exists()
 
     def test_world_file_that_is_not_unicode_is_one_error_line(self, tmp_path, babylon_world_path, capsys):
         world = json.loads(babylon_world_path.read_text(encoding="utf-8"))
@@ -755,6 +767,21 @@ class TestCompareCommand:
         cache.write_text(json.dumps({"provider": "trigram-384", "vector": [1.0]}) + "\n", encoding="utf-8")
         code, _, err = _invoke(capsys, "compare", str(suite_dir), "--cache", str(cache))
         _assert_one_error_line(code, err, cache)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [{"Babylon": [1.0, 0.0]}, {"Babylon": [1.0, 0.0], "Marduk": [1.0, 0.0, 0.0]}],
+        ids=["narrower-than-the-provider", "mixed-widths"],
+    )
+    def test_embedding_cache_whose_widths_do_not_fit_is_one_error_line(self, suite_dir, tmp_path, capsys, vectors):
+        cache = tmp_path / "emb.ndjson"
+        lines = [json.dumps({"provider": "trigram-384", "text": t, "vector": v}) + "\n" for t, v in vectors.items()]
+        cache.write_text("".join(lines), encoding="utf-8")
+        code, _, err = _invoke(capsys, "compare", str(suite_dir), "--cache", str(cache), "--out", str(tmp_path / "rep"))
+        _assert_one_error_line(code, err, cache)
+        assert "width" in err
+        assert not (tmp_path / "rep").exists()
+        assert cache.read_text(encoding="utf-8") == "".join(lines)
 
     def test_missing_suite_dir(self, tmp_path, capsys):
         code, _, err = _invoke(capsys, "compare", str(tmp_path / "missing"))

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,6 @@ from kbforge.embeddings import (
     EmbeddingCache,
     RemoteEmbedder,
     TrigramHashEmbedder,
-    embed_batch,
     normalise_rows,
     pairwise_cosine_similarity,
 )
@@ -150,66 +150,85 @@ class TestCosine:
             pairwise_cosine_similarity(np.ones(3), np.ones((2, 3)))
 
 
+class _Served:
+    """A provider serving each text's row from a dict; it records every call."""
+
+    def __init__(self, vectors, provider_id="p"):
+        self.vectors = vectors
+        self.provider_id = provider_id
+        self.calls = []
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        return np.array([self.vectors[text] for text in texts], dtype=np.float64)
+
+
 class TestEmbeddingCache:
     def test_round_trip_and_reload(self, tmp_path):
         path = tmp_path / "cache.ndjson"
-        cache = EmbeddingCache(path)
-        cache.put_many("p", [("alpha", np.array([1.0, 2.0]))])
-        np.testing.assert_array_equal(cache.get("p", "alpha"), [1.0, 2.0])
-        assert cache.get("p", "beta") is None
-        assert cache.get("other", "alpha") is None
+        provider = _Served({"alpha": [1.0, 2.0], "beta": [3.0, 4.0]})
+        np.testing.assert_array_equal(EmbeddingCache(path).rows(["alpha"], provider), [[1.0, 2.0]])
 
         reloaded = EmbeddingCache(path)
-        np.testing.assert_array_equal(reloaded.get("p", "alpha"), [1.0, 2.0])
+        np.testing.assert_array_equal(reloaded.rows(["alpha", "beta"], provider), [[1.0, 2.0], [3.0, 4.0]])
+        assert provider.calls == [["alpha"], ["beta"]]
+        other = _Served({"alpha": [5.0, 6.0, 7.0]}, provider_id="other")
+        np.testing.assert_array_equal(reloaded.rows(["alpha"], other), [[5.0, 6.0, 7.0]])
+        assert other.calls == [["alpha"]]
 
     def test_without_a_path_vectors_stay_in_memory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cache = EmbeddingCache()
-        vector = np.array([0.5, -0.25])
-        cache.put_many("p", [("alpha", vector)])
-        assert cache.get("p", "alpha") is vector
-        assert cache.get("p", "beta") is None
+        provider = _Served({"alpha": [0.5, -0.25]})
+        cache.rows(["alpha"], provider)
+        np.testing.assert_array_equal(cache.rows(["alpha"], provider), [[0.5, -0.25]])
+        assert provider.calls == [["alpha"]]
         assert list(tmp_path.iterdir()) == []
 
     def test_reads_and_writes_the_original_line_layout(self, tmp_path):
         line = '{"provider": "trigram-4", "text": "Nabû", "vector": [0.5, -0.25, 0.0, 1.0]}\n'
         old = tmp_path / "old.ndjson"
         old.write_text(line, encoding="utf-8")
-        np.testing.assert_array_equal(
-            EmbeddingCache(old).get("trigram-4", "Nabû"), [0.5, -0.25, 0.0, 1.0]
-        )
+        provider = _Served({"Nabû": [0.5, -0.25, 0.0, 1.0]}, provider_id="trigram-4")
+        np.testing.assert_array_equal(EmbeddingCache(old).rows(["Nabû"], provider), [[0.5, -0.25, 0.0, 1.0]])
+        assert provider.calls == []
         new = tmp_path / "new.ndjson"
-        EmbeddingCache(new).put_many("trigram-4", [("Nabû", np.array([0.5, -0.25, 0.0, 1.0]))])
+        EmbeddingCache(new).rows(["Nabû"], provider)
         assert new.read_text(encoding="utf-8") == line
 
-    def test_embed_batch_skips_cached_texts(self, tmp_path):
-        calls = []
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ['{"provider": "p", "text": "a", "vector": [1.0, 2.0]}', '{"provider": "p", "text": "b", "vector": [1.0]}'],
+            ['{"provider": "p", "text": "a", "vector": [[1.0, 2.0]]}'],
+        ],
+        ids=["mixed", "nested"],
+    )
+    def test_a_file_whose_widths_differ_is_refused(self, tmp_path, lines):
+        path = tmp_path / "cache.ndjson"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="'p' vectors have width"):
+            EmbeddingCache(path)
 
-        class CountingEmbedder:
-            provider_id = "counting"
+    def test_providers_may_differ_in_width(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        EmbeddingCache(path).rows(["a"], _Served({"a": [1.0, 2.0]}, provider_id="p"))
+        EmbeddingCache(path).rows(["a"], _Served({"a": [1.0, 2.0, 3.0]}, provider_id="q"))
+        reloaded = EmbeddingCache(path)
+        np.testing.assert_array_equal(reloaded.rows(["a"], _Served({}, provider_id="q")), [[1.0, 2.0, 3.0]])
 
-            def embed(self, texts):
-                calls.append(list(texts))
-                return np.ones((len(texts), 4)) / 2.0
-
+    def test_rows_skip_cached_texts(self, tmp_path):
         cache = EmbeddingCache(tmp_path / "cache.ndjson")
-        provider = CountingEmbedder()
-        first = embed_batch(["a", "b", "a"], provider, cache)
-        assert first.shape == (3, 4)
-        assert calls == [["a", "b"]]
+        provider = _Served({text: [float(i), 0.5] for i, text in enumerate("abc")})
+        assert cache.rows(["a", "b"], provider).shape == (2, 2)
+        np.testing.assert_array_equal(cache.rows(["b", "c"], provider), [[1.0, 0.5], [2.0, 0.5]])
+        cache.rows(["c", "a"], provider)
+        assert provider.calls == [["a", "b"], ["c"]]
 
-        second = embed_batch(["b", "c"], provider, cache)
-        assert calls == [["a", "b"], ["c"]]
-        np.testing.assert_array_equal(second[0], first[1])
-
-    def test_embed_batch_without_cache_calls_through(self):
-        provider = TrigramHashEmbedder(dim=16)
-        rows = embed_batch(["x", "y"], provider)
-        np.testing.assert_array_equal(rows, provider.embed(["x", "y"]))
-
-    def test_embed_batch_empty_input(self):
-        rows = embed_batch([], TrigramHashEmbedder(dim=8))
-        assert rows.shape[0] == 0
+    def test_no_texts_make_no_provider_call(self):
+        provider = _Served({})
+        assert EmbeddingCache().rows([], provider).shape == (0, EMBED_DIM)
+        assert provider.calls == []
 
     def test_all_misses_return_the_providers_matrix(self):
         provider = TrigramHashEmbedder(dim=8)
@@ -217,10 +236,10 @@ class TestEmbeddingCache:
         embed = provider.embed
         provider.embed = lambda texts: returned.append(embed(texts)) or returned[-1]
         cache = EmbeddingCache()
-        rows = embed_batch(["a", "b", "c"], provider, cache)
+        rows = cache.rows(["a", "b", "c"], provider)
         assert rows is returned[0]
-        assert all(np.shares_memory(cache.get(provider.provider_id, t), rows) for t in "abc")
-        mixed = embed_batch(["c", "d"], provider, cache)
+        assert all(np.shares_memory(cache._vectors[provider.provider_id, t], rows) for t in "abc")
+        mixed = cache.rows(["c", "d"], provider)
         assert not np.shares_memory(mixed, rows)
         assert mixed.tobytes() == np.vstack([rows[2], returned[1][0]]).tobytes()
 
@@ -233,6 +252,10 @@ class TestEmbeddingCache:
         def embed(self, texts):
             return self.rows
 
+    def _assert_missing(self, cache, text):
+        """``text`` is not cached: the provider is asked for it again."""
+        np.testing.assert_array_equal(cache.rows([text], self._ShortProvider(np.full((1, 4), 7.0))), [[7.0] * 4])
+
     @pytest.mark.parametrize(
         "returned",
         [np.ones((2, 4)), np.ones((4, 4)), np.ones(3), np.ones((3, 4, 1)), []],
@@ -240,17 +263,26 @@ class TestEmbeddingCache:
     )
     @pytest.mark.parametrize("cached", [False, True])
     def test_wrong_row_count_names_the_provider(self, returned, cached):
-        cache = EmbeddingCache() if cached else None
-        with pytest.raises(ValueError, match="'short' returned shape .* for 3 rows"):
-            embed_batch(["a", "b", "c"], self._ShortProvider(returned), cache)
-        assert cache is None or cache.get("short", "a") is None
-
-    def test_rows_must_match_the_cached_width(self):
+        # A cold cache, or one that already holds a 4-wide vector of the provider.
         cache = EmbeddingCache()
-        cache.put_many("short", [("a", np.ones(4))])
-        with pytest.raises(ValueError, match=r"'short' returned shape \(2, 3\) for 2 rows of width 4"):
-            embed_batch(["a", "b", "c"], self._ShortProvider(np.ones((2, 3))), cache)
-        assert cache.get("short", "b") is None
+        if cached:
+            cache.rows(["z"], self._ShortProvider(np.ones((1, 4))))
+        with pytest.raises(ValueError, match="'short' returned shape .* for 3 rows"):
+            cache.rows(["a", "b", "c"], self._ShortProvider(returned))
+        self._assert_missing(cache, "a")
+
+    def test_rows_must_match_the_cached_width(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        cache = EmbeddingCache(path)
+        cache.rows(["a"], self._ShortProvider(np.ones((1, 4))))
+        width = rf"'short' returned shape \(2, 3\) for 2 rows of width 4, .* in {re.escape(str(path))}"
+        with pytest.raises(ValueError, match=width):
+            cache.rows(["a", "b", "c"], self._ShortProvider(np.ones((2, 3))))
+        # Texts none of which are cached must match the provider's width too.
+        with pytest.raises(ValueError, match=width):
+            cache.rows(["b", "c"], self._ShortProvider(np.ones((2, 3))))
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+        self._assert_missing(cache, "b")
 
 
 class TestRemoteEmbedder:

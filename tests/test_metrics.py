@@ -367,6 +367,16 @@ class _RecordingProvider:
         return rows
 
 
+class _Refusing:
+    """A provider id whose rows must all come from the cache."""
+
+    def __init__(self, provider_id):
+        self.provider_id = provider_id
+
+    def embed(self, texts):
+        raise AssertionError(f"{len(texts)} texts reached the provider")
+
+
 class TestCompareMemory:
     def _runs(self):
         # Three runs of 1,000 random facts: about 3,000 distinct triple labels.
@@ -392,9 +402,10 @@ class TestCompareMemory:
         provider = _RecordingProvider()
         cache = EmbeddingCache()
         build_stability_report(self._runs(), list(StructuralCategory), provider=provider, cache=cache)
-        assert len(provider.returned) > 3000
-        for text, row in provider.returned.items():
-            assert cache.get(provider.provider_id, text).tobytes() == row, text
+        texts = list(provider.returned)
+        assert len(texts) > 3000
+        for text, row in zip(texts, cache.rows(texts, _Refusing(provider.provider_id))):
+            assert row.tobytes() == provider.returned[text], text
 
 
 class TestYieldCounts:
@@ -700,9 +711,11 @@ class _CountingProvider:
         self.inner = TrigramHashEmbedder(dim=32)
         self.provider_id = self.inner.provider_id
         self.seen: list[str] = []
+        self.calls = 0
 
     def embed(self, texts):
         self.seen.extend(texts)
+        self.calls += 1
         return self.inner.embed(texts)
 
 
@@ -747,6 +760,34 @@ class TestOneEmbeddingPerLabel:
         for row, category in zip(report.rows, categories):
             alone = pairwise_report(runs, category, provider=TrigramHashEmbedder(dim=32)).row
             assert row == alone
+
+    def test_a_category_empty_in_every_run_calls_no_provider(self):
+        provider = _CountingProvider()
+        comparison = pairwise_report(_runs_from_sets([{"Ur"}, {"Uruk"}]), StructuralCategory.LITERALS, provider=provider)
+        assert provider.calls == 0
+        assert comparison.row.yields == [0, 0]
+
+    def test_a_table_whose_labels_are_all_cached_calls_no_provider(self):
+        runs = self._runs()
+        provider = _CountingProvider()
+        cache = EmbeddingCache()
+        first = pairwise_report(runs, StructuralCategory.TRIPLES, provider=provider, cache=cache)
+        assert provider.calls == 1
+        again = pairwise_report(runs, StructuralCategory.TRIPLES, provider=provider, cache=cache)
+        assert provider.calls == 1
+        assert repr(again) == repr(first)
+
+    def test_no_cache_gives_the_shared_cache_comparison_bit_for_bit(self):
+        runs = self._runs()
+        shared = EmbeddingCache()
+        # Some labels cached up front, so a table stacks hits beside fresh rows.
+        entities = sorted(category_elements(runs[2], StructuralCategory.NAMED_ENTITIES))
+        shared.rows(entities[::2], TrigramHashEmbedder(dim=32))
+        for category in StructuralCategory:
+            alone = pairwise_report(runs, category, provider=TrigramHashEmbedder(dim=32))
+            cached = pairwise_report(runs, category, provider=TrigramHashEmbedder(dim=32), cache=shared)
+            # A float's repr round-trips it, so equal reprs are equal bits.
+            assert repr(cached) == repr(alone), category
 
     def test_buckets_join_the_named_entities_table(self, monkeypatch):
         runs = self._runs()
